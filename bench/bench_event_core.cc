@@ -281,7 +281,8 @@ run(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--check-speedup") == 0 &&
             i + 1 < argc) {
-            check_speedup = std::strtod(argv[++i], nullptr);
+            check_speedup = bench::parseNumber<double>(
+                "--check-speedup", argv[++i], "a speedup >= 0", 0.0);
         } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
             dump_path = argv[++i];
         } else if (std::strcmp(argv[i], "--live-json") == 0 &&

@@ -42,8 +42,8 @@ main(int argc, char **argv)
     // race detector, and fail if any run is not clean.
     // --inject: after the baseline table, run the UPMInject campaign
     // (seeded fault injection over every app x model).
-    auto opt = bench::Options::parse(argc, argv, /*allow_audit=*/true,
-                                     /*allow_inject=*/true);
+    auto opt = bench::Options::parse(
+        argc, argv, bench::kAllowAudit | bench::kAllowInject);
     core::SystemConfig cfg;
     cfg.audit.enabled = opt.audit;
 

@@ -68,8 +68,7 @@ nodeConfig(unsigned sockets)
 int
 main(int argc, char **argv)
 {
-    auto opt = bench::Options::parse(argc, argv, false, false, false,
-                                     /*allow_sockets=*/true);
+    auto opt = bench::Options::parse(argc, argv, bench::kAllowSockets);
     setQuiet(true);
     bench::banner("Inter-APU deep dive",
                   "Multi-APU scale-out over the xGMI link model");

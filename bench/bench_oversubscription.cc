@@ -191,11 +191,8 @@ runUvmPoint(double fraction, std::uint64_t capacity,
 int
 main(int argc, char **argv)
 {
-    auto opt = bench::Options::parse(argc, argv, /*allow_audit=*/false,
-                                     /*allow_inject=*/false,
-                                     /*allow_oversubscribe=*/true,
-                                     /*allow_sockets=*/false,
-                                     /*allow_policy=*/true);
+    auto opt = bench::Options::parse(
+        argc, argv, bench::kAllowOversubscribe | bench::kAllowPolicy);
     setQuiet(true);
     bench::banner("Oversubscription survival (Sections 2.1/7)",
                   "UPM clean OOM vs UVM LRU-eviction degradation");

@@ -212,7 +212,6 @@ runMigrationPoint(policy::MigrationKind migration,
                   std::uint64_t capacity)
 {
     policy::PolicyConfig pcfg;
-    pcfg.enabled = true;
     pcfg.migration = migration;
     policy::PolicyEngine engine(pcfg);
 
@@ -260,7 +259,6 @@ std::uint64_t
 runSoak(std::uint64_t seed, unsigned cycles, std::uint64_t capacity)
 {
     policy::PolicyConfig pcfg;
-    pcfg.enabled = true;
     pcfg.migration = policy::MigrationKind::HotCold;
     policy::PolicyEngine engine(pcfg);
 
@@ -334,9 +332,7 @@ run(int argc, char **argv)
     }
     auto opt = bench::Options::parse(
         static_cast<int>(rest.size()), rest.data(),
-        /*allow_audit=*/false, /*allow_inject=*/true,
-        /*allow_oversubscribe=*/false, /*allow_sockets=*/false,
-        /*allow_policy=*/true);
+        bench::kAllowInject | bench::kAllowPolicy);
     setQuiet(true);
     bench::banner("UPMPolicy A/B sweep (Section 2.1 baseline)",
                   "eviction policy x workload x pressure, plus "
@@ -529,7 +525,6 @@ run(int argc, char **argv)
         trace::Tracer tracer(tcfg);
 
         policy::PolicyConfig pcfg;
-        pcfg.enabled = true;
         pcfg.migration = policy::MigrationKind::HotCold;
         policy::PolicyEngine engine(pcfg);
         engine.setTracer(&tracer);

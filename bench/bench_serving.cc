@@ -187,8 +187,7 @@ runCampaignCell(const Scenario &s, std::uint64_t seed, bool smoke)
 int
 main(int argc, char **argv)
 {
-    auto opt = bench::Options::parse(argc, argv, /*allow_audit=*/false,
-                                     /*allow_inject=*/true);
+    auto opt = bench::Options::parse(argc, argv, bench::kAllowInject);
     setQuiet(true);
     bench::banner("UPMServe serving node (robustness)",
                   "multi-tenant churn: admission, degradation, chaos");

@@ -14,11 +14,14 @@
 #ifndef UPM_BENCH_BENCH_UTIL_HH
 #define UPM_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,10 +77,54 @@ fmtTime(double ns)
 }
 
 /**
+ * Parse @p text, the value of command-line flag @p flag, as a number
+ * in [@p lo, @p hi]. The whole token must be the number: integers are
+ * decimal or 0x-prefixed hex, reals are plain decimal. Anything else
+ * (empty, trailing junk, a sign on an unsigned, out of range) prints
+ * "<flag> needs <what>" and exits 2, like every other bad bench flag.
+ */
+template <typename T>
+T
+parseNumber(const char *flag, const char *text, const char *what, T lo,
+            T hi = std::numeric_limits<T>::max())
+{
+    const char *first = text;
+    const char *last = text + std::strlen(text);
+    T v{};
+    std::from_chars_result res;
+    if constexpr (std::is_integral_v<T>) {
+        int base = 10;
+        if (last - first > 2 && first[0] == '0' &&
+            (first[1] == 'x' || first[1] == 'X')) {
+            first += 2;
+            base = 16;
+        }
+        res = std::from_chars(first, last, v, base);
+    } else {
+        res = std::from_chars(first, last, v);
+    }
+    // Written so a NaN fails the range test too.
+    if (res.ec != std::errc() || res.ptr != last || !(v >= lo && v <= hi)) {
+        std::fprintf(stderr, "%s needs %s, got '%s'\n", flag, what, text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** Per-bench extra flags Options::parse accepts; OR them together. */
+enum AllowFlags : unsigned {
+    kAllowAudit = 1u << 0,          //!< --audit
+    kAllowInject = 1u << 1,         //!< --inject / --inject-seed / -runs
+    kAllowOversubscribe = 1u << 2,  //!< --oversubscribe F
+    kAllowSockets = 1u << 3,        //!< --sockets N
+    kAllowPolicy = 1u << 4,         //!< --policy NAME
+};
+
+/**
  * Command-line options shared by every bench binary. `--workers`
  * resizes the global sweep pool before any point runs; `--smoke`
  * selects each bench's reduced-scale sweep (CI's bench-smoke step);
- * `--audit` is accepted only where the bench supports it (fig. 11).
+ * the AllowFlags extras are accepted only where a bench opts in.
  */
 struct Options
 {
@@ -113,42 +160,51 @@ struct Options
     bool traceRing = false;         //!< --trace-ring [cap]
     std::size_t traceRingCap = 0;   //!< 0 = TraceConfig default
 
+    /** Parse @p argv; @p allow is a set of AllowFlags. Unknown or
+     *  disallowed flags print the usage line and exit 2. */
     static Options
-    parse(int argc, char **argv, bool allow_audit = false,
-          bool allow_inject = false, bool allow_oversubscribe = false,
-          bool allow_sockets = false, bool allow_policy = false)
+    parse(int argc, char **argv, unsigned allow = 0)
     {
+        // Usage text per extra, in the order the usage line lists them.
+        static constexpr std::pair<unsigned, const char *> kExtras[] = {
+            {kAllowAudit, " [--audit]"},
+            {kAllowInject,
+             " [--inject] [--inject-seed S] [--inject-runs N]"},
+            {kAllowOversubscribe, " [--oversubscribe F]"},
+            {kAllowSockets, " [--sockets N]"},
+            {kAllowPolicy, " [--policy NAME]"},
+        };
         Options opt;
         for (int i = 1; i < argc; ++i) {
             const char *arg = argv[i];
-            if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
+            // Flag @p name, allowed here, matched at argv[i].
+            auto is = [&](const char *name, unsigned needs = 0) {
+                return (needs & ~allow) == 0 && std::strcmp(arg, name) == 0;
+            };
+            // Same, for a flag that takes the next argument.
+            auto takes = [&](const char *name, unsigned needs = 0) {
+                return i + 1 < argc && is(name, needs);
+            };
+            if (takes("--json")) {
                 opt.jsonPath = argv[++i];
-            } else if (std::strcmp(arg, "--workers") == 0 &&
-                       i + 1 < argc) {
-                long v = std::strtol(argv[++i], nullptr, 10);
-                opt.workers = v > 0 ? static_cast<unsigned>(v) : 1u;
-            } else if (std::strcmp(arg, "--smoke") == 0) {
+            } else if (takes("--workers")) {
+                opt.workers = parseNumber<unsigned>(
+                    arg, argv[++i], "a count > 0", 1);
+            } else if (is("--smoke")) {
                 opt.smoke = true;
-            } else if (allow_audit &&
-                       std::strcmp(arg, "--audit") == 0) {
+            } else if (is("--audit", kAllowAudit)) {
                 opt.audit = true;
-            } else if (allow_inject &&
-                       std::strcmp(arg, "--inject") == 0) {
+            } else if (is("--inject", kAllowInject)) {
                 opt.inject = true;
-            } else if (allow_inject &&
-                       std::strcmp(arg, "--inject-seed") == 0 &&
-                       i + 1 < argc) {
-                opt.injectSeed = std::strtoull(argv[++i], nullptr, 0);
-            } else if (allow_inject &&
-                       std::strcmp(arg, "--inject-runs") == 0 &&
-                       i + 1 < argc) {
-                long v = std::strtol(argv[++i], nullptr, 10);
-                opt.injectRuns = v > 0 ? static_cast<unsigned>(v) : 1u;
-            } else if (std::strcmp(arg, "--trace") == 0 &&
-                       i + 1 < argc) {
+            } else if (takes("--inject-seed", kAllowInject)) {
+                opt.injectSeed = parseNumber<std::uint64_t>(
+                    arg, argv[++i], "a 64-bit seed", 0);
+            } else if (takes("--inject-runs", kAllowInject)) {
+                opt.injectRuns = parseNumber<unsigned>(
+                    arg, argv[++i], "a count > 0", 1);
+            } else if (takes("--trace")) {
                 opt.tracePath = argv[++i];
-            } else if (std::strcmp(arg, "--trace-filter") == 0 &&
-                       i + 1 < argc) {
+            } else if (takes("--trace-filter")) {
                 std::string error;
                 opt.traceMask =
                     trace::parseLayerList(argv[++i], &error);
@@ -157,38 +213,24 @@ struct Options
                                  error.c_str());
                     std::exit(2);
                 }
-            } else if (std::strcmp(arg, "--trace-ring") == 0) {
+            } else if (is("--trace-ring")) {
                 opt.traceRing = true;
                 // Optional capacity: consume the next arg iff numeric.
                 if (i + 1 < argc && argv[i + 1][0] != '\0' &&
                     std::strspn(argv[i + 1], "0123456789") ==
                         std::strlen(argv[i + 1])) {
-                    opt.traceRingCap = static_cast<std::size_t>(
-                        std::strtoull(argv[++i], nullptr, 10));
+                    opt.traceRingCap = parseNumber<std::size_t>(
+                        arg, argv[++i], "a ring capacity", 0);
                 }
-            } else if (allow_oversubscribe &&
-                       std::strcmp(arg, "--oversubscribe") == 0 &&
-                       i + 1 < argc) {
-                double v = std::strtod(argv[++i], nullptr);
-                if (v <= 0.0) {
-                    std::fprintf(stderr,
-                                 "--oversubscribe needs a factor > 0\n");
-                    std::exit(2);
-                }
-                opt.oversubscribe = v;
-            } else if (allow_sockets &&
-                       std::strcmp(arg, "--sockets") == 0 &&
-                       i + 1 < argc) {
-                long v = std::strtol(argv[++i], nullptr, 10);
-                if (v <= 0) {
-                    std::fprintf(stderr,
-                                 "--sockets needs a count > 0\n");
-                    std::exit(2);
-                }
-                opt.sockets = static_cast<unsigned>(v);
-            } else if (allow_policy &&
-                       std::strcmp(arg, "--policy") == 0 &&
-                       i + 1 < argc) {
+            } else if (takes("--oversubscribe", kAllowOversubscribe)) {
+                // denorm_min: the smallest double > 0.
+                opt.oversubscribe = parseNumber<double>(
+                    arg, argv[++i], "a factor > 0",
+                    std::numeric_limits<double>::denorm_min());
+            } else if (takes("--sockets", kAllowSockets)) {
+                opt.sockets = parseNumber<unsigned>(
+                    arg, argv[++i], "a count > 0", 1);
+            } else if (takes("--policy", kAllowPolicy)) {
                 const char *name = argv[++i];
                 if (!policy::parseEvictionKind(name,
                                                &opt.policyKind)) {
@@ -201,21 +243,16 @@ struct Options
                 }
                 opt.policySet = true;
             } else {
+                std::string extras;
+                for (const auto &[bit, text] : kExtras)
+                    if ((allow & bit) != 0)
+                        extras += text;
                 std::fprintf(stderr,
                              "usage: %s [--json <path>] [--workers N] "
                              "[--smoke] [--trace <path>] "
                              "[--trace-filter <layer,...>] "
-                             "[--trace-ring [cap]]%s%s%s%s%s\n",
-                             argv[0], allow_audit ? " [--audit]" : "",
-                             allow_inject
-                                 ? " [--inject] [--inject-seed S]"
-                                   " [--inject-runs N]"
-                                 : "",
-                             allow_oversubscribe
-                                 ? " [--oversubscribe F]"
-                                 : "",
-                             allow_sockets ? " [--sockets N]" : "",
-                             allow_policy ? " [--policy NAME]" : "");
+                             "[--trace-ring [cap]]%s\n",
+                             argv[0], extras.c_str());
                 std::exit(2);
             }
         }

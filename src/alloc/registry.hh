@@ -19,10 +19,6 @@ namespace upm::audit {
 class Auditor;
 }
 
-namespace upm::policy {
-class PolicyEngine;
-}
-
 namespace upm::alloc {
 
 /**
@@ -79,16 +75,6 @@ class AllocatorRegistry
      *  that powers the overlap and use-after-free checks. */
     void setAuditor(audit::Auditor *auditor) { aud = auditor; }
 
-    /**
-     * Attach UPMPolicy. The registry itself allocates through the
-     * address space, which consults the engine directly; the pointer
-     * is kept here so callers holding only the registry (benches,
-     * serve admission) can reach placement/eviction decisions and
-     * stats without a System reference.
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine) { pol = engine; }
-    policy::PolicyEngine *policyEngine() const { return pol; }
-
   private:
     Allocator &allocatorFor(AllocatorKind kind);
 
@@ -96,8 +82,6 @@ class AllocatorRegistry
     AllocCosts cost;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
     audit::Auditor *aud = nullptr;
-    /** UPMPolicy hook; null (no overhead) unless policy is enabled. */
-    policy::PolicyEngine *pol = nullptr;
     MallocSim mallocSim;
     HipMallocAllocator hipMalloc;
     HipHostMallocAllocator hipHostMalloc;

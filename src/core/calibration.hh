@@ -24,7 +24,6 @@
 #include "common/units.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/geometry.hh"
-#include "policy/policy.hh"
 #include "trace/tracer.hh"
 #include "vm/fault_handler.hh"
 
@@ -215,8 +214,6 @@ struct SystemConfig
     trace::TraceConfig trace;
     /** Inter-APU xGMI link calibration (used when numSockets > 1). */
     fabric::FabricConfig fabric;
-    /** UPMPolicy placement / migration / eviction (off by default). */
-    policy::PolicyConfig policy;
 
     unsigned numCus = 228;      //!< compute units (6 XCDs)
     unsigned numXcds = 6;

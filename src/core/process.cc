@@ -58,13 +58,6 @@ Process::Process(System &system, std::uint64_t pid, vm::VirtAddr va_base,
         faults.setTracer(tr);
         rt.setTracer(tr); // wires the perf model too
     }
-    if (policy::PolicyEngine *pol = sys.policyEngine()) {
-        // The pid namespaces this process's pages in engine PageKeys
-        // (the primary address space is space 0).
-        as.setPolicyEngine(pol, pid);
-        registry.setPolicyEngine(pol);
-        rt.setPolicyEngine(pol, pid);
-    }
     sys.registerProcess(this);
 }
 

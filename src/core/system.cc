@@ -77,14 +77,6 @@ System::System(const SystemConfig &config)
         if (inj)
             inj->setTracer(trc.get());
     }
-    if (cfg.policy.enabled) {
-        pol = std::make_unique<policy::PolicyEngine>(cfg.policy);
-        if (pol && trc)
-            pol->setTracer(trc.get());
-        as.setPolicyEngine(pol.get(), 0);
-        registry.setPolicyEngine(pol.get());
-        rt.setPolicyEngine(pol.get(), 0);
-    }
 }
 
 std::unique_ptr<Process>

@@ -37,7 +37,6 @@
 #include "mem/frame_allocator.hh"
 #include "mem/geometry.hh"
 #include "mem/node.hh"
-#include "policy/engine.hh"
 #include "prof/counters.hh"
 #include "prof/meminfo.hh"
 #include "prof/perf.hh"
@@ -108,13 +107,6 @@ class System
     trace::Tracer *tracer() { return trc.get(); }
     const trace::Tracer *tracer() const { return trc.get(); }
 
-    /** UPMPolicy, or null when cfg.policy.enabled is false. */
-    policy::PolicyEngine *policyEngine() { return pol.get(); }
-    const policy::PolicyEngine *policyEngine() const
-    {
-        return pol.get();
-    }
-
     /**
      * End-of-run whole-structure checks (cheap per-event hooks cannot
      * see them): full system/GPU page-table cross-check, the per-shard
@@ -176,9 +168,6 @@ class System
     std::unique_ptr<inject::Injector> inj;
     /** Created (and wired into every layer) only when tracing. */
     std::unique_ptr<trace::Tracer> trc;
-    /** Created (and wired into vm + alloc) only when cfg.policy is
-     *  enabled; every consumer keeps a null default. */
-    std::unique_ptr<policy::PolicyEngine> pol;
     /** Live serving processes (owned by their creators), creation
      *  order -- finalizeAudit unions their page tables into the leak
      *  scan's mapped set. */

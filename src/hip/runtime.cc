@@ -6,7 +6,6 @@
 #include "audit/auditor.hh"
 #include "common/log.hh"
 #include "inject/injector.hh"
-#include "policy/engine.hh"
 #include "sched/calendar.hh"
 #include "trace/tracer.hh"
 
@@ -483,19 +482,6 @@ Runtime::launchKernel(const KernelDesc &desc,
     for (const auto &use : desc.buffers)
         fault_time += resolveKernelFaults(use);
 
-    if (pol != nullptr) {
-        // One tick per launch: every page a kernel touches shares a
-        // logical timestamp, mirroring the uvm access-call contract.
-        pol->advanceTick();
-        for (const auto &use : desc.buffers) {
-            vm::Vpn first = vm::vpnOf(use.ptr);
-            vm::Vpn last = vm::vpnOf(
-                use.ptr + std::max<std::uint64_t>(use.footprint(), 1) +
-                mem::kPageSize - 1);
-            pol->noteAccessRange(polSpace, first, last - first);
-        }
-    }
-
     // Memory time: traffic per buffer at that buffer's effective
     // bandwidth (profiles are taken AFTER fault resolution so fragments
     // reflect what the kernel actually sees).
@@ -624,14 +610,6 @@ Runtime::cpuStream(DevPtr ptr, std::uint64_t bytes, unsigned threads)
     const vm::Vma *vma = as.findVma(ptr);
     if (vma == nullptr)
         failThrow(hipErrorNotFound, "cpuStream of unmapped pointer");
-    if (pol != nullptr) {
-        pol->advanceTick();
-        vm::Vpn first = vm::vpnOf(ptr);
-        vm::Vpn last =
-            vm::vpnOf(ptr + std::max<std::uint64_t>(bytes, 1) +
-                      mem::kPageSize - 1);
-        pol->noteAccessRange(polSpace, first, last - first);
-    }
     SimTime fault_time = 0.0;
     if (vma->policy.onDemand)
         fault_time = cpuFirstTouch(ptr, bytes, threads);

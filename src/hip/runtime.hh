@@ -39,10 +39,6 @@ namespace upm::trace {
 class Tracer;
 }
 
-namespace upm::policy {
-class PolicyEngine;
-}
-
 namespace upm::sched {
 class EventCalendar;
 }
@@ -297,20 +293,6 @@ class Runtime
      */
     void setCalendar(sched::EventCalendar *calendar) { cal = calendar; }
 
-    /**
-     * Attach UPMPolicy. Kernel launches and CPU streaming then feed
-     * the engine's per-page access counters (the stream hot/cold
-     * migration decides from); null keeps the runtime byte-identical.
-     * @p space_id namespaces this runtime's pages in engine PageKeys
-     * and must match the wired AddressSpace's.
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine,
-                         std::uint64_t space_id = 0)
-    {
-        pol = engine;
-        polSpace = space_id;
-    }
-
   private:
     /** Resolve GPU faults on a kernel buffer; @return time charged.
      *  Throws StatusError on violation / OOM / injected timeout. */
@@ -350,10 +332,6 @@ class Runtime
     trace::Tracer *tr = nullptr;
     /** Event-calendar hook; null (no overhead) unless attached. */
     sched::EventCalendar *cal = nullptr;
-    /** UPMPolicy hook; null (no overhead) unless policy is enabled. */
-    policy::PolicyEngine *pol = nullptr;
-    /** PageKey.space for this runtime's access notifications. */
-    std::uint64_t polSpace = 0;
     /** Sticky last error (hipGetLastError surface). */
     hipError_t lastErr = hipSuccess;
 };

@@ -1,33 +1,15 @@
 #include "policy/engine.hh"
 
-#include "common/log.hh"
 #include "trace/tracer.hh"
 
 namespace upm::policy {
 
-PolicyEngine::PolicyEngine(const PolicyConfig &config) : cfg(config)
+PolicyEngine::PolicyEngine(const PolicyConfig &config)
+    : cfg(config), mig(makeMigration(cfg.migration, cfg.migrationTuning))
 {
-    if (cfg.placement != PlacementKind::Inherit)
-        place = makePlacement(cfg.placement);
-    mig = makeMigration(cfg.migration, cfg.migrationTuning);
 }
 
 PolicyEngine::~PolicyEngine() = default;
-
-PlaceDecision
-PolicyEngine::choosePlacement(std::uint64_t space, std::uint64_t page,
-                              const PlaceRequest &req)
-{
-    if (place == nullptr)
-        panic("placement override consulted on an Inherit engine");
-    PlaceDecision decision = place->choose(req);
-    ++counters.placements;
-    if (tr != nullptr)
-        tr->emit(trace::EventKind::PolicyPlace, space, page,
-                 decision.socket,
-                 static_cast<std::uint64_t>(cfg.placement));
-    return decision;
-}
 
 std::unique_ptr<EvictionPolicy>
 PolicyEngine::makeEvictionPolicy() const

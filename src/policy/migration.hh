@@ -6,8 +6,8 @@
  * integrated CPU-GPU memory lives or dies by whether the hot working
  * set sits in the fast tier; CXLMemSim's migration use cases model the
  * same decision for CXL pools. This interface consumes the per-page
- * access stream the fault/runtime layers already produce (fed through
- * the null-checked `pol` hook -- byte-identical when unwired) and
+ * access stream uvm::UvmSimulator produces (fed through its
+ * null-checked `pol` hook -- byte-identical when unwired) and
  * periodically proposes bounded batches of promotions (slow -> fast)
  * and demotions (fast -> slow). The caller owns the mechanism: it
  * applies each action to its residency structures and reports the

@@ -18,18 +18,6 @@ evictionKindName(EvictionKind kind)
 }
 
 const char *
-placementKindName(PlacementKind kind)
-{
-    switch (kind) {
-      case PlacementKind::Inherit: return "inherit";
-      case PlacementKind::Home: return "home";
-      case PlacementKind::FirstTouch: return "first-touch";
-      case PlacementKind::Interleave: return "interleave";
-    }
-    return "?";
-}
-
-const char *
 migrationKindName(MigrationKind kind)
 {
     switch (kind) {
@@ -45,20 +33,6 @@ parseEvictionKind(const char *name, EvictionKind *out)
     for (auto kind : {EvictionKind::Lru, EvictionKind::Lfu,
                       EvictionKind::Random, EvictionKind::Predictive}) {
         if (std::strcmp(name, evictionKindName(kind)) == 0) {
-            *out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parsePlacementKind(const char *name, PlacementKind *out)
-{
-    for (auto kind :
-         {PlacementKind::Inherit, PlacementKind::Home,
-          PlacementKind::FirstTouch, PlacementKind::Interleave}) {
-        if (std::strcmp(name, placementKindName(kind)) == 0) {
             *out = kind;
             return true;
         }

@@ -1,20 +1,18 @@
 /**
  * @file
- * UPMPolicy: pluggable placement / migration / eviction policies.
+ * UPMPolicy: pluggable migration / eviction policies for the uvm
+ * model.
  *
- * The paper's performance story is a placement story: where pages
- * land (first-touch vs interleave, Section 5), when they move
- * (fault-driven migration, Section 2.1), and what gets evicted under
- * oversubscription (the UVM LRU baseline) dominate every latency and
- * bandwidth figure. This module promotes those decisions from
- * hard-coded allocator behaviour to a policy layer with three
- * interfaces:
+ * Besides where pages land (first-touch vs interleave, Section 5 --
+ * vm::SocketPolicy, the one placement path), the paper's latency and
+ * bandwidth figures hinge on when pages move (fault-driven migration,
+ * Section 2.1) and what gets evicted under oversubscription (the UVM
+ * LRU baseline). This module turns those two decisions into a policy
+ * layer with two interfaces:
  *
- *  - PlacementPolicy: socket + tier choice at map/populate time,
- *    subsuming vm::SocketPolicy (see placement.hh);
  *  - MigrationPolicy: hot-page promotion / cold-page demotion driven
- *    by per-page access counters the fault/runtime layers already
- *    produce (see migration.hh);
+ *    by the per-page access counters uvm::UvmSimulator produces (see
+ *    migration.hh);
  *  - EvictionPolicy: victim selection under memory pressure,
  *    replacing the single hard-coded uvm LRU (see eviction.hh).
  *
@@ -22,7 +20,7 @@
  * RNG and the access stream it observed. Policies never read wall
  * clocks, never iterate unordered containers, and break every tie by
  * the lowest page key, so a decision sequence is reproducible from a
- * trace (PolicyPlace / PolicyMigrate / PolicyEvict events) alone.
+ * trace (PolicyMigrate / PolicyEvict events) alone.
  */
 
 #ifndef UPM_POLICY_POLICY_HH
@@ -41,14 +39,6 @@ enum class EvictionKind : std::uint8_t {
     Predictive,  //!< furthest predicted next touch (EWMA reuse gap)
 };
 
-/** Socket/tier choice flavour at map/populate time. */
-enum class PlacementKind : std::uint8_t {
-    Inherit,     //!< defer to the VMA's vm::SocketPolicy (no override)
-    Home,        //!< every page on the home socket
-    FirstTouch,  //!< pages land on the socket that faults them in
-    Interleave,  //!< chunked round-robin across sockets
-};
-
 /** Hot/cold migration flavour. */
 enum class MigrationKind : std::uint8_t {
     Off,      //!< never migrate (the pre-policy default)
@@ -61,12 +51,10 @@ enum class MigrationKind : std::uint8_t {
 enum class Tier : std::uint8_t { Fast, Slow };
 
 const char *evictionKindName(EvictionKind kind);
-const char *placementKindName(PlacementKind kind);
 const char *migrationKindName(MigrationKind kind);
 
 /** Parse helpers for --policy flags; return false on unknown names. */
 bool parseEvictionKind(const char *name, EvictionKind *out);
-bool parsePlacementKind(const char *name, PlacementKind *out);
 bool parseMigrationKind(const char *name, MigrationKind *out);
 
 /**
@@ -96,15 +84,10 @@ struct MigrationConfig
     std::uint64_t maxMovesPerStep = 64;
 };
 
-/** One policy-engine configuration (SystemConfig / ServeConfig). */
+/** One policy-engine configuration (see PolicyEngine). */
 struct PolicyConfig
 {
-    /** Master switch: when false no engine is created and every hook
-     *  stays null -- byte-identical to the pre-policy simulator. */
-    bool enabled = false;
-
     EvictionKind eviction = EvictionKind::Lru;
-    PlacementKind placement = PlacementKind::Inherit;
     MigrationKind migration = MigrationKind::Off;
     MigrationConfig migrationTuning;
 

@@ -135,11 +135,6 @@ class ServeNode
      *  Observers observe -- outcomes are byte-identical either way. */
     void setObserver(ServeObserver *observer) { obs = observer; }
 
-    /** The policy engine serving this node: the System's own when
-     *  SystemConfig::policy is enabled, else the node-owned engine
-     *  from ServeConfig::policy, else null. */
-    policy::PolicyEngine *policyEngine() const { return pol; }
-
   private:
     /** One tenant: a persistent identity served by churning processes. */
     struct Tenant
@@ -221,11 +216,6 @@ class ServeNode
     trace::Tracer *tr = nullptr;
     /** ServeObserver hook; null (no overhead) unless attached. */
     ServeObserver *obs = nullptr;
-    /** UPMPolicy hook; see policyEngine(). */
-    policy::PolicyEngine *pol = nullptr;
-    /** Engine owned by this node when the ServeConfig (not the
-     *  System) enables policy. */
-    std::unique_ptr<policy::PolicyEngine> ownedPol;
 };
 
 } // namespace upm::serve

@@ -112,8 +112,7 @@ enum class EventKind : std::uint8_t {
     // Emitted into the vm layer: policy decisions are placement /
     // residency decisions, and a new Layer would change
     // kAllLayersMask and every layer-filter surface.
-    PolicyPlace,   //!< a=space, b=page/vpn, c=chosen socket,
-                   //!< d=PlacementKind
+    PolicyPlace,   //!< no longer emitted; slot kept for old dumps
     PolicyMigrate, //!< a=space, b=page, c=destination tier,
                    //!< d=MigrationKind
     PolicyEvict,   //!< a=space, b=victim page, c=EvictionKind,

@@ -6,7 +6,6 @@
 #include "common/log.hh"
 #include "mem/interval_set.hh"
 #include "mem/node.hh"
-#include "policy/engine.hh"
 #include "trace/tracer.hh"
 
 namespace upm::vm {
@@ -358,19 +357,6 @@ AddressSpace::sourceFor(const Vma &vma)
     if (node == nullptr)
         return frameAlloc;
     unsigned sockets = node->numSockets();
-    if (pol != nullptr && pol->overridesPlacement()) {
-        // Engine override: the policy answers "which socket?", the
-        // VMA keeps the rotation cursor (const_cast: placement
-        // bookkeeping, not logical VMA state -- same as Interleave
-        // below).
-        Vma &mut = const_cast<Vma &>(vma);
-        policy::PlaceRequest req{curSocket, vma.policy.homeSocket,
-                                 sockets, mut.nextSocket};
-        policy::PlaceDecision decision =
-            pol->choosePlacement(polSpace, vma.beginVpn(), req);
-        mut.nextSocket = decision.nextCursor;
-        return node->shard(decision.socket % sockets);
-    }
     switch (vma.policy.socketPolicy) {
       case SocketPolicy::FirstTouch:
         return node->shard(curSocket % sockets);
@@ -555,10 +541,6 @@ AddressSpace::tryResolveCpuFaultRange(Vpn first, Vpn last)
     }
     if (tr != nullptr)
         tr->emitAt(curSocket, trace::EventKind::CpuFault, first, missing);
-    if (pol != nullptr) {
-        pol->advanceTick();
-        pol->noteAccessRange(polSpace, first, missing);
-    }
     return {Status::Success, missing};
 }
 
@@ -674,10 +656,6 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
     hmm.mirrorRange(first, last);
     vma->pagesPlaced += holes.size();
     gpuMajorCount += holes.size();
-    if (pol != nullptr) {
-        pol->advanceTick();
-        pol->noteAccessRange(polSpace, first, last - first);
-    }
     if (node != nullptr && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, first,
                    holes.size(), src.socket(),
@@ -754,14 +732,6 @@ AddressSpace::setTracer(trace::Tracer *tracer)
 {
     tr = tracer;
     hmm.setTracer(tracer);
-}
-
-void
-AddressSpace::setPolicyEngine(policy::PolicyEngine *engine,
-                              std::uint64_t space_id)
-{
-    pol = engine;
-    polSpace = space_id;
 }
 
 std::uint64_t

@@ -40,10 +40,6 @@ namespace upm::trace {
 class Tracer;
 }
 
-namespace upm::policy {
-class PolicyEngine;
-}
-
 namespace upm::vm {
 
 /** Which physical-frame source populates a VMA. */
@@ -333,19 +329,6 @@ class AddressSpace
     void setAuditor(audit::Auditor *auditor);
 
     /**
-     * Attach UPMPolicy. Null (the default) keeps every legacy path --
-     * byte-identical behaviour. With an engine whose PlacementKind is
-     * not Inherit, sourceFor() routes socket choice through the
-     * engine instead of the VMA's SocketPolicy; fault resolutions
-     * feed the engine's access counters either way. @p space_id
-     * namespaces this address space's pages in engine PageKeys
-     * (0 for the primary space, the pid for process spaces).
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine,
-                         std::uint64_t space_id = 0);
-    policy::PolicyEngine *policyEngine() const { return pol; }
-
-    /**
      * Attach UPMTrace to this address space and its HMM mirror.
      * Emits VmaMap/VmaUnmap, Populate, CpuFault/GpuFault batches and
      * one ExtentMap event per contiguous (vpn, frame) run inserted
@@ -417,11 +400,6 @@ class AddressSpace
     audit::Auditor *aud = nullptr;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
     trace::Tracer *tr = nullptr;
-    /** UPMPolicy hook; null (no overhead) unless a policy engine is
-     *  wired. */
-    policy::PolicyEngine *pol = nullptr;
-    /** PageKey.space value for this address space's pages. */
-    std::uint64_t polSpace = 0;
 };
 
 } // namespace upm::vm

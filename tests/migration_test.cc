@@ -8,7 +8,7 @@
  * tests soak the engine+uvm pairing: a long random promote/demote
  * run asserting page conservation and tier agreement every cycle,
  * and a full-System fault storm under UPMInject that must leave the
- * UPMSan audit clean.
+ * UPMSan audit clean and replay deterministically per seed.
  */
 
 #include <gtest/gtest.h>
@@ -155,7 +155,6 @@ conservationSoak(std::uint64_t seed, int cycles)
     const std::uint64_t total_pages = kWorkingSet / mem::kPageSize;
 
     PolicyConfig cfg;
-    cfg.enabled = true;
     cfg.migration = MigrationKind::HotCold;
     PolicyEngine engine(cfg);
 
@@ -218,7 +217,7 @@ TEST(MigrationSoak, ConservationHoldsOver1500CyclesPerSeed)
         conservationSoak(exec::taskSeed(0x50a15eedull, s), 1500);
 }
 
-// ---- Full-System storm: policy + inject + audit -------------------------
+// ---- Full-System storm: inject + audit ----------------------------------
 
 /** Alloc/launch/touch/free storm with every fault site armed. */
 void
@@ -298,12 +297,9 @@ TEST(MigrationSoak, SystemStormUnderInjectionLeavesAuditClean)
         cfg.audit.enabled = true;
         cfg.audit.warnOnViolation = false;
         cfg.inject = inject::InjectConfig::campaign(seed);
-        cfg.policy.enabled = true;
-        cfg.policy.migration = MigrationKind::HotCold;
 
         core::System sys(cfg);
         faultStorm(sys, seed);
-        EXPECT_GT(sys.policyEngine()->stats().accesses, 0u);
         sys.finalizeAudit();
         EXPECT_TRUE(sys.auditor()->clean())
             << "seed " << seed << ": "
@@ -316,19 +312,11 @@ TEST(MigrationSoak, StormIsDeterministicPerSeed)
     core::SystemConfig cfg;
     cfg.geometry.capacityBytes = 64 * MiB;
     cfg.inject = inject::InjectConfig::campaign(0xfeedbeefull);
-    cfg.policy.enabled = true;
-    cfg.policy.migration = MigrationKind::HotCold;
 
     core::System a(cfg), b(cfg);
     faultStorm(a, 0x1234);
     faultStorm(b, 0x1234);
     EXPECT_EQ(a.runtime().now(), b.runtime().now());
-    EXPECT_EQ(a.policyEngine()->stats().promotions,
-              b.policyEngine()->stats().promotions);
-    EXPECT_EQ(a.policyEngine()->stats().demotions,
-              b.policyEngine()->stats().demotions);
-    EXPECT_EQ(a.policyEngine()->stats().accesses,
-              b.policyEngine()->stats().accesses);
 }
 
 } // namespace

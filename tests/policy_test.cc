@@ -1,10 +1,9 @@
 /**
  * @file
  * UPMPolicy unit tests: eviction-policy semantics and tie-breaks
- * (including the evictOne() lowest-page-id regression), placement
- * parity with the legacy vm::SocketPolicy arms, engine counters and
- * trace emission, replay folding of the policy events, and the
- * System / ServeNode wiring of the `pol` hook.
+ * (including the evictOne() lowest-page-id regression), engine
+ * counters and trace emission, and replay folding of the policy
+ * events.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +13,9 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "core/system.hh"
 #include "mem/geometry.hh"
 #include "policy/engine.hh"
 #include "sched/replay.hh"
-#include "serve/node.hh"
 #include "trace/tracer.hh"
 #include "uvm/uvm.hh"
 
@@ -186,13 +183,6 @@ TEST(Policy, NameParseRoundTrips)
         EXPECT_TRUE(parseEvictionKind(evictionKindName(kind), &out));
         EXPECT_EQ(out, kind);
     }
-    for (PlacementKind kind :
-         {PlacementKind::Inherit, PlacementKind::Home,
-          PlacementKind::FirstTouch, PlacementKind::Interleave}) {
-        PlacementKind out;
-        EXPECT_TRUE(parsePlacementKind(placementKindName(kind), &out));
-        EXPECT_EQ(out, kind);
-    }
     for (MigrationKind kind :
          {MigrationKind::Off, MigrationKind::HotCold}) {
         MigrationKind out;
@@ -201,89 +191,8 @@ TEST(Policy, NameParseRoundTrips)
     }
     EvictionKind ev;
     EXPECT_FALSE(parseEvictionKind("mru", &ev));
-    PlacementKind pl;
-    EXPECT_FALSE(parsePlacementKind("striped", &pl));
     MigrationKind mg;
     EXPECT_FALSE(parseMigrationKind("eager", &mg));
-}
-
-// ---- Placement policies -------------------------------------------------
-
-TEST(Placement, UnitChoicesMatchLegacyArms)
-{
-    PlaceRequest req;
-    req.accessSocket = 3;
-    req.homeSocket = 1;
-    req.numSockets = 4;
-    req.cursor = 6;
-
-    auto home = makePlacement(PlacementKind::Home);
-    EXPECT_EQ(home->choose(req).socket, 1u);
-    EXPECT_EQ(home->choose(req).nextCursor, 6u);  // cursor untouched
-
-    auto first = makePlacement(PlacementKind::FirstTouch);
-    EXPECT_EQ(first->choose(req).socket, 3u);
-
-    auto inter = makePlacement(PlacementKind::Interleave);
-    PlaceDecision d = inter->choose(req);
-    EXPECT_EQ(d.socket, 6u % 4u);
-    EXPECT_EQ(d.nextCursor, (6u % 4u + 1u) % 4u);
-
-    EXPECT_THROW(makePlacement(PlacementKind::Inherit), SimError);
-}
-
-/** Frames of @p p mapped to their owning sockets, in address order. */
-std::vector<unsigned>
-socketsOf(core::System &sys, hip::DevPtr p, std::uint64_t bytes)
-{
-    std::vector<unsigned> out;
-    for (auto f : sys.addressSpace().framesOf(p, bytes))
-        out.push_back(sys.nodeMemory().socketOfFrame(f));
-    return out;
-}
-
-/** Identical alloc+touch workload on a 4-socket System; placement via
- *  the legacy SocketPolicy arm or the engine's override. */
-std::vector<unsigned>
-placementRun(bool use_engine, vm::SocketPolicy legacy,
-             PlacementKind engine_kind, unsigned home)
-{
-    core::SystemConfig cfg;
-    cfg.numSockets = 4;
-    cfg.geometry.capacityBytes = 256 * MiB;
-    if (use_engine) {
-        cfg.policy.enabled = true;
-        cfg.policy.placement = engine_kind;
-    }
-    core::System sys(cfg);
-    sys.allocators().setSocketPlacement(legacy, home);
-    hip::DevPtr p = sys.runtime().hipMalloc(16 * MiB);
-    sys.runtime().cpuFirstTouch(p, 16 * MiB);
-    return socketsOf(sys, p, 16 * MiB);
-}
-
-TEST(Placement, EngineParityWithLegacySocketPolicy)
-{
-    struct Arm
-    {
-        vm::SocketPolicy legacy;
-        PlacementKind engine;
-        unsigned home;
-    };
-    const Arm arms[] = {
-        {vm::SocketPolicy::Home, PlacementKind::Home, 2},
-        {vm::SocketPolicy::FirstTouch, PlacementKind::FirstTouch, 0},
-        {vm::SocketPolicy::Interleave, PlacementKind::Interleave, 0},
-    };
-    for (const Arm &arm : arms) {
-        auto legacy =
-            placementRun(false, arm.legacy, arm.engine, arm.home);
-        auto engine =
-            placementRun(true, arm.legacy, arm.engine, arm.home);
-        ASSERT_FALSE(legacy.empty());
-        EXPECT_EQ(legacy, engine)
-            << vm::socketPolicyName(arm.legacy);
-    }
 }
 
 // ---- uvm integration ----------------------------------------------------
@@ -338,21 +247,16 @@ TEST(Uvm, LfuKeepsHotPageUnderStreaming)
 TEST(Engine, DefaultsInheritAndOff)
 {
     PolicyConfig cfg;
-    cfg.enabled = true;
     PolicyEngine engine(cfg);
-    EXPECT_FALSE(engine.overridesPlacement());
     EXPECT_FALSE(engine.migrates());
     EXPECT_EQ(engine.makeEvictionPolicy()->kind(), EvictionKind::Lru);
     EXPECT_EQ(engine.residentIn(Tier::Fast), 0u);
     EXPECT_EQ(engine.residentIn(Tier::Slow), 0u);
-    EXPECT_THROW(engine.choosePlacement(0, 0, PlaceRequest{}),
-                 SimError);
 }
 
 TEST(Engine, AccessCountingCheapPathMatchesSlowPath)
 {
     PolicyConfig off;
-    off.enabled = true;
     PolicyConfig hot = off;
     hot.migration = MigrationKind::HotCold;
     PolicyEngine a(off), b(hot);
@@ -371,7 +275,6 @@ TEST(Engine, EmitsPolicyEvictOnUvmOvercommit)
     trace::Tracer tracer(tcfg);
 
     PolicyConfig cfg;
-    cfg.enabled = true;
     PolicyEngine engine(cfg);
     engine.setTracer(&tracer);
 
@@ -402,7 +305,6 @@ TEST(Engine, MigrationProposalsNotTracedUntilApplied)
     trace::Tracer tracer(tcfg);
 
     PolicyConfig cfg;
-    cfg.enabled = true;
     cfg.migration = MigrationKind::HotCold;
     PolicyEngine engine(cfg);
     engine.setTracer(&tracer);
@@ -419,8 +321,10 @@ TEST(Engine, MigrationProposalsNotTracedUntilApplied)
     EXPECT_TRUE(tracer.events().empty());  // proposal, not decision
 
     engine.noteMigrated(proposals[0].key, proposals[0].to);
-    ASSERT_EQ(tracer.events().size(), 1u);
-    const auto &ev = tracer.events()[0];
+    // events() returns a copy: keep it alive while ev refers into it.
+    const auto events = tracer.events();
+    ASSERT_EQ(events.size(), 1u);
+    const auto &ev = events[0];
     EXPECT_EQ(ev.kind, trace::EventKind::PolicyMigrate);
     EXPECT_EQ(ev.a, 1u);
     EXPECT_EQ(ev.b, 0u);
@@ -478,7 +382,6 @@ TEST(Replay, RingDumpRoundTripsPolicyEvents)
     trace::Tracer tracer(tcfg);
 
     PolicyConfig cfg;
-    cfg.enabled = true;
     PolicyEngine engine(cfg);
     engine.setTracer(&tracer);
 
@@ -497,68 +400,6 @@ TEST(Replay, RingDumpRoundTripsPolicyEvents)
     replayer.applyAll(events);
     EXPECT_EQ(replayer.metrics().policyEvicts, 12u);
     std::remove(path.c_str());
-}
-
-// ---- System / ServeNode wiring ------------------------------------------
-
-TEST(System, PolicyEngineWiredOnlyWhenEnabled)
-{
-    core::System plain;
-    EXPECT_EQ(plain.policyEngine(), nullptr);
-
-    core::SystemConfig cfg;
-    cfg.geometry.capacityBytes = 256 * MiB;
-    cfg.policy.enabled = true;
-    core::System sys(cfg);
-    ASSERT_NE(sys.policyEngine(), nullptr);
-    EXPECT_EQ(sys.addressSpace().policyEngine(), sys.policyEngine());
-    // Processes inherit the System-owned engine.
-    auto proc = sys.createProcess();
-    EXPECT_EQ(proc->addressSpace().policyEngine(), sys.policyEngine());
-}
-
-TEST(System, EngineObservesRuntimeAccessStream)
-{
-    core::SystemConfig cfg;
-    cfg.geometry.capacityBytes = 256 * MiB;
-    cfg.policy.enabled = true;
-    core::System sys(cfg);
-    auto &rt = sys.runtime();
-    hip::DevPtr p = rt.hipMalloc(4 * MiB);
-    rt.cpuFirstTouch(p, 4 * MiB);
-    rt.cpuStream(p, 4 * MiB, 24);
-    EXPECT_GT(sys.policyEngine()->stats().accesses, 0u);
-    EXPECT_GT(sys.policyEngine()->tick(), 0u);
-    rt.freeChecked(p);
-}
-
-TEST(Serve, NodeOwnsEngineWhenServeConfigEnables)
-{
-    core::SystemConfig scfg;
-    scfg.geometry.capacityBytes = 256 * MiB;
-    core::System sys(scfg);
-    serve::ServeConfig cfg;
-    cfg.numRequests = 16;
-    cfg.policy.enabled = true;
-    serve::ServeNode node(sys, cfg);
-    ASSERT_NE(node.policyEngine(), nullptr);
-    EXPECT_EQ(sys.policyEngine(), nullptr);  // node-owned, not System
-    EXPECT_EQ(sys.addressSpace().policyEngine(), node.policyEngine());
-    node.run();
-    EXPECT_GT(node.policyEngine()->stats().accesses, 0u);
-}
-
-TEST(Serve, SystemOwnedEngineWinsOverServeConfig)
-{
-    core::SystemConfig scfg;
-    scfg.geometry.capacityBytes = 256 * MiB;
-    scfg.policy.enabled = true;
-    core::System sys(scfg);
-    serve::ServeConfig cfg;
-    cfg.numRequests = 16;
-    cfg.policy.enabled = true;  // ignored: the System already owns one
-    serve::ServeNode node(sys, cfg);
-    EXPECT_EQ(node.policyEngine(), sys.policyEngine());
 }
 
 } // namespace

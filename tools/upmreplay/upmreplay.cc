@@ -76,10 +76,12 @@ run(int argc, char **argv)
             bench_id = argv[++i];
         } else if (std::strcmp(argv[i], "--frames") == 0 &&
                    i + 1 < argc) {
-            total_frames = std::strtoull(argv[++i], nullptr, 0);
+            total_frames = bench::parseNumber<std::uint64_t>(
+                "--frames", argv[++i], "a frame count", 0);
         } else if (std::strcmp(argv[i], "--fault-cost-scale") == 0 &&
                    i + 1 < argc) {
-            cost_scale = std::strtod(argv[++i], nullptr);
+            cost_scale = bench::parseNumber<double>(
+                "--fault-cost-scale", argv[++i], "a scale >= 0", 0.0);
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else if (argv[i][0] == '-') {

@@ -8,7 +8,8 @@
  * are interchangeable behind one contract:
  *
  *  - the caller reports residency changes (insert / touch / remove)
- *    with a monotonically non-decreasing logical tick;
+ *    with a monotonically non-decreasing logical tick (every kind
+ *    panics on a tick older than the last one it saw);
  *  - evict() deterministically picks a victim, removes it from the
  *    policy's bookkeeping, and returns it;
  *  - every policy breaks ties by the lowest PageKey, so the victim
@@ -22,16 +23,64 @@
  * the oldest stamp -- exactly what the explicit tie-break picks. The
  * differential tests in tests/policy_diff_test.cc pin both this and
  * the slow reference-model oracle for every variant.
+ *
+ * Layout: no per-page trees. Each policy keeps
+ *
+ *  - a PageSlab: per-page state (stamp, frequency, EWMA gap, slot,
+ *    validity sequence -- whatever the kind needs) in fixed 512-page
+ *    chunks per space, created when a chunk's first page is tracked
+ *    and freed with its last one. Tracking a page never allocates
+ *    per page and never copies existing state;
+ *  - ordering entries (stamp, key, seq) that are never erased in
+ *    place. A touch or remove just gives the page a new sequence
+ *    number (or untracks it), which turns its old entry stale; stale
+ *    entries are skipped when they reach a queue head and dropped in
+ *    bulk by an in-place compaction.
+ *
+ * StampQueue is the (stamp, key) priority queue behind LRU, every LFU
+ * frequency level and Predictive's never-reused pages. Ticks never
+ * decrease, so entries arrive in stamp order: a push that does not
+ * sort below the FIFO's tail is appended to it, so the FIFO stays
+ * sorted by (stamp, key), stale entries included. The only pushes
+ * that would break the order are a key lower than the tail's within
+ * the tail's stamp (migrationStep promotions at the current tick, or
+ * an out-of-order caller); those go to a small spill min-heap. Each
+ * live page has exactly one valid entry, and it carries the page's
+ * current stamp, so the smaller of the two valid heads is the live
+ * minimum and the queue pops in exactly (stamp, key) order.
+ *
+ *  - LRU: one StampQueue.
+ *  - LFU: one StampQueue per frequency, in a map keyed by the
+ *    frequencies tracked pages have (never one entry per page). A
+ *    touch moves the page one level up at the current tick, so each
+ *    level is stamp-ordered too; the victim is the lowest level's
+ *    minimum.
+ *  - Predictive: pages that were never re-touched (or whose
+ *    prediction overflows) rank as "never reused", which orders them
+ *    exactly like LRU and ahead of everything else -- a StampQueue.
+ *    Re-touched pages rank by predicted next touch, which is not
+ *    stamp-monotone, so they sit in a flat lazy min-heap.
+ *  - Random: the swap-remove vector, with the slot index in the slab.
+ *
+ * Lazy entries are bounded: whenever an entry goes stale and the
+ * stale entries then exceed half the live pages (and a floor of 64),
+ * every structure compacts in place. So the entries stay within 1.5x
+ * the live pages plus the floor, and a compaction's O(live + stale)
+ * cost is under three times the stale entries it drops: amortised
+ * O(1) per touch or remove. Sequence numbers and slots are 64-bit.
  */
 
 #ifndef UPM_POLICY_EVICTION_HH
 #define UPM_POLICY_EVICTION_HH
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -71,6 +120,165 @@ class EvictionPolicy
 
     virtual EvictionKind kind() const = 0;
     const char *name() const { return evictionKindName(kind()); }
+
+  protected:
+    /** Enforce the tick contract: panics when @p tick is older than
+     *  the last tick seen. */
+    void advanceTo(std::uint64_t tick);
+
+  private:
+    std::uint64_t lastTick = 0;
+};
+
+/**
+ * Per-page state of one policy: per space, a directory of fixed-size
+ * chunks indexed by page / kChunkPages. A chunk is created when its
+ * first page is tracked and freed when its last page leaves; a space
+ * is dropped with its last page.
+ */
+template <typename Node>
+class PageSlab
+{
+  public:
+    static constexpr std::uint64_t kChunkPages = 512;
+
+    /** The state of @p key, or nullptr when it is not tracked. */
+    const Node *find(PageKey key) const;
+    Node *find(PageKey key)
+    {
+        return const_cast<Node *>(std::as_const(*this).find(key));
+    }
+    /** Start tracking @p key and return its node for the caller to
+     *  fill; nullptr when @p key is already tracked. */
+    Node *add(PageKey key);
+    /** Stop tracking @p key, which must be tracked. */
+    void drop(PageKey key);
+    std::uint64_t size() const { return tracked; }
+
+  private:
+    struct Chunk
+    {
+        std::array<Node, kChunkPages> nodes{};
+        std::array<std::uint64_t, kChunkPages / 64> live{};
+        std::uint64_t count = 0;
+    };
+    struct Space
+    {
+        std::vector<std::unique_ptr<Chunk>> chunks;
+        std::uint64_t count = 0;
+    };
+
+    Space *spaceOf(std::uint64_t id) const;
+
+    std::unordered_map<std::uint64_t, Space> spaces;
+    /** One-entry lookup cache: a run of operations almost always
+     *  stays in one space. */
+    mutable std::uint64_t cachedId = 0;
+    mutable Space *cached = nullptr;
+    std::uint64_t tracked = 0;
+};
+
+/** One ordering entry. It speaks for its page while the page's node
+ *  still carries @c seq; after that it is stale. */
+struct StampEntry
+{
+    std::uint64_t stamp = 0;
+    PageKey key;
+    std::uint64_t seq = 0;
+
+    /** (stamp, key) order; @c seq never decides. */
+    friend bool
+    operator<(const StampEntry &a, const StampEntry &b)
+    {
+        return std::tie(a.stamp, a.key) < std::tie(b.stamp, b.key);
+    }
+};
+
+/**
+ * (stamp, key) priority queue of lazily invalidated entries: a sorted
+ * FIFO for pushes that keep the order, a spill min-heap for the rest
+ * (see the file comment). The FIFO is a deque, so it grows and
+ * shrinks block by block and never copies its entries. Callers pass a
+ * validity predicate that is asked once per entry inspected; an entry
+ * it rejects is dropped.
+ */
+class StampQueue
+{
+  public:
+    void push(const StampEntry &entry);
+    /** The least valid entry, or nullptr when none is left. Drops the
+     *  stale entries it passes. */
+    template <typename Valid>
+    const StampEntry *front(Valid valid);
+    /** Remove the entry the last front() returned. */
+    void pop();
+    /** Drop every stale entry, keeping the order. */
+    template <typename Valid>
+    void compact(Valid valid);
+    bool empty() const { return fifo.empty() && spill.empty(); }
+
+  private:
+    std::deque<StampEntry> fifo;    //!< sorted by (stamp, key)
+    std::vector<StampEntry> spill;  //!< min-heap by (stamp, key)
+    bool spillFront = false;        //!< front() came from the spill
+};
+
+/**
+ * What the lazily ordered kinds (LRU, LFU, Predictive) share: the page
+ * slab, the validity sequence, and the stale-entry count that triggers
+ * compaction. @p Node must carry a @c seq.
+ */
+template <typename Node>
+class LazyEviction : public EvictionPolicy
+{
+  public:
+    void remove(PageKey key) override;
+    std::uint64_t size() const override { return pages.size(); }
+    bool contains(PageKey key) const override;
+
+  protected:
+    /** Start tracking @p key; panics when it already is. */
+    Node &claim(PageKey key);
+    /** The node of tracked @p key; panics naming @p op otherwise. */
+    Node &tracked(PageKey key, const char *op);
+    /** Give @p node a fresh sequence number, turning its previous
+     *  entry stale, and return it. */
+    std::uint64_t reissue(Node &node) { return node.seq = nextSeq++; }
+    /** True while @p entry speaks for its page. Asked once per entry
+     *  inspected; a false answer means the entry is being dropped. */
+    bool current(const StampEntry &entry);
+    /** Count one entry gone stale; compact once the budget is spent
+     *  (see the file comment). */
+    void retire();
+    /** Drop every stale entry from every ordering structure. */
+    virtual void compact() = 0;
+
+    PageSlab<Node> pages;
+
+  private:
+    std::uint64_t nextSeq = 0;
+    std::uint64_t stale = 0;
+};
+
+/** Per-page state of the lazily ordered kinds. */
+struct LruNode
+{
+    std::uint64_t seq = 0;
+};
+
+struct LfuNode
+{
+    std::uint64_t freq = 0;
+    std::uint64_t seq = 0;
+};
+
+struct PredictiveNode
+{
+    std::uint64_t stamp = 0;
+    /** EWMA inter-access gap; PredictiveEviction::kNeverReused until
+     *  the first re-touch. */
+    std::uint64_t ewmaGap = 0;
+    std::uint64_t seq = 0;
 };
 
 /**
@@ -79,54 +287,37 @@ class EvictionPolicy
  * tie-break makes the choice representation-independent -- the fix
  * for the old evictOne() tying on map-iteration order.
  */
-class LruEviction : public EvictionPolicy
+class LruEviction : public LazyEviction<LruNode>
 {
   public:
     void insert(PageKey key, std::uint64_t tick) override;
     void touch(PageKey key, std::uint64_t tick) override;
-    void remove(PageKey key) override;
     PageKey evict() override;
-    std::uint64_t size() const override { return pages.size(); }
-    bool contains(PageKey key) const override
-    {
-        return pages.count(key) != 0;
-    }
     EvictionKind kind() const override { return EvictionKind::Lru; }
 
   private:
-    /** (last-access stamp, key), ordered ascending: begin() is the
-     *  victim. */
-    std::set<std::tuple<std::uint64_t, PageKey>> order;
-    std::map<PageKey, std::uint64_t> pages;  //!< key -> stamp
+    void compact() override;
+
+    StampQueue order;
 };
 
 /**
  * LFU: victim = lowest access frequency; ties fall back to the least
  * recent stamp, then the lowest key.
  */
-class LfuEviction : public EvictionPolicy
+class LfuEviction : public LazyEviction<LfuNode>
 {
   public:
     void insert(PageKey key, std::uint64_t tick) override;
     void touch(PageKey key, std::uint64_t tick) override;
-    void remove(PageKey key) override;
     PageKey evict() override;
-    std::uint64_t size() const override { return pages.size(); }
-    bool contains(PageKey key) const override
-    {
-        return pages.count(key) != 0;
-    }
     EvictionKind kind() const override { return EvictionKind::Lfu; }
 
   private:
-    struct Node
-    {
-        std::uint64_t freq = 0;
-        std::uint64_t stamp = 0;
-    };
-    /** (freq, stamp, key) ascending: begin() is the victim. */
-    std::set<std::tuple<std::uint64_t, std::uint64_t, PageKey>> order;
-    std::map<PageKey, Node> pages;
+    void compact() override;
+
+    /** Frequency -> that level's queue; begin() is the lowest. */
+    std::map<std::uint64_t, StampQueue> levels;
 };
 
 /**
@@ -147,19 +338,20 @@ class RandomEviction : public EvictionPolicy
     void remove(PageKey key) override;
     PageKey evict() override;
     std::uint64_t size() const override { return pages.size(); }
-    bool contains(PageKey key) const override
-    {
-        return pages.count(key) != 0;
-    }
+    bool contains(PageKey key) const override;
     EvictionKind kind() const override { return EvictionKind::Random; }
 
   private:
+    struct Node
+    {
+        std::uint64_t slot = 0;  //!< index into slots
+    };
     /** Drop slot @p slot by swapping the last key into it. */
-    void swapRemove(std::size_t slot);
+    void swapRemove(std::uint64_t slot);
 
     SplitMix64 rng;
     std::vector<PageKey> slots;
-    std::map<PageKey, std::size_t> pages;  //!< key -> slot index
+    PageSlab<Node> pages;
 };
 
 /**
@@ -171,18 +363,12 @@ class RandomEviction : public EvictionPolicy
  * (ewma' = (3*ewma + gap) / 4), so predictions are exact and
  * platform-independent.
  */
-class PredictiveEviction : public EvictionPolicy
+class PredictiveEviction : public LazyEviction<PredictiveNode>
 {
   public:
     void insert(PageKey key, std::uint64_t tick) override;
     void touch(PageKey key, std::uint64_t tick) override;
-    void remove(PageKey key) override;
     PageKey evict() override;
-    std::uint64_t size() const override { return pages.size(); }
-    bool contains(PageKey key) const override
-    {
-        return pages.count(key) != 0;
-    }
     EvictionKind kind() const override
     {
         return EvictionKind::Predictive;
@@ -192,19 +378,28 @@ class PredictiveEviction : public EvictionPolicy
     static constexpr std::uint64_t kNeverReused = ~0ull;
 
   private:
-    struct Node
+    /** A re-touched page's entry: @c rank = ~predicted next touch,
+     *  so the ascending order puts the furthest prediction first. */
+    struct RankedEntry
     {
-        std::uint64_t stamp = 0;
-        /** EWMA inter-access gap; kNeverReused until the first
-         *  re-touch. */
-        std::uint64_t ewmaGap = kNeverReused;
+        std::uint64_t rank = 0;
+        StampEntry entry;
+
+        friend bool
+        operator<(const RankedEntry &a, const RankedEntry &b)
+        {
+            return a.rank != b.rank ? a.rank < b.rank
+                                    : a.entry < b.entry;
+        }
     };
-    static std::uint64_t predictedNext(const Node &node);
-    /** (distance-descending key, stamp, key): begin() is the victim.
-     *  The first component stores ~predictedNext so the plain
-     *  ascending set order puts the furthest prediction first. */
-    std::set<std::tuple<std::uint64_t, std::uint64_t, PageKey>> order;
-    std::map<PageKey, Node> pages;
+    static std::uint64_t predictedNext(const PredictiveNode &node);
+    void enqueue(PageKey key, PredictiveNode &node);
+    void compact() override;
+
+    /** Rank 0 (never reused, or the prediction overflowed): ordered
+     *  by (stamp, key) alone, ahead of every re-touched page. */
+    StampQueue fresh;
+    std::deque<RankedEntry> reused;  //!< lazy min-heap
 };
 
 /** Build an eviction policy. @p seed feeds the seeded variants. */

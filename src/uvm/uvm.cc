@@ -50,8 +50,7 @@ UvmSimulator::freeManaged(std::uint64_t handle)
     for (std::uint64_t p = 0; p < it->second.pages; ++p) {
         auto key = policy::PageKey{handle, p};
         if (it->second.residency[p] == Residency::Device) {
-            if (victims->contains(key))
-                victims->remove(key);
+            victims->remove(key);
             --residentPages;
         }
         if (pol != nullptr)

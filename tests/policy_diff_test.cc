@@ -7,7 +7,12 @@
  *  1. A slow reference model -- a flat entry vector scanned linearly
  *     per decision, sharing no code or data structure with
  *     policy/eviction.cc -- is driven through 16 seeded random op
- *     streams per policy kind. Victim sequences must match exactly.
+ *     streams per policy kind over three spaces whose pages span
+ *     several slab chunks, with same-tick remove-and-reinsert and
+ *     out-of-order key bursts inside one tick, plus two 60k-op
+ *     streams over 64 hot keys that keep the lazy-entry compaction
+ *     running mid-stream. Victim sequences must match exactly, and
+ *     size() and contains() agree after every op.
  *     (For Random, the reference replays the specified semantics --
  *     a seeded draw over an insertion-ordered swap-remove array --
  *     with its own independent bookkeeping.)
@@ -113,6 +118,13 @@ class ReferenceModel
 
     std::size_t size() const { return entries.size(); }
 
+    bool
+    contains(PageKey key) const
+    {
+        return std::any_of(entries.begin(), entries.end(),
+                           [&](const Entry &e) { return e.key == key; });
+    }
+
   private:
     static constexpr std::uint64_t kNever = ~0ull;
 
@@ -172,10 +184,38 @@ class ReferenceModel
     std::vector<PageKey> order;
 };
 
+/** Key universe of one differential stream: spaces 1..spaces, and
+ *  page slot s of a space at page index s * stride + s % 2. With a
+ *  stride dividing 512, pages p and p + 512 (same offset, adjacent
+ *  slab chunks) both occur, so chunk-indexing slips show up. */
+struct KeyUniverse
+{
+    std::uint64_t spaces;
+    std::uint64_t slots;
+    std::uint64_t stride;
+
+    PageKey
+    draw(SplitMix64 &rng) const
+    {
+        std::uint64_t space = 1 + rng.next() % spaces;
+        std::uint64_t slot = rng.next() % slots;
+        return {space, slot * stride + slot % 2};
+    }
+};
+
+/** Three spaces; pages 0..1521 span three 512-page slab chunks. */
+constexpr KeyUniverse kWideKeys{3, 96, 16};
+/** 64 keys over four spaces, pages 0..1921 over four chunks: a long
+ *  stream over them leaves stale entries outnumbering live pages,
+ *  so compaction runs again and again mid-stream. */
+constexpr KeyUniverse kHotKeys{4, 16, 128};
+
 /** Drive the real policy and the reference through one identical
- *  seeded op stream; every victim must match. */
+ *  seeded op stream; every victim must match, and size() and
+ *  contains() on a probe key must agree after every op. */
 void
-differentialRun(EvictionKind kind, std::uint64_t seed)
+differentialRun(EvictionKind kind, std::uint64_t seed, int op_count,
+                const KeyUniverse &keys)
 {
     constexpr std::uint64_t kPolicySeed = 0xfeedbeefu;
     auto real = makeEviction(kind, kPolicySeed);
@@ -192,25 +232,43 @@ differentialRun(EvictionKind kind, std::uint64_t seed)
                              ops.nextBelow(tracked.size())));
         return *it;
     };
+    auto insert = [&](PageKey key) {
+        real->insert(key, tick);
+        ref.insert(key, tick);
+        tracked.insert(key);
+    };
+    auto touch = [&](PageKey key) {
+        real->touch(key, tick);
+        ref.touch(key, tick);
+    };
+    auto touchOrInsert = [&](PageKey key) {
+        if (tracked.count(key))
+            touch(key);
+        else
+            insert(key);
+    };
 
-    for (int op = 0; op < 4000; ++op) {
+    for (int op = 0; op < op_count; ++op) {
         tick += ops.next() % 2;  // ~half the ops share a tick: ties
         std::uint64_t roll = ops.next() % 100;
-        if (roll < 45) {
-            PageKey key{1 + ops.next() % 2, ops.next() % 96};
-            if (tracked.count(key)) {
-                real->touch(key, tick);
-                ref.touch(key, tick);
-            } else {
-                real->insert(key, tick);
-                ref.insert(key, tick);
-                tracked.insert(key);
-            }
+        if (roll < 40) {
+            touchOrInsert(keys.draw(ops));
+        } else if (roll < 45) {
+            // Several keys inside one tick, highest first: pushes
+            // that land below the tail of their stamp group.
+            std::vector<PageKey> burst(2 + ops.next() % 4);
+            for (PageKey &key : burst)
+                key = keys.draw(ops);
+            std::sort(burst.rbegin(), burst.rend());
+            for (PageKey key : burst)
+                touchOrInsert(key);
         } else if (roll < 60 && !tracked.empty()) {
             PageKey key = randomTracked();
             real->remove(key);
             ref.remove(key);
             tracked.erase(key);
+            if (ops.next() % 2)
+                insert(key);  // back again at the same tick
         } else if (roll < 85 && !tracked.empty()) {
             PageKey victim = real->evict();
             PageKey expect = ref.evict();
@@ -220,14 +278,17 @@ differentialRun(EvictionKind kind, std::uint64_t seed)
             ASSERT_EQ(tracked.erase(victim), 1u);
             ++evictions;
         } else if (!tracked.empty()) {
-            PageKey key = randomTracked();
-            real->touch(key, tick);
-            ref.touch(key, tick);
+            touch(randomTracked());
         }
         ASSERT_EQ(real->size(), ref.size());
+        PageKey probe = keys.draw(ops);
+        ASSERT_EQ(real->contains(probe), ref.contains(probe))
+            << evictionKindName(kind) << " seed " << seed << " op "
+            << op;
     }
     // The stream must actually have exercised eviction.
-    EXPECT_GT(evictions, 100u) << evictionKindName(kind);
+    EXPECT_GT(evictions, static_cast<std::uint64_t>(op_count / 40))
+        << evictionKindName(kind);
 }
 
 TEST(PolicyDiff, EveryKindMatchesReferenceAcross16Seeds)
@@ -236,7 +297,11 @@ TEST(PolicyDiff, EveryKindMatchesReferenceAcross16Seeds)
          {EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
           EvictionKind::Predictive}) {
         for (std::uint64_t s = 0; s < 16; ++s)
-            differentialRun(kind, exec::taskSeed(0xd1ff'5eedull, s));
+            differentialRun(kind, exec::taskSeed(0xd1ff'5eedull, s), 4000,
+                            kWideKeys);
+        for (std::uint64_t s = 0; s < 2; ++s)
+            differentialRun(kind, exec::taskSeed(0x407'5eedull, s),
+                            60000, kHotKeys);
     }
 }
 

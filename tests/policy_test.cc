@@ -83,9 +83,9 @@ TEST(Eviction, LfuEvictsLeastFrequent)
 TEST(Eviction, LfuTieFallsBackToStampThenKey)
 {
     LfuEviction lfu;
+    lfu.insert({1, 9}, 1);  // freq 1, stamp 1: oldest goes first
     lfu.insert({1, 5}, 2);  // freq 1, stamp 2
     lfu.insert({1, 1}, 2);  // freq 1, stamp 2: key breaks the tie
-    lfu.insert({1, 9}, 1);  // freq 1, stamp 1: oldest goes first
     EXPECT_EQ(lfu.evict(), (PageKey{1, 9}));
     EXPECT_EQ(lfu.evict(), (PageKey{1, 1}));
     EXPECT_EQ(lfu.evict(), (PageKey{1, 5}));
@@ -125,9 +125,11 @@ TEST(Eviction, PredictiveEvictsFurthestPredicted)
     // Page 0: retouched every tick (gap 1). Page 1: gap 8. Both seen
     // at tick 16; page 1's predicted next touch is further out.
     pred.insert({1, 0}, 1);
-    pred.insert({1, 1}, 8);
-    for (std::uint64_t t = 2; t <= 16; ++t)
+    for (std::uint64_t t = 2; t <= 16; ++t) {
+        if (t == 8)
+            pred.insert({1, 1}, t);
         pred.touch({1, 0}, t);
+    }
     pred.touch({1, 1}, 16);
     EXPECT_EQ(pred.evict(), (PageKey{1, 1}));
     EXPECT_EQ(pred.evict(), (PageKey{1, 0}));
@@ -164,6 +166,13 @@ TEST(Eviction, MisusePanicsForEveryKind)
         EXPECT_THROW(ev->remove({1, 0}), SimError) << ev->name();
         ev->insert({1, 0}, 1);
         EXPECT_THROW(ev->insert({1, 0}, 2), SimError) << ev->name();
+        // Ticks must never go backwards, for any entry point.
+        ev->insert({1, 1}, 5);
+        EXPECT_THROW(ev->touch({1, 0}, 4), SimError) << ev->name();
+        EXPECT_THROW(ev->insert({1, 2}, 4), SimError) << ev->name();
+        EXPECT_FALSE(ev->contains({1, 2})) << ev->name();
+        ev->touch({1, 0}, 5);  // an equal tick is fine
+        EXPECT_EQ(ev->size(), 2u) << ev->name();
     }
 }
 

@@ -1,6 +1,7 @@
 #include "audit/race.hh"
 
 #include <algorithm>
+#include <iterator>
 
 namespace upm::audit {
 
@@ -54,6 +55,31 @@ RaceDetector::happensBefore(const Epoch &epoch, AgentId a) const
     return epoch.clock <= clocks[a][epoch.agent];
 }
 
+std::uint32_t
+RaceDetector::internSite(const std::string &site)
+{
+    auto [it, inserted] = siteIds.try_emplace(
+        site, static_cast<std::uint32_t>(sites.size()));
+    if (inserted)
+        sites.push_back(site);
+    return it->second;
+}
+
+RaceDetector::RunMap::iterator
+RaceDetector::splitAt(std::uint64_t page)
+{
+    auto it = runs.lower_bound(page);
+    if (it == runs.begin())
+        return it;
+    auto prev = std::prev(it);
+    if (prev->second.end <= page)
+        return it;
+    // prev straddles page: its tail becomes a run of its own.
+    Run tail{prev->second.end, prev->second.state};
+    prev->second.end = page;
+    return runs.emplace_hint(it, page, std::move(tail));
+}
+
 void
 RaceDetector::accessRange(AgentId agent, std::uint64_t first,
                           std::uint64_t count, bool is_write,
@@ -61,11 +87,27 @@ RaceDetector::accessRange(AgentId agent, std::uint64_t first,
                           std::vector<RaceReport> &races)
 {
     ensureAgent(agent);
-    Epoch now{agent, clocks[agent][agent], site};
+    if (count == 0)
+        return;
+    const Epoch now{agent, clocks[agent][agent], internSite(site)};
+    const std::uint64_t end = first + count;
 
-    for (std::uint64_t p = first; p < first + count; ++p) {
-        PageState &state = pages[p];
+    splitAt(end);
+    auto it = splitAt(first);
 
+    // Every page of a run shares its state, so the per-page rule runs
+    // once per run; only the race reports fan out per page.
+    std::uint64_t cursor = first;
+    while (cursor < end) {
+        if (it == runs.end() || it->first > cursor) {
+            // Untracked gap: a run with a fresh state, which has
+            // nothing to conflict with.
+            std::uint64_t gap_end =
+                it == runs.end() ? end : std::min(end, it->first);
+            tracked += gap_end - cursor;
+            it = runs.emplace_hint(it, cursor, Run{gap_end, {}});
+        }
+        PageState &state = it->second.state;
         const Epoch *conflict = nullptr;
         if (state.hasWrite && !happensBefore(state.lastWrite, agent))
             conflict = &state.lastWrite;
@@ -78,8 +120,10 @@ RaceDetector::accessRange(AgentId agent, std::uint64_t first,
             }
         }
         if (conflict != nullptr) {
-            races.push_back({p, conflict->agent, conflict->site, agent,
-                             site});
+            for (std::uint64_t p = cursor; p < it->second.end; ++p) {
+                races.push_back(
+                    {p, conflict->agent, sites[conflict->site], agent, site});
+            }
         }
 
         if (is_write) {
@@ -87,16 +131,33 @@ RaceDetector::accessRange(AgentId agent, std::uint64_t first,
             state.hasWrite = true;
             state.reads.clear();
         } else {
-            bool updated = false;
-            for (Epoch &read : state.reads) {
-                if (read.agent == agent) {
-                    read = now;
-                    updated = true;
-                    break;
-                }
-            }
-            if (!updated)
+            auto read = std::find_if(
+                state.reads.begin(), state.reads.end(),
+                [&](const Epoch &e) { return e.agent == agent; });
+            if (read != state.reads.end())
+                *read = now;
+            else
                 state.reads.push_back(now);
+        }
+        cursor = it->second.end;
+        ++it;
+    }
+
+    // Coalesce equal neighbours from the run before the window through
+    // the run starting at its end; runs elsewhere did not change.
+    it = runs.lower_bound(first);
+    if (it != runs.begin())
+        it = std::prev(it);
+    while (it != runs.end()) {
+        auto next = std::next(it);
+        if (next == runs.end() || next->first > end)
+            break;
+        if (it->second.end == next->first &&
+            it->second.state == next->second.state) {
+            it->second.end = next->second.end;
+            runs.erase(next);
+        } else {
+            it = next;
         }
     }
 }
@@ -105,7 +166,10 @@ void
 RaceDetector::reset()
 {
     clocks.clear();
-    pages.clear();
+    runs.clear();
+    tracked = 0;
+    sites.clear();
+    siteIds.clear();
 }
 
 } // namespace upm::audit

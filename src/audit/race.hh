@@ -12,15 +12,23 @@
  * footprints, memcpy source/destination, cpuStream/cpuFirstTouch
  * ranges) is checked against the last conflicting access to the page.
  *
- * This is FastTrack-lite: per page we keep the last write epoch and
- * the set of read epochs since that write; a conflicting pair without
- * a happens-before edge is a race, reported with both access sites.
+ * This is FastTrack-lite at page-*run* granularity: the shadow is an
+ * interval map of maximal runs of pages that share one state (the
+ * last write epoch and the read epochs since that write). An access
+ * splits the runs at its two ends, applies the per-page rule once per
+ * run it covers (a gap becomes a run with a fresh state), and then
+ * coalesces neighbours whose states became equal, so a kernel
+ * sweeping a whole buffer costs O(runs), not O(pages). Races are
+ * still reported per page: a conflicting run fans out one report per
+ * page, in ascending page order, exactly as a per-page shadow would.
+ * Site strings are interned, so an epoch is three integers.
  */
 
 #ifndef UPM_AUDIT_RACE_HH
 #define UPM_AUDIT_RACE_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +49,8 @@ struct RaceReport
     std::string firstSite;
     AgentId secondAgent = 0;
     std::string secondSite;
+
+    bool operator==(const RaceReport &) const = default;
 };
 
 /**
@@ -64,44 +74,74 @@ class RaceDetector
      * Record an access by @p agent to pages [first, first+count) and
      * collect any races against prior unordered conflicting accesses.
      * @p site labels the access in reports (e.g. "kernel 'fdwt53'").
-     * At most one race is reported per page per call.
+     * At most one race is reported per page per call, in ascending
+     * page order.
      */
     void accessRange(AgentId agent, std::uint64_t first,
                      std::uint64_t count, bool is_write,
                      const std::string &site,
                      std::vector<RaceReport> &races);
 
-    /** Forget all page state and clocks (between benchmark runs). */
+    /** Forget all page state, clocks and sites (between benchmark
+     *  runs). */
     void reset();
 
     /** Pages currently tracked (test/introspection surface). */
-    std::size_t trackedPages() const { return pages.size(); }
+    std::uint64_t trackedPages() const { return tracked; }
+
+    /** Shadow runs currently stored (test/introspection surface). */
+    std::size_t runCount() const { return runs.size(); }
 
   private:
-    /** An access epoch: who, at what point of their clock, and where. */
+    /** An access epoch: who, at what point of their clock, and where
+     *  (an index into @ref sites). */
     struct Epoch
     {
         AgentId agent = 0;
         std::uint64_t clock = 0;
-        std::string site;
+        std::uint32_t site = 0;
+
+        bool operator==(const Epoch &) const = default;
     };
 
     struct PageState
     {
         Epoch lastWrite;
         bool hasWrite = false;
-        /** Reads since the last write, at most one epoch per agent. */
+        /** Reads since the last write, at most one epoch per agent, in
+         *  first-read order (the first unordered one is reported). */
         std::vector<Epoch> reads;
+
+        bool operator==(const PageState &) const = default;
     };
+
+    /** Pages [key, end) all carry @ref state. */
+    struct Run
+    {
+        std::uint64_t end = 0;
+        PageState state;
+    };
+
+    using RunMap = std::map<std::uint64_t, Run>;
 
     /** Grow the clock matrix to cover @p agent. */
     void ensureAgent(AgentId agent);
     /** Does @p epoch happen-before agent @p a's current clock? */
     bool happensBefore(const Epoch &epoch, AgentId a) const;
+    /** Id of @p site, interning it on first use. */
+    std::uint32_t internSite(const std::string &site);
+    /** Split the run containing @p page (if any) so a run starts at
+     *  @p page; @return the first run starting at or after it. */
+    RunMap::iterator splitAt(std::uint64_t page);
 
     /** clocks[a][b]: the latest clock of b that a has acquired. */
     std::vector<std::vector<std::uint64_t>> clocks;
-    std::unordered_map<std::uint64_t, PageState> pages;
+    /** Disjoint, maximal-where-equal runs of tracked pages. */
+    RunMap runs;
+    /** Sum of run lengths. */
+    std::uint64_t tracked = 0;
+    std::vector<std::string> sites;
+    std::unordered_map<std::string, std::uint32_t> siteIds;
 };
 
 } // namespace upm::audit

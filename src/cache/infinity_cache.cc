@@ -16,14 +16,6 @@ InfinityCache::InfinityCache(const mem::MemGeometry &geometry,
 }
 
 double
-InfinityCache::hitFraction(const std::vector<mem::FrameId> &frames) const
-{
-    if (frames.empty())
-        return 1.0;
-    return hitFractionFromStackLoad(geom.stackLoad(frames));
-}
-
-double
 InfinityCache::hitFractionFromStackLoad(
     const std::vector<std::uint64_t> &pages_per_stack) const
 {

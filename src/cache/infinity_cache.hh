@@ -46,16 +46,11 @@ class InfinityCache
                   const InfinityCacheConfig &config = {});
 
     /**
-     * Hit fraction for a working set whose pages are the given frames.
-     * Assumes each page's traffic spreads evenly over its stack's
-     * channels (true for any access pattern coarser than 256 B).
-     */
-    double hitFraction(const std::vector<mem::FrameId> &frames) const;
-
-    /**
-     * Hit fraction from a per-stack page-count histogram (cheaper when
-     * the caller already tracks placement) for a working set of
-     * `sum(load) * kPageSize` bytes.
+     * Hit fraction for a working set of `sum(load) * kPageSize` bytes
+     * placed as the per-stack page-count histogram says
+     * (MemGeometry::stackLoad of its frames); 1.0 when empty. Assumes
+     * each page's traffic spreads evenly over its stack's channels
+     * (true for any access pattern coarser than 256 B).
      */
     double hitFractionFromStackLoad(
         const std::vector<std::uint64_t> &pages_per_stack) const;

@@ -40,11 +40,12 @@ PerfModel::profileRegion(const vm::AddressSpace &as, vm::VirtAddr base,
 
     auto frames = as.framesOf(base, size);
     profile.pagesPresent = frames.size();
-    profile.stackBalance = geom.stackBalance(frames);
+    auto load = geom.stackLoad(frames);
+    profile.stackBalance = geom.balanceOfLoad(load);
     profile.scatteredFraction = vma->scatteredFraction();
     profile.icHitFraction = socketCaches.size() > 1
                                 ? socketIcHitFraction(frames)
-                                : ic.hitFraction(frames);
+                                : ic.hitFractionFromStackLoad(load);
 
     if (fab != nullptr && framesPerSocket > 0 &&
         vma->policy.socketPolicy != vm::SocketPolicy::ReplicateRO) {

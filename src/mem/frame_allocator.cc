@@ -1,6 +1,7 @@
 #include "mem/frame_allocator.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "audit/auditor.hh"
 #include "common/log.hh"
@@ -29,7 +30,7 @@ FrameAllocator::FrameAllocator(const MemGeometry &geometry,
               static_cast<unsigned long long>(baseF), geom.numStacks());
 
     freeLists.resize(cfg.maxOrder + 1);
-    frameBusy.assign(geom.numFrames(), false);
+    busyWords.assign(ceilDiv(geom.numFrames(), 64), 0);
 
     // Carve the frame space into maximal naturally-aligned blocks.
     FrameId next = 0;
@@ -70,18 +71,18 @@ FrameAllocator::allocBlock(unsigned order, FrameId &base)
     }
 
     std::uint64_t n = 1ull << order;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (aud != nullptr && aud->config().checkFrames &&
-            frameBusy[block + i]) {
-            aud->record(audit::ViolationKind::FrameDoubleAlloc,
-                        block + i + baseF,
+    FrameId block_end = block + n;
+    if (aud != nullptr && aud->config().checkFrames) {
+        for (FrameId f = findBusy(block, block_end, true); f < block_end;
+             f = findBusy(f + 1, block_end, true)) {
+            aud->record(audit::ViolationKind::FrameDoubleAlloc, f + baseF,
                         strprintf("buddy handed out frame %llu, already "
                                   "busy (free-list/busy-bit divergence)",
                                   static_cast<unsigned long long>(
-                                      block + i + baseF)));
+                                      f + baseF)));
         }
-        frameBusy[block + i] = true;
     }
+    markBusy(block, block_end, true);
     freeCount -= n;
     base = block;
     return true;
@@ -92,23 +93,20 @@ FrameAllocator::freeBlock(FrameId base, unsigned order)
 {
     std::uint64_t n = 1ull << order;
     // Validate the whole block before mutating anything: a double
-    // free is recorded (when audited) and rejected, leaving state
-    // intact either way.
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!frameBusy[base + i]) {
-            if (aud != nullptr && aud->config().checkFrames) {
-                aud->record(audit::ViolationKind::FrameDoubleFree,
-                            base + i + baseF,
-                            strprintf("free of frame %llu, which is not "
-                                      "allocated",
-                                      static_cast<unsigned long long>(
-                                          base + i + baseF)));
-            }
-            return false;
+    // free is recorded (when audited) for the first free frame and
+    // rejected, leaving state intact either way.
+    FrameId bad = findBusy(base, base + n, false);
+    if (bad < base + n) {
+        if (aud != nullptr && aud->config().checkFrames) {
+            aud->record(audit::ViolationKind::FrameDoubleFree, bad + baseF,
+                        strprintf("free of frame %llu, which is not "
+                                  "allocated",
+                                  static_cast<unsigned long long>(
+                                      bad + baseF)));
         }
+        return false;
     }
-    for (std::uint64_t i = 0; i < n; ++i)
-        frameBusy[base + i] = false;
+    markBusy(base, base + n, false);
     freeCount += n;
 
     // Merge with the buddy while possible.
@@ -397,29 +395,46 @@ FrameAllocator::freeRange(const FrameRange &range)
     FrameId local_base = range.base - baseF;
     bool ok = true;
     if (aud != nullptr) {
-        // Page-by-page fan-out reports every bad frame individually;
-        // eager merging makes the final buddy state identical.
-        for (std::uint64_t i = 0; i < range.count; ++i)
-            ok = freeBlock(local_base + i, 0) && ok;
-    } else {
-        // Decompose into maximal naturally-aligned blocks: O(log
-        // frames) buddy work per block instead of per page.
+        // Free each maximal run of busy frames as blocks, and hand
+        // every not-busy frame to freeBlock alone so it is reported
+        // once, in ascending order. Eager merging makes the final
+        // buddy state the same as a page-by-page free.
         FrameId cur = local_base;
-        std::uint64_t remaining = range.count;
-        while (remaining > 0) {
-            unsigned align = cfg.maxOrder;
-            while (align > 0 && (cur & ((1ull << align) - 1)) != 0)
-                --align;
-            unsigned order =
-                std::min<unsigned>(align, floorLog2(remaining));
-            ok = freeBlock(cur, order) && ok;
-            cur += 1ull << order;
-            remaining -= 1ull << order;
+        FrameId end = local_base + range.count;
+        while (cur < end) {
+            FrameId bad = findBusy(cur, end, false);
+            ok = freeBlocks(cur, bad - cur) && ok;
+            if (bad == end)
+                break;
+            ok = freeBlock(bad, 0) && ok;
+            cur = bad + 1;
         }
+    } else {
+        ok = freeBlocks(local_base, range.count);
     }
     if (ok && tr != nullptr)
         tr->emitAt(socketId, trace::EventKind::FrameFree, range.base,
                    range.count);
+    return ok;
+}
+
+bool
+FrameAllocator::freeBlocks(FrameId base, std::uint64_t count)
+{
+    // Maximal naturally-aligned blocks: O(log frames) buddy work per
+    // block instead of per page.
+    bool ok = true;
+    FrameId cur = base;
+    std::uint64_t remaining = count;
+    while (remaining > 0) {
+        unsigned align = cfg.maxOrder;
+        while (align > 0 && (cur & ((1ull << align) - 1)) != 0)
+            --align;
+        unsigned order = std::min<unsigned>(align, floorLog2(remaining));
+        ok = freeBlock(cur, order) && ok;
+        cur += 1ull << order;
+        remaining -= 1ull << order;
+    }
     return ok;
 }
 
@@ -430,19 +445,51 @@ FrameAllocator::releaseRange(const FrameRange &range)
     // FrameAlloc event has been emitted for them, so this must not
     // emit FrameFree either. Same block decomposition as freeRange;
     // eager merging yields the identical buddy state.
-    FrameId cur = range.base;
-    std::uint64_t remaining = range.count;
-    while (remaining > 0) {
-        unsigned align = cfg.maxOrder;
-        while (align > 0 && (cur & ((1ull << align) - 1)) != 0)
-            --align;
-        unsigned order =
-            std::min<unsigned>(align, floorLog2(remaining));
-        if (!freeBlock(cur, order))
-            fatal("rollback free of unallocated frame %llu",
-                  static_cast<unsigned long long>(cur));
-        cur += 1ull << order;
-        remaining -= 1ull << order;
+    if (!freeBlocks(range.base, range.count))
+        fatal("rollback free of unallocated frames in [%llu, +%llu)",
+              static_cast<unsigned long long>(range.base),
+              static_cast<unsigned long long>(range.count));
+}
+
+void
+FrameAllocator::seedBusyBits(const FrameRange &range, bool busy)
+{
+    if (!ownsFrame(range.base) ||
+        range.base - baseF + range.count > geom.numFrames())
+        panic("seedBusyBits of out-of-shard run [%llu, +%llu)",
+              static_cast<unsigned long long>(range.base),
+              static_cast<unsigned long long>(range.count));
+    markBusy(range.base - baseF, range.base - baseF + range.count, busy);
+}
+
+FrameId
+FrameAllocator::findBusy(FrameId begin, FrameId end, bool busy) const
+{
+    while (begin < end) {
+        std::size_t w = begin / 64;
+        std::uint64_t word = busy ? busyWords[w] : ~busyWords[w];
+        word &= ~0ull << (begin % 64);
+        if (word != 0)
+            return std::min<FrameId>(end, w * 64 + std::countr_zero(word));
+        begin = (w + 1) * 64;
+    }
+    return end;
+}
+
+void
+FrameAllocator::markBusy(FrameId begin, FrameId end, bool busy)
+{
+    while (begin < end) {
+        std::size_t w = begin / 64;
+        FrameId word_end = std::min<FrameId>(end, (w + 1) * 64);
+        std::uint64_t span = word_end - begin;
+        std::uint64_t mask = (span == 64 ? ~0ull : (1ull << span) - 1)
+                             << (begin % 64);
+        if (busy)
+            busyWords[w] |= mask;
+        else
+            busyWords[w] &= ~mask;
+        begin = word_end;
     }
 }
 
@@ -466,7 +513,10 @@ FrameAllocator::emitFrameAllocs(const std::vector<FrameId> &out,
 std::vector<bool>
 FrameAllocator::busyMap() const
 {
-    std::vector<bool> held = frameBusy;
+    std::vector<bool> held(geom.numFrames(), false);
+    forEachRun(true, [&](FrameId begin, FrameId end) {
+        std::fill(held.begin() + begin, held.begin() + end, true);
+    });
     for (FrameId f : onDemandPool)
         held[f] = false;
     for (const auto &pool : stackPools) {
@@ -508,19 +558,21 @@ FrameAllocator::auditLeaks(const std::vector<bool> &mapped,
             pooled[f] = true;
     }
     std::uint64_t leaked = 0;
-    for (FrameId f = 0; f < geom.numFrames(); ++f) {
-        if (!frameBusy[f] || pooled[f])
-            continue;
-        FrameId global = f + baseF;
-        if (global < mapped.size() && mapped[global])
-            continue;
-        ++leaked;
-        auditor.record(audit::ViolationKind::FrameLeak, global,
-                       strprintf("frame %llu is allocated but mapped "
-                                 "by no page table at teardown",
-                                 static_cast<unsigned long long>(
-                                     global)));
-    }
+    forEachRun(true, [&](FrameId begin, FrameId end) {
+        for (FrameId f = begin; f < end; ++f) {
+            if (pooled[f])
+                continue;
+            FrameId global = f + baseF;
+            if (global < mapped.size() && mapped[global])
+                continue;
+            ++leaked;
+            auditor.record(audit::ViolationKind::FrameLeak, global,
+                           strprintf("frame %llu is allocated but mapped "
+                                     "by no page table at teardown",
+                                     static_cast<unsigned long long>(
+                                         global)));
+        }
+    });
     return leaked;
 }
 
@@ -528,10 +580,9 @@ std::vector<std::uint64_t>
 FrameAllocator::perStackFree() const
 {
     std::vector<std::uint64_t> free_per_stack(geom.numStacks(), 0);
-    for (std::uint64_t f = 0; f < geom.numFrames(); ++f) {
-        if (!frameBusy[f])
-            ++free_per_stack[geom.stackOfFrame(f)];
-    }
+    forEachRun(false, [&](FrameId begin, FrameId end) {
+        geom.addRunLoad(begin, end - begin, free_per_stack);
+    });
     for (FrameId f : onDemandPool)
         ++free_per_stack[geom.stackOfFrame(f)];
     for (const auto &pool : stackPools) {

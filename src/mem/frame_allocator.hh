@@ -139,12 +139,14 @@ class FrameAllocator
 
     /**
      * Free a contiguous range as naturally-aligned buddy blocks --
-     * O(log frames) per block instead of per page. With an auditor
-     * attached it falls back to page-by-page frees so every bad frame
-     * is reported individually; eager merging makes the final buddy
-     * state identical either way.
-     * @return false if any frame in the range was invalid (frames
-     *         before the bad block are still freed).
+     * O(log frames) per block instead of per page. Without an auditor
+     * a block holding a not-allocated frame is rejected whole. With
+     * one attached, the range is split into maximal runs of allocated
+     * frames, each freed as blocks, and every not-allocated frame in
+     * between is reported on its own (FrameDoubleFree, ascending) and
+     * skipped, so every good frame is freed. Eager merging makes the
+     * final buddy state a function of the free frame set alone.
+     * @return false if any frame in the range was invalid.
      */
     [[nodiscard]] bool freeRange(const FrameRange &range);
 
@@ -223,12 +225,41 @@ class FrameAllocator
     std::uint64_t auditLeaks(const std::vector<bool> &mapped,
                              audit::Auditor &auditor) const;
 
+    /**
+     * Fault-seeding surface for UPMSan tests: set (@p busy) or clear
+     * the busy bits of the global frames in @p range without touching
+     * the free lists -- the free-list/busy-bit divergence that
+     * allocation reports as FrameDoubleAlloc. Panics outside the shard.
+     */
+    void seedBusyBits(const FrameRange &range, bool busy);
+
   private:
     /** Allocate one buddy block of @p order; @return base or fail. */
     bool allocBlock(unsigned order, FrameId &base);
     /** Return a block to the free lists, merging with buddies.
      *  @return false (state intact) if any frame was not allocated. */
     bool freeBlock(FrameId base, unsigned order);
+    /** Free [base, base+count) as maximal naturally-aligned blocks.
+     *  @return false if any block was rejected. */
+    bool freeBlocks(FrameId base, std::uint64_t count);
+    /** First shard-local frame in [begin, end) whose busy bit equals
+     *  @p busy, or @p end. Scans a word at a time. */
+    FrameId findBusy(FrameId begin, FrameId end, bool busy) const;
+    /** Set (@p busy) or clear the busy bits of [begin, end). */
+    void markBusy(FrameId begin, FrameId end, bool busy);
+    /** Visit the maximal runs of frames whose busy bit equals
+     *  @p busy: fn(begin, end), ascending. */
+    template <typename Fn>
+    void
+    forEachRun(bool busy, Fn &&fn) const
+    {
+        FrameId n = geom.numFrames();
+        for (FrameId f = findBusy(0, n, busy); f < n;) {
+            FrameId end = findBusy(f, n, !busy);
+            fn(f, end);
+            f = findBusy(end, n, busy);
+        }
+    }
     /** Refill the on-demand pool from one buddy block. */
     bool refillOnDemandPool();
     /** Refill the per-stack pools used by allocInterleaved(). */
@@ -254,8 +285,10 @@ class FrameAllocator
      *  collapse into a single interval, so a freshly freed multi-GiB
      *  run costs a handful of nodes instead of one per block. */
     std::vector<IntervalSet> freeLists;
-    /** Allocation state per frame, for double-free checking. */
-    std::vector<bool> frameBusy;
+    /** Allocation state, one bit per shard-local frame, 64 frames a
+     *  word (bits past numFrames stay clear). Frames parked in the
+     *  pools are busy here. */
+    std::vector<std::uint64_t> busyWords;
 
     /** Frames waiting to be handed to single-frame (CPU fault) users. */
     std::deque<FrameId> onDemandPool;

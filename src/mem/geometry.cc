@@ -43,22 +43,49 @@ std::vector<std::uint64_t>
 MemGeometry::stackLoad(const std::vector<FrameId> &frame_list) const
 {
     std::vector<std::uint64_t> load(cfg.numStacks, 0);
-    for (FrameId f : frame_list)
-        ++load[stackOfFrame(f)];
+    std::size_t i = 0;
+    while (i < frame_list.size()) {
+        std::size_t j = i + 1;
+        while (j < frame_list.size() &&
+               frame_list[j] == frame_list[j - 1] + 1)
+            ++j;
+        addRunLoad(frame_list[i], j - i, load);
+        i = j;
+    }
     return load;
+}
+
+void
+MemGeometry::addRunLoad(FrameId first, std::uint64_t len,
+                        std::vector<std::uint64_t> &load) const
+{
+    for (std::uint64_t &stack_load : load)
+        stack_load += len / cfg.numStacks;
+    auto stack = static_cast<unsigned>(first % cfg.numStacks);
+    for (std::uint64_t r = len % cfg.numStacks; r != 0; --r) {
+        ++load[stack];
+        if (++stack == cfg.numStacks)
+            stack = 0;
+    }
 }
 
 double
 MemGeometry::stackBalance(const std::vector<FrameId> &frame_list) const
 {
-    if (frame_list.empty())
+    return balanceOfLoad(stackLoad(frame_list));
+}
+
+double
+MemGeometry::balanceOfLoad(const std::vector<std::uint64_t> &load) const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t stack_load : load)
+        total += stack_load;
+    if (total == 0)
         return 1.0;
-    auto load = stackLoad(frame_list);
     std::uint64_t max_load = *std::max_element(load.begin(), load.end());
-    if (max_load == 0)
-        return 1.0;
-    double mean = static_cast<double>(frame_list.size()) /
-                  static_cast<double>(cfg.numStacks);
+    double mean =
+        static_cast<double>(total) / static_cast<double>(cfg.numStacks);
     return mean / static_cast<double>(max_load);
 }
 

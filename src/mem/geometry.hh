@@ -70,16 +70,28 @@ class MemGeometry
 
     /**
      * Histogram of frames per stack for a frame set; used by probes to
-     * quantify placement bias.
+     * quantify placement bias. Each stretch of consecutive frames is
+     * counted whole (addRunLoad), not frame by frame.
      */
     std::vector<std::uint64_t>
     stackLoad(const std::vector<FrameId> &frame_list) const;
+
+    /**
+     * Add the consecutive frames [first, first+len) to the per-stack
+     * histogram @p load: len / numStacks to every stack, plus the
+     * remainder one each from first's stack on.
+     */
+    void addRunLoad(FrameId first, std::uint64_t len,
+                    std::vector<std::uint64_t> &load) const;
 
     /**
      * Placement-balance metric in (0, 1]: ratio of the mean per-stack
      * load to the max per-stack load. 1.0 == perfectly even.
      */
     double stackBalance(const std::vector<FrameId> &frame_list) const;
+
+    /** stackBalance() of a histogram stackLoad() already computed. */
+    double balanceOfLoad(const std::vector<std::uint64_t> &load) const;
 
   private:
     MemGeometryConfig cfg;

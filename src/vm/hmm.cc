@@ -12,23 +12,34 @@ std::uint64_t
 HmmMirror::mirrorRange(Vpn begin, Vpn end)
 {
     if (aud != nullptr && aud->config().checkMirror) {
-        // Pages mapped on both sides must agree: fan out to the
-        // per-page cross-check only when the auditor is attached, so
-        // UPMSan coverage is unchanged at zero cost when off.
-        sysTable.forRange(begin, end, [&](Vpn vpn, const Pte &pte) {
-            if (!gpuTable.present(vpn))
-                return;
-            auto gpu_pte = gpuTable.lookup(vpn);
-            if (gpu_pte->frame != pte.frame) {
-                aud->record(
-                    audit::ViolationKind::MirrorDivergence, addrOf(vpn),
-                    strprintf("vpn 0x%llx: system PTE maps frame %llu "
-                              "but GPU PTE maps frame %llu",
-                              static_cast<unsigned long long>(vpn),
-                              static_cast<unsigned long long>(pte.frame),
-                              static_cast<unsigned long long>(
-                                  gpu_pte->frame)));
-            }
+        // Pages mapped on both sides must agree. Walk each system run
+        // against the GPU runs it overlaps: two strided runs with the
+        // same frame-vpn offset agree in O(1), anything else compares
+        // frames page by page. Only runs when the auditor is attached,
+        // so UPMSan coverage is unchanged at zero cost when off.
+        sysTable.forEachRun(begin, end, [&](const PteRun &sys) {
+            gpuTable.forEachRun(
+                sys.vpn, sys.end(), [&](const GpuPteRun &gpu) {
+                    if (sys.scatter == nullptr && gpu.scatter == nullptr &&
+                        sys.frameOf(gpu.vpn) == gpu.frame)
+                        return;
+                    for (Vpn vpn = gpu.vpn; vpn < gpu.end(); ++vpn) {
+                        FrameId sys_frame = sys.frameOf(vpn);
+                        FrameId gpu_frame = gpu.frameOf(vpn);
+                        if (sys_frame == gpu_frame)
+                            continue;
+                        aud->record(
+                            audit::ViolationKind::MirrorDivergence,
+                            addrOf(vpn),
+                            strprintf("vpn 0x%llx: system PTE maps frame "
+                                      "%llu but GPU PTE maps frame %llu",
+                                      static_cast<unsigned long long>(vpn),
+                                      static_cast<unsigned long long>(
+                                          sys_frame),
+                                      static_cast<unsigned long long>(
+                                          gpu_frame)));
+                    }
+                });
         });
     }
 

@@ -113,6 +113,68 @@ TEST(AuditSeeded, MirrorDivergenceDetected)
     EXPECT_EQ(sys.auditor()->violations()[0].addr, vm::addrOf(vpn));
 }
 
+TEST(AuditSeeded, MirrorDivergenceReportedPerPageInVpnOrder)
+{
+    core::System sys(auditCfg());
+    auto &rt = sys.runtime();
+    auto &as = rt.addressSpace();
+    rt.setXnack(true);
+    // A strided region (hipMalloc) and a scattered one (malloc pages
+    // CPU-touched, then GPU-faulted into the mirror).
+    hip::DevPtr dev = rt.hipMalloc(64 * KiB);
+    hip::DevPtr host = rt.hostMalloc(64 * KiB);
+    rt.cpuFirstTouch(host, 64 * KiB);
+    ASSERT_EQ(as.resolveGpuFault(vm::vpnOf(host), 16),
+              vm::GpuFaultKind::Minor);
+
+    // Remap GPU pages to wrong frames: lone pages, a strided stretch
+    // at a shifted offset, and pages of the scattered run.
+    auto corrupt = [&](vm::Vpn vpn, std::uint64_t len, vm::FrameId frame) {
+        auto flags = as.systemTable().lookup(vpn)->flags;
+        for (vm::Vpn v = vpn; v < vpn + len; ++v)
+            as.gpuTable().remove(v);
+        as.gpuTable().insertRange(vpn, len, frame, flags);
+    };
+    vm::Vpn d = vm::vpnOf(dev);
+    vm::Vpn h = vm::vpnOf(host);
+    corrupt(d + 3, 1, as.systemTable().lookup(d + 3)->frame + 1);
+    corrupt(d + 8, 4, as.systemTable().lookup(d + 8)->frame + 2);
+    corrupt(h + 5, 1, as.systemTable().lookup(h + 6)->frame);
+    corrupt(h + 12, 2, as.systemTable().lookup(h + 12)->frame);
+
+    // Expected records: the per-page comparison, in vpn order.
+    std::vector<std::pair<std::uint64_t, std::string>> want;
+    for (vm::Vpn base : {d, h}) {
+        for (vm::Vpn v = base; v < base + 16; ++v) {
+            auto sys_pte = as.systemTable().lookup(v);
+            auto gpu_pte = as.gpuTable().lookup(v);
+            if (gpu_pte && gpu_pte->frame != sys_pte->frame) {
+                want.emplace_back(
+                    vm::addrOf(v),
+                    strprintf("vpn 0x%llx: system PTE maps frame %llu "
+                              "but GPU PTE maps frame %llu",
+                              static_cast<unsigned long long>(v),
+                              static_cast<unsigned long long>(
+                                  sys_pte->frame),
+                              static_cast<unsigned long long>(
+                                  gpu_pte->frame)));
+            }
+        }
+    }
+    ASSERT_GE(want.size(), 6u);  // h+12 may already have held its frame
+
+    std::size_t before = sys.auditor()->violations().size();
+    as.mirror().mirrorRange(d, d + 16);
+    as.mirror().mirrorRange(h, h + 16);
+    const auto &found = sys.auditor()->violations();
+    ASSERT_EQ(found.size() - before, want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(found[before + i].kind, ViolationKind::MirrorDivergence);
+        EXPECT_EQ(found[before + i].addr, want[i].first);
+        EXPECT_EQ(found[before + i].detail, want[i].second);
+    }
+}
+
 TEST(AuditSeeded, StaleMirrorDetectedAtFinalize)
 {
     core::System sys(auditCfg());

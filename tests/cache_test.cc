@@ -235,7 +235,7 @@ TEST_F(InfinityCacheTest, SmallBalancedSetFullyCached)
     std::vector<mem::FrameId> frames;
     for (mem::FrameId f = 0; f < 1024; ++f)
         frames.push_back(f);
-    EXPECT_DOUBLE_EQ(ic.hitFraction(frames), 1.0);
+    EXPECT_DOUBLE_EQ(ic.hitFractionFromStackLoad(geom.stackLoad(frames)), 1.0);
 }
 
 TEST_F(InfinityCacheTest, DoubleCapacityHalfHit)
@@ -243,7 +243,7 @@ TEST_F(InfinityCacheTest, DoubleCapacityHalfHit)
     std::vector<mem::FrameId> frames;
     for (mem::FrameId f = 0; f < 2 * 256 * MiB / mem::kPageSize; ++f)
         frames.push_back(f);
-    EXPECT_NEAR(ic.hitFraction(frames), 0.5, 1e-9);
+    EXPECT_NEAR(ic.hitFractionFromStackLoad(geom.stackLoad(frames)), 0.5, 1e-9);
 }
 
 TEST_F(InfinityCacheTest, BiasedPlacementWastesSlices)
@@ -254,7 +254,7 @@ TEST_F(InfinityCacheTest, BiasedPlacementWastesSlices)
     std::uint64_t pages = 256 * MiB / mem::kPageSize;
     for (std::uint64_t i = 0; i < pages; ++i)
         frames.push_back(i * 8);  // stack 0 only
-    EXPECT_NEAR(ic.hitFraction(frames), 1.0 / 8.0, 1e-9);
+    EXPECT_NEAR(ic.hitFractionFromStackLoad(geom.stackLoad(frames)), 1.0 / 8.0, 1e-9);
 }
 
 TEST_F(InfinityCacheTest, StackLoadVectorValidation)

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit and property tests for the mem module: geometry mapping, the
- * buddy frame allocator (including its three placement paths), and the
- * lazy backing store.
+ * buddy frame allocator (including its three placement paths and its
+ * audited run-granular free), and the lazy backing store.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "audit/auditor.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "mem/backing_store.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/geometry.hh"
@@ -87,6 +92,66 @@ TEST(Geometry, EmptyFrameListIsBalanced)
 {
     MemGeometry geom = smallGeometry();
     EXPECT_DOUBLE_EQ(geom.stackBalance({}), 1.0);
+}
+
+/** Per-frame reference histogram, the definition stackLoad() must
+ *  reproduce. */
+std::vector<std::uint64_t>
+perFrameLoad(const MemGeometry &geom, const std::vector<FrameId> &frames)
+{
+    std::vector<std::uint64_t> load(geom.numStacks(), 0);
+    for (FrameId f : frames)
+        ++load[geom.stackOfFrame(f)];
+    return load;
+}
+
+TEST(Geometry, StackLoadMatchesPerFrameHistogram)
+{
+    SplitMix64 rng(0x57ac10adu);
+    for (unsigned stacks : {1u, 3u, 6u, 8u}) {
+        MemGeometryConfig cfg;
+        cfg.numStacks = stacks;
+        cfg.capacityBytes = 64 * MiB;
+        MemGeometry geom(cfg);
+        for (int trial = 0; trial < 64; ++trial) {
+            // Consecutive stretches of every length up to a few laps,
+            // starting on any stack (so stretches wrap past the last
+            // stack), mixed with lone frames and repeats.
+            std::vector<FrameId> frames;
+            std::size_t stretches = rng.nextBelow(12);
+            for (std::size_t i = 0; i < stretches; ++i) {
+                FrameId base = rng.nextBelow(geom.numFrames() - 64);
+                std::uint64_t len = rng.nextBelow(4 * stacks + 3);
+                if (rng.nextBelow(4) == 0 && !frames.empty())
+                    base = frames.back() + 1;  // extend the last one
+                for (std::uint64_t j = 0; j < len; ++j)
+                    frames.push_back(base + j);
+            }
+            auto load = geom.stackLoad(frames);
+            ASSERT_EQ(load, perFrameLoad(geom, frames))
+                << stacks << " stacks, trial " << trial;
+            std::uint64_t max_load =
+                *std::max_element(load.begin(), load.end());
+            double want = frames.empty()
+                              ? 1.0
+                              : static_cast<double>(frames.size()) /
+                                    stacks / static_cast<double>(max_load);
+            EXPECT_EQ(geom.stackBalance(frames), want);
+            EXPECT_EQ(geom.balanceOfLoad(load), want);
+        }
+    }
+}
+
+TEST(Geometry, AddRunLoadWrapsFromTheFirstStack)
+{
+    MemGeometryConfig cfg;
+    cfg.numStacks = 6;
+    MemGeometry geom(cfg);
+    std::vector<std::uint64_t> load(6, 0);
+    geom.addRunLoad(4, 9, load);  // stacks 4 5 0 1 2 3 4 5 0
+    EXPECT_EQ(load, (std::vector<std::uint64_t>{2, 1, 1, 1, 2, 2}));
+    geom.addRunLoad(11, 0, load);
+    EXPECT_EQ(load, (std::vector<std::uint64_t>{2, 1, 1, 1, 2, 2}));
 }
 
 class FrameAllocatorTest : public ::testing::Test
@@ -280,6 +345,177 @@ TEST_P(FrameAllocatorProperty, MixedWorkloadConservesFrames)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FrameAllocatorProperty,
                          ::testing::Values(1, 3, 17, 128, 1000, 4096));
+
+// ---- Audited, run-granular frees -----------------------------------------
+
+audit::AuditConfig
+quietFrameAudit()
+{
+    audit::AuditConfig cfg;
+    cfg.enabled = true;
+    cfg.warnOnViolation = false;
+    return cfg;
+}
+
+/** (kind, addr, detail) of every recorded violation, in order. */
+std::vector<std::tuple<audit::ViolationKind, std::uint64_t, std::string>>
+violationList(const audit::Auditor &aud)
+{
+    std::vector<
+        std::tuple<audit::ViolationKind, std::uint64_t, std::string>>
+        out;
+    for (const auto &v : aud.violations())
+        out.emplace_back(v.kind, v.addr, v.detail);
+    return out;
+}
+
+/** Frames per geometry: a multiple of 64, and one that is not. */
+class AuditedFreeRange : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(AuditedFreeRange, HolesReportedOnceGoodFramesFreed)
+{
+    MemGeometryConfig gcfg;
+    gcfg.capacityBytes = GetParam() * kPageSize;
+    MemGeometry geom(gcfg);
+    const std::uint64_t n = geom.numFrames();
+    SplitMix64 rng(0xa0d17ed0u + n);
+
+    for (int trial = 0; trial < 24; ++trial) {
+        // run: audited, run-granular freeRange under test.
+        // per_page: audited, one freeFrame per frame (the reference
+        // for which frames are reported, and in what order).
+        // unaudited: frees exactly the good frames, one by one.
+        audit::Auditor run_aud(quietFrameAudit());
+        audit::Auditor page_aud(quietFrameAudit());
+        FrameAllocator run(geom), per_page(geom), unaudited(geom);
+        run.setAuditor(&run_aud);
+        per_page.setAuditor(&page_aud);
+        for (FrameAllocator *a : {&run, &per_page, &unaudited})
+            ASSERT_TRUE(a->allocRun(n).has_value());
+
+        // A range that starts and ends off 64-frame word boundaries
+        // (the last trials cover the whole space and its tail word).
+        FrameId begin = trial >= 22 ? 0 : 1 + rng.nextBelow(n / 2);
+        if (trial < 22 && begin % 64 == 0)
+            ++begin;
+        FrameId end = trial >= 22 ? n : begin + 1 + rng.nextBelow(n - begin);
+        if (trial < 22 && end % 64 == 0 && end > begin + 1)
+            --end;
+
+        // Double-free holes: lone frames, clusters and both ends.
+        std::set<FrameId> holes;
+        std::size_t want = rng.nextBelow(40);
+        for (std::size_t i = 0; i < want; ++i) {
+            FrameId h = begin + rng.nextBelow(end - begin);
+            std::uint64_t len = 1 + rng.nextBelow(rng.nextBelow(4) == 0
+                                                      ? 24
+                                                      : 2);
+            for (FrameId f = h; f < std::min(end, h + len); ++f)
+                holes.insert(f);
+        }
+        if (trial % 3 == 0) {
+            holes.insert(begin);
+            holes.insert(end - 1);
+        }
+        for (FrameId h : holes) {
+            for (FrameAllocator *a : {&run, &per_page, &unaudited})
+                ASSERT_TRUE(a->freeFrame(h));
+        }
+
+        EXPECT_EQ(run.freeRange({begin, end - begin}), holes.empty());
+        for (FrameId f = begin; f < end; ++f) {
+            bool ok = per_page.freeFrame(f);
+            EXPECT_EQ(ok, holes.count(f) == 0);
+            if (holes.count(f) == 0) {
+                ASSERT_TRUE(unaudited.freeFrame(f));
+            }
+        }
+
+        // Each bad frame once, ascending, with the per-page text.
+        auto got = violationList(run_aud);
+        ASSERT_EQ(got, violationList(page_aud)) << "trial " << trial;
+        ASSERT_EQ(got.size(), holes.size());
+        auto hole = holes.begin();
+        for (const auto &[kind, addr, detail] : got) {
+            EXPECT_EQ(kind, audit::ViolationKind::FrameDoubleFree);
+            EXPECT_EQ(addr, *hole++);
+        }
+
+        // Every good frame freed; buddy state as if freed one by one.
+        EXPECT_EQ(run.freeFrames(), end - begin);
+        EXPECT_EQ(run.freeListNodes(), unaudited.freeListNodes());
+        EXPECT_EQ(run.busyMap(), unaudited.busyMap());
+        EXPECT_EQ(run.perStackFree(), unaudited.perStackFree());
+        EXPECT_EQ(run.freeListNodes(), per_page.freeListNodes());
+        EXPECT_EQ(run.busyMap(), per_page.busyMap());
+
+        // And the free lists hand the same blocks back out.
+        auto a = run.allocRun(end - begin);
+        auto b = unaudited.allocRun(end - begin);
+        ASSERT_TRUE(a.has_value());
+        ASSERT_TRUE(b.has_value());
+        EXPECT_EQ(*a, *b);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, AuditedFreeRange,
+                         ::testing::Values(16384, 1000, 777));
+
+TEST(AuditedFrames, BusyBitDivergenceReportsEveryBusyFrame)
+{
+    MemGeometryConfig gcfg;
+    gcfg.capacityBytes = 1000 * kPageSize;  // 1000 frames: 15.6 words
+    MemGeometry geom(gcfg);
+    audit::Auditor aud(quietFrameAudit());
+    FrameAllocator alloc(geom);
+    alloc.setAuditor(&aud);
+
+    // Busy bits on free frames, straddling word boundaries, inside
+    // the first order-9 block the next allocation takes.
+    std::vector<FrameId> seeded = {3, 63, 64, 65, 127, 128, 300, 511};
+    for (FrameId f : seeded)
+        alloc.seedBusyBits({f, 1}, true);
+    alloc.seedBusyBits({200, 70}, true);
+    for (FrameId f = 200; f < 270; ++f)
+        seeded.push_back(f);
+    std::sort(seeded.begin(), seeded.end());
+
+    auto runs = alloc.allocRun(512);
+    ASSERT_TRUE(runs.has_value());
+    ASSERT_EQ(*runs, (std::vector<FrameRange>{{0, 512}}));
+    ASSERT_EQ(aud.countOf(audit::ViolationKind::FrameDoubleAlloc),
+              seeded.size());
+    for (std::size_t i = 0; i < seeded.size(); ++i) {
+        const auto &v = aud.violations()[i];
+        EXPECT_EQ(v.kind, audit::ViolationKind::FrameDoubleAlloc);
+        EXPECT_EQ(v.addr, seeded[i]);
+        EXPECT_EQ(v.detail,
+                  strprintf("buddy handed out frame %llu, already busy "
+                            "(free-list/busy-bit divergence)",
+                            static_cast<unsigned long long>(seeded[i])));
+    }
+    // The block is busy as a whole afterwards and frees cleanly.
+    EXPECT_TRUE(alloc.freeRange({0, 512}));
+    EXPECT_EQ(alloc.freeFrames(), geom.numFrames());
+
+    // A cleared bit inside a held block: the block free is rejected
+    // once, naming the first non-busy frame only.
+    runs = alloc.allocRun(8);
+    ASSERT_TRUE(runs.has_value());
+    FrameId base = runs->front().base;
+    alloc.seedBusyBits({base + 2, 3}, false);
+    std::size_t before = aud.violations().size();
+    alloc.setAuditor(nullptr);  // unaudited: one block, rejected whole
+    EXPECT_FALSE(alloc.freeRange({base, 8}));
+    alloc.setAuditor(&aud);
+    EXPECT_EQ(aud.violations().size(), before);
+    EXPECT_FALSE(alloc.freeRange({base, 8}));
+    ASSERT_EQ(aud.violations().size(), before + 3);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(aud.violations()[before + i].addr, base + 2 + i);
+}
 
 TEST(BackingStore, AttachAndAccess)
 {

@@ -377,7 +377,8 @@ TEST(MultiSocket, SingleSocketKeepsTheGlobalCacheModel)
         sys.addressSpace(), p, 512 * MiB);
     auto frames = sys.addressSpace().framesOf(p, 512 * MiB);
     EXPECT_EQ(profile.icHitFraction,
-              sys.runtime().perf().infinityCache().hitFraction(frames));
+              sys.runtime().perf().infinityCache().hitFractionFromStackLoad(
+                  sys.geometry().stackLoad(frames)));
     sys.runtime().freeChecked(p);
 }
 

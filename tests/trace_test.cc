@@ -168,6 +168,49 @@ TEST(TraceWiring, SimulationByteIdenticalTracingOnOrOff)
     EXPECT_EQ(run(false), run(true));
 }
 
+TEST(TraceWiring, AuditLeavesScatteredUnmapTraceUnchanged)
+{
+    // Two on-demand (malloc) VMAs populated in interleaved pieces, so
+    // each holds scattered frames from shared pool refills; unmapping
+    // one frees a fragmented frame set. UPMSan must not change a
+    // single event: the audited munmap frees the same merged
+    // intervals as the unaudited one.
+    auto run = [](bool audited) {
+        core::SystemConfig cfg = tracedConfig();
+        cfg.audit.enabled = audited;
+        cfg.audit.warnOnViolation = false;
+        core::System sys(cfg);
+        auto &rt = sys.runtime();
+        hip::DevPtr a = rt.hostMalloc(1 * MiB);
+        hip::DevPtr b = rt.hostMalloc(1 * MiB);
+        rt.cpuFirstTouch(a, 96 * KiB);
+        rt.cpuFirstTouch(b, 200 * KiB);
+        rt.cpuFirstTouch(a + 512 * KiB, 300 * KiB);
+        rt.cpuFirstTouch(b + 700 * KiB, 324 * KiB);
+        rt.cpuFirstTouch(a + 96 * KiB, 40 * KiB);
+        EXPECT_EQ(rt.hipFree(a), hip::hipSuccess);
+        EXPECT_EQ(rt.hipFree(b), hip::hipSuccess);
+        if (audited) {
+            sys.finalizeAudit();
+            EXPECT_TRUE(sys.auditor()->clean())
+                << sys.auditor()->summary();
+        }
+        return chromeTraceJson(sys.tracer()->events());
+    };
+    std::string plain = run(false);
+    EXPECT_EQ(run(true), plain);
+
+    // The unmaps batch: fewer FrameFree events than freed pages (a
+    // page-by-page audited free would emit one per scattered frame).
+    std::size_t frees = 0;
+    for (std::size_t pos = plain.find("\"frame_free\"");
+         pos != std::string::npos;
+         pos = plain.find("\"frame_free\"", pos + 1))
+        ++frees;
+    EXPECT_GT(frees, 0u);
+    EXPECT_LT(frees, (96 + 200 + 300 + 324 + 40) / 4);
+}
+
 TEST(TraceWiring, RingModeThroughSystemConfig)
 {
     core::SystemConfig cfg = tracedConfig();

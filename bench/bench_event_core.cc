@@ -12,9 +12,9 @@
  *     replaced. Simulated metrics must be byte-identical; the wall
  *     ratio is the speedup `--check-speedup T` gates on.
  *
- *  2. Calendar drain point: serial runAll() vs runAllParallel() on 8
- *     workers over a cross-engine event soup; engine stats must be
- *     byte-identical, the wall ratio is reported.
+ *  2. Calendar drain point: runAll() over a cross-engine event soup;
+ *     the per-engine stats are the simulated metrics, the drain wall
+ *     time is reported.
  *
  *  3. Replay artifacts: `--dump trace.upmt --live-json live.json`
  *     runs a ring-traced oversubscription-evict workload, dumps the
@@ -111,13 +111,11 @@ struct DrainTimings
 {
     std::array<sched::EngineStats, sched::kNumEngines> stats{};
     std::size_t events = 0;
-    double serialMs = 0.0;
-    double parallelMs = 0.0;
+    double ms = 0.0;
 };
 
 /** Schedule one chain link; its handler schedules the next link
- *  strictly past the lookahead window, so the parallel drain is
- *  contract-legal. */
+ *  @p lookahead + 1 ns later. */
 void
 scheduleChainLink(sched::EventCalendar &cal, SimTime when, unsigned left,
                   SimTime lookahead)
@@ -147,41 +145,18 @@ scheduleSoup(sched::EventCalendar &cal, std::size_t events,
 }
 
 DrainTimings
-runDrainPoint(std::size_t events, unsigned workers)
+runDrainPoint(std::size_t events)
 {
+    // The link spacing of the soup the committed baseline was taken on.
     constexpr SimTime kLookahead = 64.0;
     DrainTimings t;
-    {
-        sched::EventCalendar cal(kLookahead);
-        scheduleSoup(cal, events, kLookahead);
-        auto start = std::chrono::steady_clock::now();
-        t.events = cal.runAll();
-        t.serialMs = wallMs(start);
-        for (unsigned e = 0; e < sched::kNumEngines; ++e)
-            t.stats[e] = cal.stats(static_cast<sched::EngineId>(e));
-    }
-    {
-        sched::EventCalendar cal(kLookahead);
-        scheduleSoup(cal, events, kLookahead);
-        exec::TaskPool pool(workers);
-        auto start = std::chrono::steady_clock::now();
-        std::size_t n = cal.runAllParallel(pool);
-        t.parallelMs = wallMs(start);
-        if (n != t.events)
-            fatal("parallel drain executed %zu events, serial %zu", n,
-                  t.events);
-        for (unsigned e = 0; e < sched::kNumEngines; ++e) {
-            sched::EngineStats st =
-                cal.stats(static_cast<sched::EngineId>(e));
-            if (st.executed != t.stats[e].executed ||
-                st.busyNs != t.stats[e].busyNs ||
-                st.lastEventNs != t.stats[e].lastEventNs) {
-                fatal("parallel drain diverged from serial on engine %s",
-                      sched::engineName(
-                          static_cast<sched::EngineId>(e)));
-            }
-        }
-    }
+    sched::EventCalendar cal;
+    scheduleSoup(cal, events, kLookahead);
+    auto start = std::chrono::steady_clock::now();
+    t.events = cal.runAll();
+    t.ms = wallMs(start);
+    for (unsigned e = 0; e < sched::kNumEngines; ++e)
+        t.stats[e] = cal.stats(static_cast<sched::EngineId>(e));
     return t;
 }
 
@@ -296,8 +271,8 @@ run(int argc, char **argv)
         static_cast<int>(rest.size()), rest.data());
 
     bench::banner("the event-core timing engine",
-                  "calendar scheduler and parallel drain vs the "
-                  "reference paths");
+                  "calendar scheduler vs the reference scan, and the "
+                  "calendar drain");
 
     if (!dump_path.empty() || !live_json.empty()) {
         if (dump_path.empty() || live_json.empty()) {
@@ -335,13 +310,10 @@ run(int argc, char **argv)
         .metric("total_ops", h.result.totalOps)
         .metric("line_conflicts", h.result.lineConflicts);
 
-    // Cross-engine drain: serial vs 8-worker parallel windows.
+    // Cross-engine drain.
     std::size_t soup = opt.smoke ? 40000 : 200000;
-    DrainTimings d = runDrainPoint(soup, 8);
-    std::printf("drain %zu events: serial %.1f ms, 8-worker %.1f ms "
-                "(x%.2f)\n",
-                d.events, d.serialMs, d.parallelMs,
-                d.serialMs / d.parallelMs);
+    DrainTimings d = runDrainPoint(soup);
+    std::printf("drain %zu events: %.1f ms\n", d.events, d.ms);
     auto &point = report.point().param("point", "drain").param(
         "events", std::uint64_t(d.events));
     for (unsigned e = 0; e < sched::kNumEngines; ++e) {

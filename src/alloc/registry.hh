@@ -13,23 +13,23 @@
 
 #include "alloc/hip_allocators.hh"
 #include "alloc/malloc_sim.hh"
+#include "common/hooks.hh"
 #include "vm/address_space.hh"
-
-namespace upm::audit {
-class Auditor;
-}
 
 namespace upm::alloc {
 
 /**
  * Owns the allocator family for one simulated process. Dispatch by
  * AllocatorKind; `MallocRegistered` composes malloc + hipHostRegister.
+ * With an auditor hooked in, allocate/deallocate shadow the live-range
+ * map that powers UPMSan's overlap and use-after-free checks.
  */
 class AllocatorRegistry
 {
   public:
     explicit AllocatorRegistry(vm::AddressSpace &address_space,
-                               const AllocCosts &costs = {});
+                               const AllocCosts &costs = {},
+                               const Hooks &hooks = {});
 
     /**
      * Allocate @p size bytes with the given allocator configuration.
@@ -71,17 +71,13 @@ class AllocatorRegistry
         return as.defaultSocketPolicy();
     }
 
-    /** Attach UPMSan: allocate/deallocate shadow the live-range map
-     *  that powers the overlap and use-after-free checks. */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
   private:
     Allocator &allocatorFor(AllocatorKind kind);
 
     vm::AddressSpace &as;
     AllocCosts cost;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
-    audit::Auditor *aud = nullptr;
+    audit::Auditor *aud;
     MallocSim mallocSim;
     HipMallocAllocator hipMalloc;
     HipHostMallocAllocator hipHostMalloc;

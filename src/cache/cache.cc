@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "common/units.hh"
-#include "trace/tracer.hh"
 
 namespace upm::cache {
 
@@ -48,8 +47,6 @@ SetAssocCache::access(std::uint64_t addr)
         if (way.valid && way.tag == line) {
             way.lru = stamp;
             ++hitCount;
-            if (tr != nullptr)
-                tr->emit(trace::EventKind::CacheHit, line);
             return true;
         }
         if (!way.valid) {
@@ -57,12 +54,6 @@ SetAssocCache::access(std::uint64_t addr)
         } else if (victim->valid && way.lru < victim->lru) {
             victim = &way;
         }
-    }
-    if (tr != nullptr) {
-        if (victim->valid) {
-            tr->emit(trace::EventKind::CacheEvict, victim->tag, line);
-        }
-        tr->emit(trace::EventKind::CacheFill, line);
     }
     victim->valid = true;
     victim->tag = line;

@@ -14,10 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace upm::trace {
-class Tracer;
-}
-
 namespace upm::cache {
 
 /** Static parameters of one cache. */
@@ -59,10 +55,6 @@ class SetAssocCache
     unsigned numSets() const { return sets; }
     const CacheConfig &config() const { return cfg; }
 
-    /** Attach UPMTrace: emits CacheHit / CacheFill (miss) / CacheEvict
-     *  (valid-victim replacement) per access(). */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
   private:
     struct Way
     {
@@ -80,8 +72,6 @@ class SetAssocCache
     std::uint64_t stamp = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
-    /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
 };
 
 } // namespace upm::cache

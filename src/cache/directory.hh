@@ -17,11 +17,8 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/hooks.hh"
 #include "common/units.hh"
-
-namespace upm::audit {
-class Auditor;
-}
 
 namespace upm::cache {
 
@@ -49,11 +46,19 @@ struct CoherenceCosts
  * atomic requests it returns the transfer cost of each and mutates
  * ownership; the Monte-Carlo atomics probe drives it with sampled
  * request streams.
+ *
+ * With an auditor hooked in, every ownership transfer is mirrored into
+ * the auditor's dirty-line shadow (release previous owner, then take
+ * exclusive), so a directory transition that skipped the invalidation
+ * shows up as DirtyInTwoCaches.
  */
 class Directory
 {
   public:
-    explicit Directory(const CoherenceCosts &costs = {}) : cost(costs) {}
+    explicit Directory(const CoherenceCosts &costs = {},
+                       const Hooks &hooks = {})
+        : cost(costs), aud(hooks.aud)
+    {}
 
     /**
      * CPU core @p core performs an atomic on @p line.
@@ -79,14 +84,6 @@ class Directory
 
     const CoherenceCosts &costs() const { return cost; }
 
-    /**
-     * Attach UPMSan. Every ownership transfer is mirrored into the
-     * auditor's dirty-line shadow (release previous owner, then take
-     * exclusive), so a directory transition that skipped the
-     * invalidation shows up as DirtyInTwoCaches.
-     */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
   private:
     struct Entry
     {
@@ -97,7 +94,7 @@ class Directory
     CoherenceCosts cost;
     std::unordered_map<std::uint64_t, Entry> lines;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
-    audit::Auditor *aud = nullptr;
+    audit::Auditor *aud;
 };
 
 } // namespace upm::cache

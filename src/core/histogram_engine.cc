@@ -20,8 +20,7 @@ HistogramEngine::run(const HistogramParams &params)
 
     auto &rt = sys.runtime();
     const auto &cal = sys.config().atomicsModel;
-    cache::Directory directory(sys.config().coherence);
-    directory.setAuditor(sys.auditor());
+    cache::Directory directory(sys.config().coherence, sys.hooks());
     cache::AtomicUnitModel unit(sys.config().atomics);
 
     // The functional histogram lives in a unified allocation.

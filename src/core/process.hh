@@ -7,10 +7,12 @@
  * shape every characterization bench uses. The serving node (UPMServe,
  * src/serve) multiplexes *thousands* of short-lived processes over the
  * same shards, so the per-process half of the wiring is factored out
- * here: a Process owns its backing store, address space, fault
- * handler, allocator registry, runtime and event calendar, while the
- * frames, fabric and the aud/inj/trc hooks stay shared with (and wired
- * from) the owning System.
+ * here: a Process owns its backing store, event calendar, address
+ * space, fault handler, allocator registry and runtime, while the
+ * frames and the System::hooks() bundle (auditor, injector, tracer,
+ * fabric, socket caches) stay shared with the owning System: each
+ * component is constructed over System::nodeMemory() and
+ * System::hooks(), exactly as the System builds its own.
  *
  * Two contracts matter for the long-soak robustness story:
  *
@@ -87,14 +89,14 @@ class Process
     std::uint64_t id;
     // Declaration order is construction order: the address space needs
     // the backing store, the registry needs the address space, the
-    // runtime needs all three.
+    // runtime needs all of them and the calendar.
     mem::BackingStore backingStore;
+    /** Private event calendar (per-process clocks and queues). */
+    sched::EventCalendar calendar;
     vm::AddressSpace as;
     vm::FaultHandler faults;
     alloc::AllocatorRegistry registry;
     hip::Runtime rt;
-    /** Private event calendar (per-process clocks and queues). */
-    sched::EventCalendar calendar;
 };
 
 } // namespace upm::core

@@ -36,7 +36,7 @@ struct Socket
      *  it caches only traffic to frames this shard owns. On a
      *  multi-socket node PerfModel queries each socket's instance for
      *  its slice of a working set instead of pooling everything into
-     *  one cache (setSocketCaches). */
+     *  one cache (Hooks::socketCaches). */
     cache::InfinityCache icache;
 
     Socket(const SystemConfig &config, unsigned socket_id,

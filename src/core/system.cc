@@ -22,61 +22,59 @@ constexpr vm::VirtAddr kProcessVaBase =
     0x7f00'0000'0000ull + 1 * TiB;
 constexpr std::uint64_t kProcessVaSpan = 64 * GiB;
 
+std::vector<std::unique_ptr<Socket>>
+makeSockets(const SystemConfig &cfg, mem::NodeMemory &node)
+{
+    std::vector<std::unique_ptr<Socket>> sockets;
+    sockets.reserve(node.numSockets());
+    for (unsigned s = 0; s < node.numSockets(); ++s)
+        sockets.push_back(std::make_unique<Socket>(cfg, s, node.shard(s)));
+    return sockets;
+}
+
+/** Per-socket Infinity Caches on a multi-socket node: each shard's
+ *  working-set slice is covered by its own socket's 256 MiB, not a
+ *  pooled cache. Empty on one socket (the single-cache model). */
+std::vector<const cache::InfinityCache *>
+multiSocketCaches(const std::vector<std::unique_ptr<Socket>> &sockets)
+{
+    std::vector<const cache::InfinityCache *> caches;
+    if (sockets.size() > 1) {
+        for (const auto &socket : sockets)
+            caches.push_back(&socket->icache);
+    }
+    return caches;
+}
+
 } // namespace
 
 System::System(const SystemConfig &config)
     : cfg(config), apuTopo(cfg), geom(cfg.geometry),
-      node(geom, cfg.frames, cfg.numSockets),
-      as(node.shard(0), backingStore), faults(cfg.faults), registry(as),
-      rt(as, registry, faults, cfg, geom), numaMeminfo(node.shard(0)),
-      processRss(as)
+      trc(cfg.trace.enabled ? std::make_unique<trace::Tracer>(cfg.trace)
+                            : nullptr),
+      aud(cfg.audit.enabled ? std::make_unique<audit::Auditor>(cfg.audit)
+                            : nullptr),
+      inj(cfg.inject.enabled
+              ? std::make_unique<inject::Injector>(cfg.inject,
+                                                   Hooks{.tr = trc.get()})
+              : nullptr),
+      fab(cfg.numSockets > 1
+              ? std::make_unique<fabric::Fabric>(cfg.fabric, cfg.numSockets)
+              : nullptr),
+      // The shards use only the observer hooks; the socket caches
+      // listed in hooks() are built over the shards.
+      node(geom, cfg.frames, cfg.numSockets,
+           {aud.get(), inj.get(), trc.get()}),
+      socketList(makeSockets(cfg, node)),
+      socketCaches(multiSocketCaches(socketList)),
+      as(node, backingStore, hooks()),
+      faults(cfg.faults, vm::FaultHandler::kDefaultSeed, hooks()),
+      registry(as, {}, hooks()),
+      rt(as, registry, faults, calendar, cfg, geom, hooks()),
+      numaMeminfo(node.shard(0)), processRss(as)
 {
-    rt.setCalendar(&calendar);
-    socketList.reserve(node.numSockets());
-    for (unsigned s = 0; s < node.numSockets(); ++s) {
-        socketList.push_back(
-            std::make_unique<Socket>(cfg, s, node.shard(s)));
-    }
-    if (node.numSockets() > 1) {
-        // The fabric exists only on multi-socket nodes; every consumer
-        // keeps a null default so the one-socket wiring stays byte
-        // identical to the pre-socket System.
-        fab = std::make_unique<fabric::Fabric>(cfg.fabric,
-                                               node.numSockets());
-        as.setNode(&node);
-        faults.setFabric(fab.get());
-        rt.perf().setFabric(fab.get(), node.framesPerSocket());
-        // Per-socket Infinity Caches: each shard's working-set slice
-        // is covered by its own socket's 256 MiB, not a pooled cache.
-        std::vector<const cache::InfinityCache *> caches;
-        caches.reserve(socketList.size());
-        for (const auto &socket : socketList)
-            caches.push_back(&socket->icache);
-        rt.perf().setSocketCaches(std::move(caches));
-    }
-    if (cfg.audit.enabled) {
-        aud = std::make_unique<audit::Auditor>(cfg.audit);
-        node.setAuditor(aud.get());
-        as.setAuditor(aud.get());
-        registry.setAuditor(aud.get());
-        rt.setAuditor(aud.get());
-    }
-    if (cfg.inject.enabled) {
-        inj = std::make_unique<inject::Injector>(cfg.inject);
-        node.setInjector(inj.get());
-        faults.setInjector(inj.get());
-        rt.setInjector(inj.get());
-    }
-    if (cfg.trace.enabled) {
-        trc = std::make_unique<trace::Tracer>(cfg.trace);
+    if (trc)
         trc->setClock(&rt.clock());
-        node.setTracer(trc.get());
-        as.setTracer(trc.get());  // wires the HMM mirror too
-        faults.setTracer(trc.get());
-        rt.setTracer(trc.get());  // wires the perf model too
-        if (inj)
-            inj->setTracer(trc.get());
-    }
 }
 
 std::unique_ptr<Process>

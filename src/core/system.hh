@@ -2,20 +2,23 @@
  * @file
  * The System: one simulated MI300A node running one process.
  *
- * Wires the full stack together -- geometry, per-socket frame-allocator
- * shards, backing store, address space, fault handler, allocator
- * registry, HIP runtime, profiling views -- in dependency order. Every
- * probe, bench, example and workload starts by constructing one of
- * these.
+ * Wires the full stack together -- the optional UPMSan / UPMInject /
+ * UPMTrace hooks, geometry, per-socket frame-allocator shards, the
+ * fabric, backing store, event calendar, address space, fault handler,
+ * allocator registry, HIP runtime, profiling views -- in dependency
+ * order, which is member declaration order. Every component receives
+ * the one hooks() bundle through its constructor; nothing is attached
+ * afterwards. Every probe, bench, example and workload starts by
+ * constructing one of these.
  *
  * A node is one or more sockets (SystemConfig::numSockets). Each
  * socket contributes an Apu topology, one geometry-sized HBM shard,
- * and a NumaMeminfo view; sockets > 1 are joined by the xGMI link
- * model (fabric::Fabric), which the address space (placement routing),
- * fault handler (remote fault cost) and perf model (remote bandwidth
- * mix) all consult. With numSockets == 1 the fabric is never created
- * and the node degenerates to the classic single-APU wiring, byte
- * identical to the pre-socket System.
+ * an Infinity Cache and a NumaMeminfo view; sockets > 1 are joined by
+ * the xGMI link model (fabric::Fabric), which the fault handler
+ * (remote fault cost) and perf model (remote bandwidth mix) consult
+ * through the hooks. With numSockets == 1 the fabric is never created,
+ * the socket-cache list is empty, and the node degenerates to the
+ * classic single-APU wiring, byte identical to the pre-socket System.
  */
 
 #ifndef UPM_CORE_SYSTEM_HH
@@ -27,6 +30,7 @@
 
 #include "alloc/registry.hh"
 #include "audit/auditor.hh"
+#include "common/hooks.hh"
 #include "core/apu.hh"
 #include "core/socket.hh"
 #include "fabric/fabric.hh"
@@ -107,6 +111,14 @@ class System
     trace::Tracer *tracer() { return trc.get(); }
     const trace::Tracer *tracer() const { return trc.get(); }
 
+    /** The hook bundle every component of this node (and of every
+     *  createProcess() process) is constructed with. */
+    Hooks
+    hooks() const
+    {
+        return {aud.get(), inj.get(), trc.get(), fab.get(), socketCaches};
+    }
+
     /**
      * End-of-run whole-structure checks (cheap per-event hooks cannot
      * see them): full system/GPU page-table cross-check, the per-shard
@@ -122,8 +134,8 @@ class System
      * Create an additional simulated process over this node's shared
      * shards: its own address space (in a fresh, never-recycled 64 GiB
      * VA window past the primary window), fault handler, allocator
-     * registry and runtime, wired to this System's auditor / injector
-     * / tracer. The caller owns the Process and must destroy it before
+     * registry and runtime, constructed with this System's hooks(). The
+     * caller owns the Process and must destroy it before
      * the System. The primary addressSpace()/runtime() pair is
      * untouched -- single-process users are byte-identical.
      */
@@ -141,33 +153,40 @@ class System
     void registerProcess(Process *process);
     void unregisterProcess(Process *process);
 
+    // Declaration order is construction order: the hooks first, then
+    // the node and its sockets, then the per-process components that
+    // take hooks(). Destruction runs the other way, so the hooks
+    // outlive every component that holds them.
     SystemConfig cfg;
     Apu apuTopo;
     mem::MemGeometry geom;
+    /** Created only when tracing. */
+    std::unique_ptr<trace::Tracer> trc;
+    /** Created only when auditing is on. */
+    std::unique_ptr<audit::Auditor> aud;
+    /** Created only when injecting; traces its decisions. */
+    std::unique_ptr<inject::Injector> inj;
+    /** xGMI link model; created only when numSockets > 1 so a
+     *  one-socket System never consults it (byte-identity). */
+    std::unique_ptr<fabric::Fabric> fab;
     /** Per-socket HBM shards over the global frame space. */
     mem::NodeMemory node;
+    /** Per-socket slices (Apu + shard ref + meminfo + Infinity Cache);
+     *  unique_ptr because Socket carries a reference member. */
+    std::vector<std::unique_ptr<Socket>> socketList;
+    /** Every socket's Infinity Cache, in socket order; empty on a
+     *  one-socket node, which keeps the single pooled cache model. */
+    std::vector<const cache::InfinityCache *> socketCaches;
     mem::BackingStore backingStore;
+    /** Per-System event calendar the runtime posts to. */
+    sched::EventCalendar calendar;
     vm::AddressSpace as;
     vm::FaultHandler faults;
     alloc::AllocatorRegistry registry;
     hip::Runtime rt;
-    /** Per-System event calendar; wired into the runtime at birth. */
-    sched::EventCalendar calendar;
     prof::CounterRegistry counterRegistry;
     prof::NumaMeminfo numaMeminfo;
     prof::ProcessRss processRss;
-    /** Per-socket slices (Apu + shard ref + meminfo); unique_ptr
-     *  because Socket carries a reference member. */
-    std::vector<std::unique_ptr<Socket>> socketList;
-    /** xGMI link model; created only when numSockets > 1 so a
-     *  one-socket System never consults it (byte-identity). */
-    std::unique_ptr<fabric::Fabric> fab;
-    /** Created (and wired into every layer) only when auditing is on. */
-    std::unique_ptr<audit::Auditor> aud;
-    /** Created (and wired into every layer) only when injecting. */
-    std::unique_ptr<inject::Injector> inj;
-    /** Created (and wired into every layer) only when tracing. */
-    std::unique_ptr<trace::Tracer> trc;
     /** Live serving processes (owned by their creators), creation
      *  order -- finalizeAudit unions their page tables into the leak
      *  scan's mapped set. */

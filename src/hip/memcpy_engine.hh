@@ -15,12 +15,9 @@
 
 #include <cstdint>
 
+#include "common/hooks.hh"
 #include "core/calibration.hh"
 #include "vm/address_space.hh"
-
-namespace upm::inject {
-class Injector;
-}
 
 namespace upm::hip {
 
@@ -34,13 +31,14 @@ enum class CopyPath : std::uint8_t {
 
 const char *copyPathName(CopyPath path);
 
-/** Prices hipMemcpy operations. */
+/** Prices hipMemcpy operations; an injector in the hooks perturbs
+ *  them (none means no overhead). */
 class MemcpyEngine
 {
   public:
     MemcpyEngine(const core::BandwidthCalib &calibration,
-                 bool sdma_enabled)
-        : bw(calibration), sdmaEnabled(sdma_enabled)
+                 bool sdma_enabled, const Hooks &hooks = {})
+        : bw(calibration), sdmaEnabled(sdma_enabled), inj(hooks.inj)
     {}
 
     /** Select the path for a dst/src VMA pair. */
@@ -54,15 +52,12 @@ class MemcpyEngine
     bool sdma() const { return sdmaEnabled; }
     void setSdma(bool enabled) { sdmaEnabled = enabled; }
 
-    /** Attach UPMInject; null (no overhead) unless injection is on. */
-    void setInjector(inject::Injector *injector) { inj = injector; }
-
   private:
     core::BandwidthCalib bw;
     bool sdmaEnabled;
     /** UPMInject hook; the engine is logically const while the
      *  injector advances its own decision streams. */
-    inject::Injector *inj = nullptr;
+    inject::Injector *inj;
 };
 
 } // namespace upm::hip

@@ -9,7 +9,7 @@
 namespace upm::hip {
 
 PerfModel::PerfModel(const core::SystemConfig &config,
-                     const mem::MemGeometry &geometry)
+                     const mem::MemGeometry &geometry, const Hooks &hooks)
     : cfg(config), geom(geometry), ic(geom, cfg.infinityCache),
       gpuCaches({{"L1", cfg.gpuCache.l1Capacity, cfg.gpuCache.l1Latency},
                  {"L2", cfg.gpuCache.l2Capacity, cfg.gpuCache.l2Latency}},
@@ -17,7 +17,8 @@ PerfModel::PerfModel(const core::SystemConfig &config,
       cpuCaches({{"L1", cfg.cpuCache.l1Capacity, cfg.cpuCache.l1Latency},
                  {"L2", cfg.cpuCache.l2Capacity, cfg.cpuCache.l2Latency},
                  {"L3", cfg.cpuCache.l3Capacity, cfg.cpuCache.l3Latency}},
-                cfg.cpuCache.icLatency, cfg.cpuCache.hbmLatency)
+                cfg.cpuCache.icLatency, cfg.cpuCache.hbmLatency),
+      fab(hooks.fab), socketCaches(hooks.socketCaches), tr(hooks.tr)
 {
 }
 
@@ -47,7 +48,7 @@ PerfModel::profileRegion(const vm::AddressSpace &as, vm::VirtAddr base,
                                 ? socketIcHitFraction(frames)
                                 : ic.hitFractionFromStackLoad(load);
 
-    if (fab != nullptr && framesPerSocket > 0 &&
+    if (fab != nullptr &&
         vma->policy.socketPolicy != vm::SocketPolicy::ReplicateRO) {
         // Remote-page mix against the accessing socket. ReplicateRO
         // regions read their local replica, so they stay fully local.
@@ -57,7 +58,7 @@ PerfModel::profileRegion(const vm::AddressSpace &as, vm::VirtAddr base,
         double hop_sum = 0.0;
         for (vm::FrameId frame : frames) {
             unsigned owner =
-                static_cast<unsigned>(frame / framesPerSocket);
+                static_cast<unsigned>(frame / geom.numFrames());
             if (owner >= fab->numSockets())
                 owner = fab->numSockets() - 1;
             if (owner == access)
@@ -133,13 +134,11 @@ PerfModel::socketIcHitFraction(
         socketCaches.size());
     for (mem::FrameId frame : frames) {
         std::size_t owner =
-            framesPerSocket > 0
-                ? static_cast<std::size_t>(frame / framesPerSocket)
-                : 0;
+            static_cast<std::size_t>(frame / geom.numFrames());
         if (owner >= per_socket.size())
             owner = per_socket.size() - 1;
         per_socket[owner].push_back(
-            frame - static_cast<mem::FrameId>(owner) * framesPerSocket);
+            frame - static_cast<mem::FrameId>(owner) * geom.numFrames());
     }
     double covered = 0.0;
     for (std::size_t s = 0; s < per_socket.size(); ++s) {

@@ -21,19 +21,13 @@
 #define UPM_HIP_PERF_MODEL_HH
 
 #include <cstdint>
+#include <span>
 
 #include "cache/hierarchy.hh"
 #include "cache/infinity_cache.hh"
+#include "common/hooks.hh"
 #include "core/calibration.hh"
 #include "vm/address_space.hh"
-
-namespace upm::fabric {
-class Fabric;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::hip {
 
@@ -73,12 +67,27 @@ struct RegionProfile
 /**
  * Stateless performance model bound to a system configuration. All
  * queries are pure functions of the supplied profiles.
+ *
+ * Hooks (multi-socket nodes only; absent, every query is
+ * byte-identical to the single-socket model):
+ *  - the fabric: profileRegion() computes the remote-page mix of each
+ *    region against the address space's current socket (a global
+ *    frame's owner is frame / geometry().numFrames()), stream
+ *    bandwidth harmonically mixes the xGMI cap over that mix, and
+ *    chase latency gains the per-hop adder;
+ *  - the per-socket Infinity Caches (one per shard, in socket order):
+ *    profileRegion() partitions a working set's frames by owning shard
+ *    and asks each socket's own cache how much of its slice it covers,
+ *    so a set spread over N sockets can exploit N x 256 MiB and a set
+ *    homed on one socket is bounded by that socket's cache alone.
+ * A tracer receives one IcQuery event per profileRegion() carrying the
+ * Infinity Cache hit fraction it computed.
  */
 class PerfModel
 {
   public:
     PerfModel(const core::SystemConfig &config,
-              const mem::MemGeometry &geometry);
+              const mem::MemGeometry &geometry, const Hooks &hooks = {});
 
     /** Summarize the placement of [base, base+size). */
     RegionProfile profileRegion(const vm::AddressSpace &as,
@@ -117,43 +126,6 @@ class PerfModel
     const cache::CacheHierarchy &cpuHierarchy() const { return cpuCaches; }
     const cache::InfinityCache &infinityCache() const { return ic; }
 
-    /** Attach UPMTrace: each profileRegion() emits an IcQuery event
-     *  carrying the Infinity Cache hit fraction it computed. */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
-    /**
-     * Attach the xGMI model (multi-socket Systems only). With a fabric
-     * attached, profileRegion() computes the remote-page mix of each
-     * region against the address space's current socket, stream
-     * bandwidth harmonically mixes the xGMI cap over that mix, and
-     * chase latency gains the per-hop adder. Null (the default) keeps
-     * every query byte-identical to the single-socket model.
-     * @p frames_per_socket maps global frame ids to owner sockets.
-     */
-    void
-    setFabric(const fabric::Fabric *fabric_model,
-              std::uint64_t frames_per_socket)
-    {
-        fab = fabric_model;
-        framesPerSocket = frames_per_socket;
-    }
-
-    /**
-     * Attach per-socket Infinity Cache instances (multi-socket Systems
-     * only; one per shard, in socket order). With caches attached,
-     * profileRegion() partitions a working set's frames by owning
-     * shard and asks each socket's own cache how much of its slice it
-     * covers -- so a set spread over N sockets can exploit N x 256 MiB,
-     * and a set homed on one socket is bounded by that socket's cache
-     * alone, instead of everything pooling into a single cache.
-     * Empty (the default) keeps the single-cache model and its bytes.
-     */
-    void
-    setSocketCaches(std::vector<const cache::InfinityCache *> caches)
-    {
-        socketCaches = std::move(caches);
-    }
-
   private:
     /** Harmonic local/xGMI bandwidth blend for a region's remote mix
      *  (identity when no fabric or no remote pages). */
@@ -169,12 +141,12 @@ class PerfModel
         const std::vector<mem::FrameId> &frames) const;
 
     /** xGMI model; null on single-socket Systems. */
-    const fabric::Fabric *fab = nullptr;
-    std::uint64_t framesPerSocket = 0;
-    /** Per-socket IC instances; empty on single-socket Systems. */
-    std::vector<const cache::InfinityCache *> socketCaches;
+    const fabric::Fabric *fab;
+    /** Per-socket IC instances, owned by the System; empty on
+     *  single-socket Systems. */
+    std::span<const cache::InfinityCache *const> socketCaches;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
+    trace::Tracer *tr;
 };
 
 } // namespace upm::hip

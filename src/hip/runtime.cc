@@ -25,11 +25,14 @@ agentOf(const Stream &stream)
 Runtime::Runtime(vm::AddressSpace &address_space,
                  alloc::AllocatorRegistry &allocator_registry,
                  vm::FaultHandler &fault_handler,
+                 sched::EventCalendar &calendar,
                  const core::SystemConfig &config,
-                 const mem::MemGeometry &geometry)
+                 const mem::MemGeometry &geometry, const Hooks &hooks)
     : as(address_space), registry(allocator_registry),
-      faults(fault_handler), cfg(config), perfModel(config, geometry),
-      copyEngine(config.bandwidth, config.sdmaEnabled), stream0(0)
+      faults(fault_handler), cal(calendar), cfg(config),
+      perfModel(config, geometry, hooks),
+      copyEngine(config.bandwidth, config.sdmaEnabled, hooks), stream0(0),
+      aud(hooks.aud), inj(hooks.inj), tr(hooks.tr)
 {
     as.setXnack(cfg.xnack);
 }
@@ -53,9 +56,9 @@ Runtime::auditAccess(unsigned agent, DevPtr ptr, std::uint64_t bytes,
 void
 Runtime::notePeak()
 {
-    auto &alloc = as.frames();
+    const mem::NodeMemory &node = as.nodeMemory();
     std::uint64_t used =
-        (alloc.totalFrames() - alloc.freeFrames()) * mem::kPageSize;
+        (node.totalFrames() - node.freeFrames()) * mem::kPageSize;
     peakBytes = std::max(peakBytes, used);
 }
 
@@ -88,20 +91,6 @@ Runtime::hipGetLastError()
     return error;
 }
 
-void
-Runtime::setInjector(inject::Injector *injector)
-{
-    inj = injector;
-    copyEngine.setInjector(injector);
-}
-
-void
-Runtime::setTracer(trace::Tracer *tracer)
-{
-    tr = tracer;
-    perfModel.setTracer(tracer);
-}
-
 hipError_t
 Runtime::tryAllocate(alloc::AllocatorKind kind, std::uint64_t size,
                      DevPtr &out)
@@ -124,10 +113,8 @@ Runtime::tryAllocate(alloc::AllocatorKind kind, std::uint64_t size,
     }
     hostClock.advance(allocation.allocTime);
     ++runtimeStats.allocCalls;
-    if (cal != nullptr) {
-        cal->schedule(sched::EngineId::Host, hostClock.now(),
-                      allocation.allocTime);
-    }
+    cal.schedule(sched::EngineId::Host, hostClock.now(),
+                 allocation.allocTime);
     DevPtr ptr = allocation.addr;
     if (kind == alloc::AllocatorKind::HipMalloc)
         hipMallocBytes += allocation.size;
@@ -203,8 +190,7 @@ Runtime::hipFree(DevPtr ptr)
     SimTime free_time = registry.deallocate(it->second);
     hostClock.advance(free_time);
     ++runtimeStats.freeCalls;
-    if (cal != nullptr)
-        cal->schedule(sched::EngineId::Host, hostClock.now(), free_time);
+    cal.schedule(sched::EngineId::Host, hostClock.now(), free_time);
     allocations.erase(it);
     if (tr != nullptr) {
         tr->emit(trace::EventKind::FreeCall, ptr,
@@ -250,10 +236,8 @@ Runtime::hipHostRegister(DevPtr ptr)
     if (st != Status::Success)
         return fail(st);
     hostClock.advance(register_time);
-    if (cal != nullptr) {
-        cal->schedule(sched::EngineId::Host, hostClock.now(),
-                      register_time);
-    }
+    cal.schedule(sched::EngineId::Host, hostClock.now(),
+                 register_time);
     it->second.kind = alloc::AllocatorKind::MallocRegistered;
     notePeak();
     return hipSuccess;
@@ -273,7 +257,7 @@ MemInfo
 Runtime::hipMemGetInfo() const
 {
     MemInfo info;
-    info.totalBytes = as.frames().geometry().capacity();
+    info.totalBytes = as.nodeMemory().geometry().capacity();
     info.freeBytes = info.totalBytes - hipMallocBytes;
     return info;
 }
@@ -312,12 +296,10 @@ Runtime::hipMemcpy(DevPtr dst, DevPtr src, std::uint64_t bytes)
     ++runtimeStats.memcpyCalls;
     runtimeStats.bytesCopied += bytes;
     runtimeStats.memcpyTimeNs += transfer_time;
-    if (cal != nullptr) {
-        // A synchronous copy completes on the host timeline; the SDMA
-        // engine's queue records its occupancy.
-        cal->schedule(sched::EngineId::Sdma, hostClock.now(),
-                      transfer_time);
-    }
+    // A synchronous copy completes on the host timeline; the SDMA
+    // engine's queue records its occupancy.
+    cal.schedule(sched::EngineId::Sdma, hostClock.now(),
+                 transfer_time);
     notePeak();
     if (tr != nullptr) {
         tr->emit(trace::EventKind::Memcpy, dst, src, bytes,
@@ -374,15 +356,13 @@ Runtime::hipMemcpyAsync(DevPtr dst, DevPtr src, std::uint64_t bytes,
     ++runtimeStats.memcpyCalls;
     runtimeStats.bytesCopied += bytes;
     runtimeStats.memcpyTimeNs += transfer_time;
-    if (cal != nullptr) {
-        // The async copy completes on the stream's timeline.
-        if (fault_time > 0.0) {
-            cal->schedule(sched::EngineId::Fault,
-                          stream.readyAt() - transfer_time, fault_time);
-        }
-        cal->schedule(sched::EngineId::Sdma, stream.readyAt(),
-                      transfer_time);
+    // The async copy completes on the stream's timeline.
+    if (fault_time > 0.0) {
+        cal.schedule(sched::EngineId::Fault,
+                     stream.readyAt() - transfer_time, fault_time);
     }
+    cal.schedule(sched::EngineId::Sdma, stream.readyAt(),
+                 transfer_time);
     notePeak();
     if (tr != nullptr) {
         tr->emit(trace::EventKind::Memcpy, dst, src, bytes,
@@ -452,10 +432,8 @@ Runtime::resolveKernelFaults(const BufferUse &use)
                             "%u retries",
                             vma->name.c_str(), service.retries));
     }
-    if (cal != nullptr) {
-        cal->schedule(sched::EngineId::Fault,
-                      hostClock.now() + service.time, service.time);
-    }
+    cal.schedule(sched::EngineId::Fault,
+                 hostClock.now() + service.time, service.time);
     return service.time;
 }
 
@@ -510,11 +488,9 @@ Runtime::launchKernel(const KernelDesc &desc,
     stream->enqueue(hostClock.now(), duration);
     ++runtimeStats.kernelsLaunched;
     runtimeStats.kernelTimeNs += duration;
-    if (cal != nullptr) {
-        // The kernel completes when its stream slot drains.
-        cal->schedule(sched::EngineId::Kernel, stream->readyAt(),
-                      duration);
-    }
+    // The kernel completes when its stream slot drains.
+    cal.schedule(sched::EngineId::Kernel, stream->readyAt(),
+                 duration);
     if (tr != nullptr) {
         tr->emit(trace::EventKind::KernelLaunch, desc.buffers.size(), 0,
                  0, 0, 0, duration, desc.name);
@@ -528,8 +504,7 @@ Runtime::deviceSynchronize()
     hostClock.advanceTo(stream0.readyAt());
     // hipDeviceSynchronize waits for every stream, so it orders all
     // prior GPU work before subsequent host accesses.
-    if (cal != nullptr)
-        cal->runUntil(hostClock.now());
+    cal.runUntil(hostClock.now());
     if (aud != nullptr)
         aud->raceEdgeAll(audit::kHostAgent);
 }
@@ -538,8 +513,7 @@ void
 Runtime::streamSynchronize(Stream &stream)
 {
     hostClock.advanceTo(stream.readyAt());
-    if (cal != nullptr)
-        cal->runUntil(hostClock.now());
+    cal.runUntil(hostClock.now());
     if (aud != nullptr)
         aud->raceEdge(agentOf(stream), audit::kHostAgent);
 }
@@ -594,8 +568,7 @@ Runtime::cpuFirstTouch(DevPtr ptr, std::uint64_t size, unsigned threads)
     SimTime t =
         faults.service(vm::FaultType::Cpu, missing, threads).time;
     hostClock.advance(t);
-    if (cal != nullptr)
-        cal->schedule(sched::EngineId::Fault, hostClock.now(), t);
+    cal.schedule(sched::EngineId::Fault, hostClock.now(), t);
     notePeak();
     return t;
 }
@@ -620,10 +593,8 @@ Runtime::cpuStream(DevPtr ptr, std::uint64_t bytes, unsigned threads)
         t /= inj->hbmDegradeFactor();
     }
     hostClock.advance(t);
-    if (cal != nullptr) {
-        // CPU streaming occupies the cache+DRAM subsystem.
-        cal->schedule(sched::EngineId::CacheDram, hostClock.now(), t);
-    }
+    // CPU streaming occupies the cache+DRAM subsystem.
+    cal.schedule(sched::EngineId::CacheDram, hostClock.now(), t);
     return t + fault_time;
 }
 
@@ -631,8 +602,7 @@ void
 Runtime::advanceHost(SimTime duration)
 {
     hostClock.advance(duration);
-    if (cal != nullptr)
-        cal->schedule(sched::EngineId::Host, hostClock.now(), duration);
+    cal.schedule(sched::EngineId::Host, hostClock.now(), duration);
 }
 
 } // namespace upm::hip

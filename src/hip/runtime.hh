@@ -20,24 +20,13 @@
 
 #include "alloc/registry.hh"
 #include "common/clock.hh"
+#include "common/hooks.hh"
 #include "common/status.hh"
 #include "hip/kernel.hh"
 #include "hip/memcpy_engine.hh"
 #include "hip/perf_model.hh"
 #include "hip/stream.hh"
 #include "vm/fault_handler.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::inject {
-class Injector;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::sched {
 class EventCalendar;
@@ -98,6 +87,24 @@ struct MemInfo
 /**
  * One simulated process on one APU. Owns the host clock, streams, and
  * the DevPtr -> Allocation map.
+ *
+ * Every timed runtime operation posts a completion event on its
+ * engine's queue of @p calendar -- host work on Host, copies on Sdma,
+ * fault service on Fault, kernels on Kernel -- and the synchronize
+ * calls drain the calendar up to the synchronized timestamp. The
+ * events are pure stats markers: they never change simulated numbers.
+ *
+ * Hooks (@p hooks; the tracer, fabric and socket caches also reach the
+ * perf model, the injector the copy engine):
+ *  - the auditor feeds the simulated race detector: every modelled
+ *    access (kernels, memcpys, cpuFirstTouch / cpuStream) becomes a
+ *    page-granular vector-clock access, and enqueue / synchronize
+ *    calls become happens-before edges. Raw hostPtr() accesses are
+ *    NOT tracked;
+ *  - the injector covers the SDMA-stall and HBM-degradation sites;
+ *  - the tracer receives allocator calls (including failures), frees,
+ *    memcpys with their classified path and transfer time, kernel
+ *    launches, and Infinity Cache profile queries.
  */
 class Runtime
 {
@@ -105,8 +112,9 @@ class Runtime
     Runtime(vm::AddressSpace &address_space,
             alloc::AllocatorRegistry &registry,
             vm::FaultHandler &fault_handler,
+            sched::EventCalendar &calendar,
             const core::SystemConfig &config,
-            const mem::MemGeometry &geometry);
+            const mem::MemGeometry &geometry, const Hooks &hooks = {});
 
     // ---- Memory management -------------------------------------------
     /**
@@ -254,44 +262,10 @@ class Runtime
     const RuntimeStats &stats() const { return runtimeStats; }
     void resetStats() { runtimeStats = {}; }
 
-    /** Peak physical memory used since construction / last reset. */
+    /** Peak physical memory used since construction / last reset,
+     *  across every socket's shard. */
     std::uint64_t peakBytesUsed() const { return peakBytes; }
     void resetPeak();
-
-    /**
-     * Attach UPMSan. The runtime feeds the simulated race detector:
-     * every modelled access (kernels, memcpys, cpuFirstTouch /
-     * cpuStream) becomes a page-granular vector-clock access, and
-     * enqueue / synchronize calls become happens-before edges. Raw
-     * hostPtr() accesses are NOT tracked.
-     */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
-    /**
-     * Attach UPMInject to the runtime and its copy engine (the fault
-     * handler and frame allocator are wired by core::System). Covers
-     * the SDMA-stall and HBM-degradation sites.
-     */
-    void setInjector(inject::Injector *injector);
-
-    /**
-     * Attach UPMTrace to the runtime and its performance model:
-     * allocator calls (including failures), frees, memcpys with their
-     * classified path and transfer time, kernel launches, and Infinity
-     * Cache profile queries all land on the event bus.
-     */
-    void setTracer(trace::Tracer *tracer);
-
-    /**
-     * Attach the event calendar (sched::EventCalendar). Every timed
-     * runtime operation then posts a completion event on its engine's
-     * queue -- host work on Host, copies on Sdma, fault service on
-     * Fault, kernels on Kernel -- and the synchronize calls drain the
-     * calendar up to the synchronized timestamp. The events are pure
-     * stats markers: attaching a calendar never changes simulated
-     * numbers.
-     */
-    void setCalendar(sched::EventCalendar *calendar) { cal = calendar; }
 
   private:
     /** Resolve GPU faults on a kernel buffer; @return time charged.
@@ -311,6 +285,8 @@ class Runtime
     vm::AddressSpace &as;
     alloc::AllocatorRegistry &registry;
     vm::FaultHandler &faults;
+    /** The owner's event calendar (completion markers). */
+    sched::EventCalendar &cal;
     core::SystemConfig cfg;
     PerfModel perfModel;
     MemcpyEngine copyEngine;
@@ -325,13 +301,11 @@ class Runtime
     RuntimeStats runtimeStats;
     std::uint64_t peakBytes = 0;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
-    audit::Auditor *aud = nullptr;
+    audit::Auditor *aud;
     /** UPMInject hook; null (no overhead) unless injection is on. */
-    inject::Injector *inj = nullptr;
+    inject::Injector *inj;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
-    /** Event-calendar hook; null (no overhead) unless attached. */
-    sched::EventCalendar *cal = nullptr;
+    trace::Tracer *tr;
     /** Sticky last error (hipGetLastError surface). */
     hipError_t lastErr = hipSuccess;
 };

@@ -21,7 +21,8 @@ siteName(Site site)
     return "<unknown>";
 }
 
-Injector::Injector(const InjectConfig &config) : cfg(config)
+Injector::Injector(const InjectConfig &config, const Hooks &hooks)
+    : cfg(config), tr(hooks.tr)
 {
     // One independent stream per site, all derived from the root
     // seed: a component exercising one site never perturbs another

@@ -29,13 +29,10 @@
 #include <string>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "inject/config.hh"
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::inject {
 
@@ -78,7 +75,9 @@ struct InjectedEvent
 class Injector
 {
   public:
-    explicit Injector(const InjectConfig &config);
+    /** With a tracer in @p hooks, every injected event (a record()
+     *  call) also lands on the trace bus as an InjectDecision event. */
+    explicit Injector(const InjectConfig &config, const Hooks &hooks = {});
 
     const InjectConfig &config() const { return cfg; }
 
@@ -127,10 +126,6 @@ class Injector
     /** One-line summary for a bench's campaign footer. */
     std::string summary() const;
 
-    /** Attach UPMTrace: every injected event (a record() call) also
-     *  lands on the trace bus as an InjectDecision event. */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
   private:
     /** Draw the @p site stream; true with probability @p prob. */
     bool roll(Site site, double prob);
@@ -145,7 +140,7 @@ class Injector
     /** Remaining operations in the active HBM degradation episode. */
     std::uint64_t degradeOpsLeft = 0;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
+    trace::Tracer *tr;
 };
 
 } // namespace upm::inject

@@ -12,9 +12,10 @@ namespace upm::mem {
 
 FrameAllocator::FrameAllocator(const MemGeometry &geometry,
                                const FrameAllocatorConfig &config,
-                               FrameId base_frame, unsigned socket)
+                               FrameId base_frame, unsigned socket,
+                               const Hooks &hooks)
     : geom(geometry), cfg(config), baseF(base_frame), socketId(socket),
-      rng(config.seed)
+      rng(config.seed), aud(hooks.aud), inj(hooks.inj), tr(hooks.tr)
 {
     if (cfg.maxOrder > 20)
         fatal("buddy max order %u too large", cfg.maxOrder);

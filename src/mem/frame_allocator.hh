@@ -32,21 +32,10 @@
 #include <optional>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "mem/geometry.hh"
 #include "mem/interval_set.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::inject {
-class Injector;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::mem {
 
@@ -85,13 +74,26 @@ struct FrameAllocatorConfig
  * translated); internal buddy state stays shard-local. The default
  * base of 0 makes the single-socket allocator bit-identical to the
  * unsharded one.
+ *
+ * Hooks (taken from @p hooks at construction): with an auditor,
+ * double-alloc/double-free become recorded violations instead of
+ * panics, so tests can assert on the exact failure class. With an
+ * injector, every public allocation entry point consults the
+ * frame-alloc site first, so a campaign can force clean OOM failures
+ * deep inside any allocator or fault path. With a tracer, FrameAlloc
+ * is emitted for every contiguous run handed to a caller, FrameFree
+ * for every successful caller free, BuddySplit on block splits and
+ * PoolRefill when the on-demand / per-stack pools pull a block.
+ * Rolled-back partial allocations emit nothing, so the event stream
+ * replays to exactly the set of caller-held frames.
  */
 class FrameAllocator
 {
   public:
     FrameAllocator(const MemGeometry &geometry,
                    const FrameAllocatorConfig &config = {},
-                   FrameId base_frame = 0, unsigned socket = 0);
+                   FrameId base_frame = 0, unsigned socket = 0,
+                   const Hooks &hooks = {});
 
     /**
      * Allocate @p n_frames as few large contiguous runs (largest-first
@@ -181,30 +183,6 @@ class FrameAllocator
     std::vector<std::uint64_t> perStackFree() const;
 
     const MemGeometry &geometry() const { return geom; }
-
-    /**
-     * Attach the UPMSan auditor. With an auditor attached,
-     * double-alloc/double-free become recorded violations instead of
-     * panics, so tests can assert on the exact failure class.
-     */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
-    /**
-     * Attach UPMInject. Every public allocation entry point consults
-     * the injector's frame-alloc site first, so a campaign can force
-     * clean OOM failures deep inside any allocator or fault path.
-     */
-    void setInjector(inject::Injector *injector) { inj = injector; }
-
-    /**
-     * Attach UPMTrace. Emits FrameAlloc for every contiguous run
-     * handed to a caller, FrameFree for every successful caller free,
-     * BuddySplit on block splits and PoolRefill when the on-demand /
-     * per-stack pools pull a block. Rolled-back partial allocations
-     * emit nothing, so the event stream replays to exactly the set of
-     * caller-held frames.
-     */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
 
     /**
      * Frames currently held by callers: busy and not parked in the
@@ -297,11 +275,11 @@ class FrameAllocator
     unsigned nextStack = 0;
     SplitMix64 rng;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
-    audit::Auditor *aud = nullptr;
+    audit::Auditor *aud;
     /** UPMInject hook; null (no overhead) unless injection is on. */
-    inject::Injector *inj = nullptr;
+    inject::Injector *inj;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
+    trace::Tracer *tr;
 };
 
 } // namespace upm::mem

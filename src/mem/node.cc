@@ -9,7 +9,7 @@ namespace upm::mem {
 
 NodeMemory::NodeMemory(const MemGeometry &geometry,
                        const FrameAllocatorConfig &config,
-                       unsigned num_sockets)
+                       unsigned num_sockets, const Hooks &hooks)
     : geom(geometry)
 {
     if (num_sockets == 0)
@@ -25,7 +25,7 @@ NodeMemory::NodeMemory(const MemGeometry &geometry,
         FrameAllocatorConfig shard_cfg = config;
         shard_cfg.seed = config.seed + s;
         shards.push_back(std::make_unique<FrameAllocator>(
-            geom, shard_cfg, geom.numFrames() * s, s));
+            geom, shard_cfg, geom.numFrames() * s, s, hooks));
     }
 }
 
@@ -70,27 +70,6 @@ NodeMemory::freeListNodes() const
     for (const auto &shard : shards)
         total += shard->freeListNodes();
     return total;
-}
-
-void
-NodeMemory::setAuditor(audit::Auditor *auditor)
-{
-    for (auto &shard : shards)
-        shard->setAuditor(auditor);
-}
-
-void
-NodeMemory::setInjector(inject::Injector *injector)
-{
-    for (auto &shard : shards)
-        shard->setInjector(injector);
-}
-
-void
-NodeMemory::setTracer(trace::Tracer *tracer)
-{
-    for (auto &shard : shards)
-        shard->setTracer(tracer);
 }
 
 std::uint64_t

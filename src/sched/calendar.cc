@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/log.hh"
-#include "exec/task_pool.hh"
-
 namespace upm::sched {
 
 const char *
@@ -25,15 +22,14 @@ engineName(EngineId engine)
 namespace {
 
 /** Context of the handler currently running on this thread (null
- *  outside any handler). Thread-local so a parallel window's engine
- *  tasks each see their own batch. */
+ *  outside any handler): the engine a nested schedule() is sourced
+ *  from. Thread-local so calendars on different workers never share
+ *  it. */
 struct TlsSlot
 {
     /** Owning calendar (guards against nested distinct calendars). */
     const void *owner = nullptr;
     unsigned source = kExternalSource;
-    void *batch = nullptr;
-    SimTime windowEnd = 0.0;
 };
 
 thread_local TlsSlot *tls_ctx = nullptr;
@@ -52,25 +48,10 @@ struct TlsScope
 
 } // namespace
 
-EventCalendar::EventCalendar(SimTime lookahead_ns)
+EventCalendar::EventCalendar()
 {
     MutexLock lock(mtx);
-    lookaheadNs = lookahead_ns;
     seqOf.fill(0);
-}
-
-void
-EventCalendar::setLookahead(SimTime lookahead_ns)
-{
-    MutexLock lock(mtx);
-    lookaheadNs = lookahead_ns;
-}
-
-SimTime
-EventCalendar::lookahead() const
-{
-    MutexLock lock(mtx);
-    return lookaheadNs;
 }
 
 void
@@ -78,13 +59,6 @@ EventCalendar::schedule(EngineId target, SimTime when, SimTime busy,
                         Handler fn)
 {
     TlsSlot *ctx = tls_ctx;
-    if (ctx != nullptr && ctx->owner == this && ctx->batch != nullptr) {
-        // Inside a parallel window: stage engine-locally (no lock; the
-        // batch belongs to this task alone) and merge at the barrier.
-        static_cast<Batch *>(ctx->batch)->staged.push_back(
-            Staged{target, when, busy, std::move(fn)});
-        return;
-    }
     unsigned source = ctx != nullptr && ctx->owner == this
                           ? ctx->source
                           : kExternalSource;
@@ -184,84 +158,6 @@ std::size_t
 EventCalendar::runAll()
 {
     return runUntil(std::numeric_limits<SimTime>::infinity());
-}
-
-std::size_t
-EventCalendar::runAllParallel(exec::TaskPool &pool)
-{
-    std::size_t total = 0;
-    for (;;) {
-        std::vector<Batch> batches;
-        SimTime window_end = 0.0;
-        {
-            MutexLock lock(mtx);
-            int best = bestEngineLocked();
-            if (best < 0)
-                break;
-            window_end = queues[best].top().when + lookaheadNs;
-            // Extract each engine's window batch in engine order. The
-            // accumulator starts from the engine's running stats so
-            // the floating-point association of busyNs matches a
-            // serial run addition for addition.
-            for (unsigned e = 0; e < kNumEngines; ++e) {
-                if (queues[e].empty() ||
-                    queues[e].top().when > window_end) {
-                    continue;
-                }
-                Batch b;
-                b.engine = static_cast<EngineId>(e);
-                b.acc = engineStats[e];
-                while (!queues[e].empty() &&
-                       queues[e].top().when <= window_end) {
-                    b.entries.push_back(queues[e].pop());
-                }
-                batches.push_back(std::move(b));
-            }
-        }
-        pool.parallelFor(batches.size(), [&](std::size_t i) {
-            Batch &b = batches[i];
-            TlsSlot ctx;
-            ctx.owner = this;
-            ctx.source = static_cast<unsigned>(b.engine);
-            ctx.batch = &b;
-            ctx.windowEnd = window_end;
-            TlsScope scope(&ctx);
-            for (const auto &entry : b.entries) {
-                ++b.acc.executed;
-                b.acc.busyNs += entry.payload.busy;
-                b.acc.lastEventNs = entry.when;
-                if (entry.payload.fn)
-                    entry.payload.fn();
-            }
-        });
-        MutexLock lock(mtx);
-        for (Batch &b : batches) {
-            unsigned e = static_cast<unsigned>(b.engine);
-            engineStats[e] = b.acc;
-            completedNs = std::max(completedNs, b.acc.lastEventNs);
-            total += b.entries.size();
-        }
-        // Merge staged events in fixed engine order (batches were
-        // built in engine order) so sequence stamps are scheduling-
-        // order identical to a serial run.
-        for (Batch &b : batches) {
-            for (Staged &s : b.staged) {
-                if (!(s.when > window_end)) {
-                    fatal("sched: engine %s scheduled an event at "
-                          "%.17g ns inside the lookahead window ending "
-                          "at %.17g ns; handlers in a parallel drain "
-                          "must schedule strictly after the window "
-                          "(raise the event delay or lower the "
-                          "lookahead)",
-                          engineName(b.engine), s.when, window_end);
-                }
-                scheduleLocked(static_cast<unsigned>(b.engine),
-                               s.target, s.when, s.busy,
-                               std::move(s.fn));
-            }
-        }
-    }
-    return total;
 }
 
 SimTime

@@ -1,7 +1,7 @@
 /**
  * @file
  * The event calendar: a SimTime-ordered discrete-event core with one
- * FIFO queue per engine and a conservative lookahead window.
+ * FIFO queue per engine.
  *
  * Ordering contract. Every event is executed in the strict total order
  *
@@ -12,24 +12,11 @@
  * Same-timestamp ties therefore resolve FIFO per engine and in fixed
  * EngineId order across engines -- never by scheduling-thread or heap
  * internals -- so a calendar run is a pure function of the schedule
- * calls, byte-identical at any worker count.
- *
- * Parallel drain. runAllParallel() executes windows [t0, t0 + L]
- * (L = lookahead, t0 = earliest pending event) with one TaskPool task
- * per engine that has events in the window. The conservative rule that
- * makes this equal to the serial order: a handler running inside a
- * parallel window must only schedule events strictly after the window
- * end. Violations are a contract bug and fatal() deterministically at
- * the window barrier. Events staged during a window are merged in
- * fixed engine order at the barrier, so their sequence stamps -- and
- * thus all later tie-breaks -- are scheduling-order identical to a
- * serial run.
+ * calls.
  *
  * Lock discipline: the queues, sequence counters and stats are
- * UPM_GUARDED_BY the calendar mutex; parallel window batches are moved
- * out under the lock, executed lock-free (each engine's batch is
- * touched only by its own task), and merged back under the lock at the
- * barrier.
+ * UPM_GUARDED_BY the calendar mutex; handlers run outside the lock, so
+ * a handler may schedule further events.
  */
 
 #ifndef UPM_SCHED_CALENDAR_HH
@@ -38,17 +25,12 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/mutex.hh"
 #include "common/thread_annotations.hh"
 #include "common/units.hh"
 #include "sched/engine.hh"
 #include "sched/time_heap.hh"
-
-namespace upm::exec {
-class TaskPool;
-}
 
 namespace upm::sched {
 
@@ -69,14 +51,10 @@ class EventCalendar
   public:
     using Handler = std::function<void()>;
 
-    explicit EventCalendar(SimTime lookahead_ns = 0.0);
+    EventCalendar();
 
     EventCalendar(const EventCalendar &) = delete;
     EventCalendar &operator=(const EventCalendar &) = delete;
-
-    /** The conservative window span for runAllParallel(). */
-    void setLookahead(SimTime lookahead_ns);
-    SimTime lookahead() const;
 
     /**
      * Schedule @p fn on @p target at simulated time @p when. @p busy
@@ -100,15 +78,6 @@ class EventCalendar
     /** Execute every pending event in calendar order. */
     std::size_t runAll();
 
-    /**
-     * Execute every pending event, advancing in lookahead windows
-     * whose per-engine batches run concurrently on @p pool. Results
-     * (handler side effects, stats, sequence stamps) are byte-
-     * identical to runAll() provided handlers honour the lookahead
-     * contract documented above.
-     */
-    std::size_t runAllParallel(exec::TaskPool &pool);
-
     /** Timestamp of the latest executed event across all engines. */
     SimTime completedThrough() const;
 
@@ -125,26 +94,6 @@ class EventCalendar
         Handler fn;
     };
 
-    /** An event staged by a handler during a parallel window. */
-    struct Staged
-    {
-        EngineId target = EngineId::Host;
-        SimTime when = 0.0;
-        SimTime busy = 0.0;
-        Handler fn;
-    };
-
-    /** One engine's share of a parallel window. The accumulator is
-     *  seeded from the engine's running stats when the batch is built
-     *  so busyNs keeps a serial run's floating-point association. */
-    struct Batch
-    {
-        EngineId engine = EngineId::Host;
-        std::vector<TimeHeap<Event>::Entry> entries;
-        std::vector<Staged> staged;
-        EngineStats acc;
-    };
-
     void scheduleLocked(unsigned source, EngineId target, SimTime when,
                         SimTime busy, Handler fn) UPM_REQUIRES(mtx);
     /** Engine with the globally minimal (when, engine) key, or -1. */
@@ -156,7 +105,6 @@ class EventCalendar
     std::array<std::uint64_t, kNumEngines + 1> seqOf UPM_GUARDED_BY(mtx);
     std::array<EngineStats, kNumEngines> engineStats UPM_GUARDED_BY(mtx);
     SimTime completedNs UPM_GUARDED_BY(mtx) = 0.0;
-    SimTime lookaheadNs UPM_GUARDED_BY(mtx) = 0.0;
 };
 
 } // namespace upm::sched

@@ -7,9 +7,9 @@
  * the SDMA copy engine, the fault-handler pipeline, the kernel/CU
  * model, the cache+DRAM subsystem, and the per-socket xGMI fabric.
  * Each engine owns a FIFO-ordered event queue in the EventCalendar
- * (calendar.hh); the calendar's conservative lookahead window lets
- * engines with no pending cross-engine dependency advance concurrently
- * on the exec-layer TaskPool.
+ * (calendar.hh), which drains them serially in one total order.
+ * Parallelism comes from sweeps over worker-local Systems, each with
+ * its own calendar.
  */
 
 #ifndef UPM_SCHED_ENGINE_HH

@@ -69,7 +69,9 @@ enum class EventKind : std::uint8_t {
     BuddySplit,    //!< a=block base frame, b=resulting order
     PoolRefill,    //!< a=base frame, b=count, c=0 on-demand / 1 stack
 
-    // cache: SetAssocCache / InfinityCache
+    // cache: IcQuery comes from hip::PerfModel. CacheHit/Fill/Evict
+    // have no emitter; they keep their ids and names so older dumps
+    // still decode.
     CacheHit,      //!< a=line address
     CacheFill,     //!< a=line address (miss that allocated)
     CacheEvict,    //!< a=victim line address, b=new line address

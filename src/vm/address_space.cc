@@ -5,7 +5,6 @@
 #include "audit/auditor.hh"
 #include "common/log.hh"
 #include "mem/interval_set.hh"
-#include "mem/node.hh"
 #include "trace/tracer.hh"
 
 namespace upm::vm {
@@ -50,10 +49,12 @@ socketPolicyName(SocketPolicy policy)
     return "?";
 }
 
-AddressSpace::AddressSpace(mem::FrameAllocator &frame_allocator,
-                           mem::BackingStore &backing_store)
-    : frameAlloc(frame_allocator), backingStore(backing_store),
-      hmm(sysTable, gpuPt), nextBase(kMmapBase), vaEnd(kVaEnd)
+AddressSpace::AddressSpace(mem::NodeMemory &node_memory,
+                           mem::BackingStore &backing_store,
+                           const Hooks &hooks)
+    : node(node_memory), backingStore(backing_store),
+      hmm(sysTable, gpuPt, hooks), nextBase(kMmapBase), vaEnd(kVaEnd),
+      aud(hooks.aud), tr(hooks.tr)
 {
 }
 
@@ -76,7 +77,7 @@ AddressSpace::demoteReplicas()
     std::uint64_t pages = 0;
     for (auto &[base, vma] : vmas) {
         for (const auto &replica : vma.replicaRanges) {
-            if (!freeRouted(replica))
+            if (!node.freeRange(replica))
                 panic("demoteReplicas freed a replica frame the "
                       "allocator says is not allocated");
             pages += replica.count;
@@ -179,13 +180,13 @@ AddressSpace::munmap(VirtAddr base)
             }
         });
     freed.forEach([&](FrameId begin_frame, FrameId end_frame) {
-        if (!freeRouted({begin_frame, end_frame - begin_frame})) {
+        if (!node.freeRange({begin_frame, end_frame - begin_frame})) {
             panic("munmap freed a frame the allocator says is not "
                   "allocated");
         }
     });
     for (const auto &replica : vma.replicaRanges) {
-        if (!freeRouted(replica))
+        if (!node.freeRange(replica))
             panic("munmap freed a replica frame the allocator says is "
                   "not allocated");
     }
@@ -300,7 +301,7 @@ AddressSpace::tryPopulateRange(VirtAddr base, std::uint64_t size)
     });
     std::uint64_t populated = 0;
     bool interleave_sockets =
-        node != nullptr && node->numSockets() > 1 &&
+        node.numSockets() > 1 &&
         vma->policy.socketPolicy == SocketPolicy::Interleave;
     for (const auto &[hole_start, hole_end] : holes) {
         std::uint64_t n = hole_end - hole_start;
@@ -325,7 +326,7 @@ AddressSpace::tryPopulateRange(VirtAddr base, std::uint64_t size)
             populated += n;
         }
     }
-    if (populated > 0 && node != nullptr && node->numSockets() > 1 &&
+    if (populated > 0 && node.numSockets() > 1 &&
         vma->policy.socketPolicy == SocketPolicy::ReplicateRO) {
         if (!replicate(*vma, populated))
             return {Status::OutOfMemory, populated};
@@ -338,12 +339,10 @@ AddressSpace::tryPopulateRange(VirtAddr base, std::uint64_t size)
 mem::FrameAllocator &
 AddressSpace::sourceFor(const Vma &vma)
 {
-    if (node == nullptr)
-        return frameAlloc;
-    unsigned sockets = node->numSockets();
+    unsigned sockets = node.numSockets();
     switch (vma.policy.socketPolicy) {
       case SocketPolicy::FirstTouch:
-        return node->shard(curSocket % sockets);
+        return node.shard(curSocket % sockets);
       case SocketPolicy::Interleave: {
         // Rotating cursor: populate chunks and fault batches take the
         // next socket in turn (const_cast: the cursor is placement
@@ -351,12 +350,12 @@ AddressSpace::sourceFor(const Vma &vma)
         Vma &mut = const_cast<Vma &>(vma);
         unsigned s = mut.nextSocket % sockets;
         mut.nextSocket = (s + 1) % sockets;
-        return node->shard(s);
+        return node.shard(s);
       }
       case SocketPolicy::Home:
       case SocketPolicy::ReplicateRO:
       default:
-        return node->shard(vma.policy.homeSocket % sockets);
+        return node.shard(vma.policy.homeSocket % sockets);
     }
 }
 
@@ -399,7 +398,7 @@ AddressSpace::allocAndMap(Vma &vma, mem::FrameAllocator &src, Vpn vpn,
         vma.pagesScattered += n;
     else
         vma.pagesPlaced += n;
-    if (node != nullptr && tr != nullptr) {
+    if (node.numSockets() > 1 && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, vpn, n,
                    src.socket(),
                    static_cast<std::uint64_t>(vma.policy.socketPolicy));
@@ -408,21 +407,14 @@ AddressSpace::allocAndMap(Vma &vma, mem::FrameAllocator &src, Vpn vpn,
 }
 
 bool
-AddressSpace::freeRouted(const mem::FrameRange &range)
-{
-    return node != nullptr ? node->freeRange(range)
-                           : frameAlloc.freeRange(range);
-}
-
-bool
 AddressSpace::replicate(Vma &vma, std::uint64_t n)
 {
-    unsigned sockets = node->numSockets();
+    unsigned sockets = node.numSockets();
     unsigned home = vma.policy.homeSocket % sockets;
     for (unsigned s = 0; s < sockets; ++s) {
         if (s == home)
             continue;
-        auto ranges = node->shard(s).allocRun(n);
+        auto ranges = node.shard(s).allocRun(n);
         if (!ranges)
             return false;
         for (const auto &range : *ranges) {
@@ -517,7 +509,7 @@ AddressSpace::tryResolveCpuFaultRange(Vpn first, Vpn last)
     }
     vma->pagesScattered += missing;
     cpuFaultCount += missing;
-    if (node != nullptr && tr != nullptr) {
+    if (node.numSockets() > 1 && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, first,
                    missing, src.socket(),
                    static_cast<std::uint64_t>(
@@ -640,7 +632,7 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
     hmm.mirrorRange(first, last);
     vma->pagesPlaced += holes.size();
     gpuMajorCount += holes.size();
-    if (node != nullptr && tr != nullptr) {
+    if (node.numSockets() > 1 && tr != nullptr) {
         tr->emitAt(src.socket(), trace::EventKind::PagePlace, first,
                    holes.size(), src.socket(),
                    static_cast<std::uint64_t>(
@@ -692,7 +684,7 @@ AddressSpace::framesOf(VirtAddr base, std::uint64_t size) const
 std::vector<std::uint64_t>
 AddressSpace::stackLoadOf(VirtAddr base, std::uint64_t size) const
 {
-    return frameAlloc.geometry().stackLoad(framesOf(base, size));
+    return node.geometry().stackLoad(framesOf(base, size));
 }
 
 void
@@ -702,20 +694,6 @@ AddressSpace::setDefaultSocketPolicy(SocketPolicy policy, unsigned home)
     defSocketPolicy =
         policy == SocketPolicy::Default ? SocketPolicy::Home : policy;
     defHomeSocket = home;
-}
-
-void
-AddressSpace::setAuditor(audit::Auditor *auditor)
-{
-    aud = auditor;
-    hmm.setAuditor(auditor);
-}
-
-void
-AddressSpace::setTracer(trace::Tracer *tracer)
-{
-    tr = tracer;
-    hmm.setTracer(tracer);
 }
 
 std::uint64_t

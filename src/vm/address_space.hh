@@ -20,25 +20,15 @@
 #include <string>
 #include <vector>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "mem/backing_store.hh"
 #include "mem/frame_allocator.hh"
+#include "mem/node.hh"
 #include "vm/gpu_page_table.hh"
 #include "vm/hmm.hh"
 #include "vm/page_table.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::mem {
-class NodeMemory;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::vm {
 
@@ -52,8 +42,8 @@ enum class Placement : std::uint8_t {
 
 /**
  * Which socket's HBM shard serves a VMA on a multi-socket node.
- * Irrelevant (and ignored) on a single-socket System, where no
- * NodeMemory is attached and every allocation takes the legacy path.
+ * Irrelevant on a single-socket node, where every policy resolves to
+ * the one shard.
  */
 enum class SocketPolicy : std::uint8_t {
     Default,      //!< resolve to the address space's default at mmap
@@ -154,12 +144,23 @@ struct [[nodiscard]] PopulateResult
 /**
  * The simulated process address space. Single-threaded model object;
  * engines serialize access (the real kernel takes mmap_lock too).
+ *
+ * Frames come from @p node_memory: allocations route to shards per the
+ * VMA's SocketPolicy and frees route by global frame id. A one-socket
+ * node is the classic single allocator, byte for byte (no PagePlace
+ * events, no interleave or replica placement).
+ *
+ * Hooks: the auditor and tracer reach this address space and its HMM
+ * mirror. The tracer receives VmaMap/VmaUnmap, Populate, CpuFault/
+ * GpuFault batches and one ExtentMap event per contiguous (vpn, frame)
+ * run inserted into the system table -- the stream the trace-replay
+ * tests rebuild the final page table from.
  */
 class AddressSpace
 {
   public:
-    AddressSpace(mem::FrameAllocator &frame_allocator,
-                 mem::BackingStore &backing_store);
+    AddressSpace(mem::NodeMemory &node_memory,
+                 mem::BackingStore &backing_store, const Hooks &hooks = {});
 
     /**
      * Create a VMA of @p size bytes (rounded up to pages) and attach
@@ -272,7 +273,9 @@ class AddressSpace
     GpuPageTable &gpuTable() { return gpuPt; }
     const GpuPageTable &gpuTable() const { return gpuPt; }
     HmmMirror &mirror() { return hmm; }
-    mem::FrameAllocator &frames() { return frameAlloc; }
+    /** The node's physical memory (every socket's shard). */
+    mem::NodeMemory &nodeMemory() { return node; }
+    const mem::NodeMemory &nodeMemory() const { return node; }
     mem::BackingStore &backing() { return backingStore; }
 
     bool xnackEnabled() const { return xnack; }
@@ -300,15 +303,6 @@ class AddressSpace
      */
     std::uint64_t demoteReplicas();
 
-    /**
-     * Attach the multi-socket frame shards. Null (the default) keeps
-     * the legacy single-allocator paths -- byte-identical behaviour.
-     * With a node attached, allocations route to shards per the VMA's
-     * SocketPolicy and frees route by global frame id.
-     */
-    void setNode(mem::NodeMemory *node_memory) { node = node_memory; }
-    mem::NodeMemory *nodeMemory() { return node; }
-
     /** Socket the currently-executing engine runs on (stamps
      *  first-touch placement; 0 on single-socket nodes). */
     void setCurrentSocket(unsigned socket) { curSocket = socket; }
@@ -324,18 +318,6 @@ class AddressSpace
     std::uint64_t cpuFaults() const { return cpuFaultCount; }
     std::uint64_t gpuMajorFaults() const { return gpuMajorCount; }
     std::uint64_t gpuMinorFaults() const { return gpuMinorCount; }
-
-    /** Attach UPMSan to this address space and its HMM mirror. */
-    void setAuditor(audit::Auditor *auditor);
-
-    /**
-     * Attach UPMTrace to this address space and its HMM mirror.
-     * Emits VmaMap/VmaUnmap, Populate, CpuFault/GpuFault batches and
-     * one ExtentMap event per contiguous (vpn, frame) run inserted
-     * into the system table -- the stream the trace-replay tests
-     * rebuild the final page table from.
-     */
-    void setTracer(trace::Tracer *tracer);
 
     /**
      * Full mirror cross-check: every GPU PTE must have a matching
@@ -361,20 +343,17 @@ class AddressSpace
     void emitListExtents(Vpn vpn, const FrameId *frames,
                          std::uint64_t n);
     /** Shard serving @p vma's next allocation on this fault/populate
-     *  path (the legacy allocator when no node is attached). */
+     *  path. */
     mem::FrameAllocator &sourceFor(const Vma &vma);
     /** Allocate @p n frames from @p src per @p vma's placement and map
      *  them at @p vpn. @return false on OOM (nothing mapped). */
     bool allocAndMap(Vma &vma, mem::FrameAllocator &src, Vpn vpn,
                      std::uint64_t n);
-    /** Free a frame run through the node (shard-routed) or the legacy
-     *  allocator. */
-    bool freeRouted(const mem::FrameRange &range);
     /** ReplicateRO: allocate read-only replicas of @p n pages on every
      *  non-home socket. @return false on OOM. */
     bool replicate(Vma &vma, std::uint64_t n);
 
-    mem::FrameAllocator &frameAlloc;
+    mem::NodeMemory &node;
     mem::BackingStore &backingStore;
     SystemPageTable sysTable;
     GpuPageTable gpuPt;
@@ -385,8 +364,6 @@ class AddressSpace
     /** Exclusive end of the VA window (default: base + 1 TiB). */
     VirtAddr vaEnd;
     bool xnack = false;
-    /** Multi-socket shards; null on a single-socket System. */
-    mem::NodeMemory *node = nullptr;
     unsigned curSocket = 0;
     SocketPolicy defSocketPolicy = SocketPolicy::Home;
     unsigned defHomeSocket = 0;
@@ -397,9 +374,9 @@ class AddressSpace
     std::uint64_t gpuMajorCount = 0;
     std::uint64_t gpuMinorCount = 0;
     /** UPMSan hook; null (no overhead) unless auditing is enabled. */
-    audit::Auditor *aud = nullptr;
+    audit::Auditor *aud;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
+    trace::Tracer *tr;
 };
 
 } // namespace upm::vm

@@ -19,21 +19,10 @@
 
 #include <cstdint>
 
+#include "common/hooks.hh"
 #include "common/rng.hh"
 #include "common/status.hh"
 #include "common/units.hh"
-
-namespace upm::fabric {
-class Fabric;
-}
-
-namespace upm::inject {
-class Injector;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::vm {
 
@@ -109,12 +98,22 @@ struct FaultService
 /**
  * Prices faults; owns a deterministic RNG for latency jitter so the
  * latency-distribution bench is reproducible.
+ *
+ * Hooks: an injector perturbs service() (none means no perturbation);
+ * the fabric prices remote faults (none keeps every fault local and
+ * the timing byte-identical to the one-socket model); a tracer
+ * receives ColdFault per sampled latency and FaultService per
+ * service() call, retry/replay chain included.
  */
 class FaultHandler
 {
   public:
+    /** Jitter seed of a System's own handler. */
+    static constexpr std::uint64_t kDefaultSeed = 0xfa17u;
+
     explicit FaultHandler(const FaultCosts &costs = {},
-                          std::uint64_t seed = 0xfa17u);
+                          std::uint64_t seed = kDefaultSeed,
+                          const Hooks &hooks = {});
 
     /**
      * Sample a cold, isolated single-fault latency (lognormal).
@@ -154,21 +153,6 @@ class FaultHandler
     FaultService service(FaultType type, std::uint64_t pages,
                          unsigned cpu_cores = 1, unsigned hops = 0);
 
-    /** Attach UPMInject; null (the default) means no perturbation. */
-    void setInjector(inject::Injector *injector) { inj = injector; }
-
-    /** Attach the xGMI link model; null (the default) keeps every
-     *  fault local and the timing byte-identical to the 1-socket
-     *  model. */
-    void setFabric(const fabric::Fabric *fabric_model)
-    {
-        fab = fabric_model;
-    }
-
-    /** Attach UPMTrace: emits ColdFault per sampled latency and
-     *  FaultService per service() call (retry/replay chain included). */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
     /** Convenience: pages/s throughput for a scenario. */
     double throughput(FaultType type, std::uint64_t pages,
                       unsigned cpu_cores = 1, unsigned hops = 0) const;
@@ -186,11 +170,11 @@ class FaultHandler
     SplitMix64 rng;
     ServiceTally serviceTally;
     /** xGMI model; null on a single-socket System (no remote cost). */
-    const fabric::Fabric *fab = nullptr;
+    const fabric::Fabric *fab;
     /** UPMInject hook; null (no overhead) unless injection is on. */
-    inject::Injector *inj = nullptr;
+    inject::Injector *inj;
     /** UPMTrace hook; null (no overhead) unless tracing is on. */
-    trace::Tracer *tr = nullptr;
+    trace::Tracer *tr;
 };
 
 } // namespace upm::vm

@@ -15,28 +15,27 @@
 
 #include <cstdint>
 
+#include "common/hooks.hh"
 #include "vm/gpu_page_table.hh"
 #include "vm/page_table.hh"
-
-namespace upm::audit {
-class Auditor;
-}
-
-namespace upm::trace {
-class Tracer;
-}
 
 namespace upm::vm {
 
 /**
  * Propagates PTEs from a SystemPageTable into a GpuPageTable and
  * handles invalidation, recomputing fragments over touched windows.
+ *
+ * Hooks: with an auditor, mirrorRange cross-checks the frames of PTEs
+ * present on both sides (MirrorDivergence); with a tracer, every range
+ * op that touched at least one PTE emits HmmMirror / HmmInvalidate.
  */
 class HmmMirror
 {
   public:
-    HmmMirror(const SystemPageTable &system_table, GpuPageTable &gpu_table)
-        : sysTable(system_table), gpuTable(gpu_table)
+    HmmMirror(const SystemPageTable &system_table, GpuPageTable &gpu_table,
+              const Hooks &hooks = {})
+        : sysTable(system_table), gpuTable(gpu_table), aud(hooks.aud),
+          tr(hooks.tr)
     {}
 
     /**
@@ -57,21 +56,13 @@ class HmmMirror
     /** Lifetime count of invalidated PTEs. */
     std::uint64_t invalidated() const { return invalidatedCount; }
 
-    /** Attach UPMSan: mirrorRange then cross-checks frames of PTEs
-     *  that are present on both sides (MirrorDivergence). */
-    void setAuditor(audit::Auditor *auditor) { aud = auditor; }
-
-    /** Attach UPMTrace: emits HmmMirror / HmmInvalidate per range op
-     *  that actually touched at least one PTE. */
-    void setTracer(trace::Tracer *tracer) { tr = tracer; }
-
   private:
     const SystemPageTable &sysTable;
     GpuPageTable &gpuTable;
     std::uint64_t propagatedCount = 0;
     std::uint64_t invalidatedCount = 0;
-    audit::Auditor *aud = nullptr;
-    trace::Tracer *tr = nullptr;
+    audit::Auditor *aud;
+    trace::Tracer *tr;
 };
 
 } // namespace upm::vm

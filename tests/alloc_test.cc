@@ -16,7 +16,7 @@ namespace {
 class AllocTest : public ::testing::Test
 {
   protected:
-    AllocTest() : geom(geomConfig()), frames(geom), as(frames, store),
+    AllocTest() : geom(geomConfig()), node(geom, {}, 1), as(node, store),
                   registry(as)
     {}
 
@@ -35,7 +35,7 @@ class AllocTest : public ::testing::Test
     }
 
     mem::MemGeometry geom;
-    mem::FrameAllocator frames;
+    mem::NodeMemory node;
     mem::BackingStore store;
     vm::AddressSpace as;
     AllocatorRegistry registry;
@@ -142,7 +142,7 @@ TEST_F(AllocTest, RegisteredCompositePinsMallocMemory)
     // Registration keeps the scattered malloc placement.
     EXPECT_GT(vma->scatteredFraction(), 0.99);
     registry.deallocate(a);
-    EXPECT_EQ(frames.freeFrames(), frames.totalFrames());
+    EXPECT_EQ(node.freeFrames(), node.totalFrames());
 }
 
 TEST_F(AllocTest, Fig6AllocTimeAnchors)
@@ -209,12 +209,12 @@ TEST_F(AllocTest, FreeOrderings)
 
 TEST_F(AllocTest, OutOfMemoryIsUserError)
 {
-    std::uint64_t free_before = frames.freeFrames();
+    std::uint64_t free_before = node.freeFrames();
     Allocation a = registry.allocate(AllocatorKind::HipMalloc, 1 * GiB);
     EXPECT_FALSE(a);
     EXPECT_EQ(a.status, Status::OutOfMemory);
     // The failed allocation must not leak partially populated frames.
-    EXPECT_EQ(frames.freeFrames(), free_before);
+    EXPECT_EQ(node.freeFrames(), free_before);
 }
 
 /** Parameterized round-trip across every allocator kind. */
@@ -227,9 +227,9 @@ TEST_P(AllocRoundTrip, AllocateFreeRestoresFrames)
     mem::MemGeometryConfig cfg;
     cfg.capacityBytes = 256 * MiB;
     mem::MemGeometry geom(cfg);
-    mem::FrameAllocator frames(geom);
+    mem::NodeMemory node(geom, {}, 1);
     mem::BackingStore store;
-    vm::AddressSpace as(frames, store);
+    vm::AddressSpace as(node, store);
     AllocatorRegistry registry(as);
     as.setXnack(true);
 
@@ -243,7 +243,7 @@ TEST_P(AllocRoundTrip, AllocateFreeRestoresFrames)
     EXPECT_TRUE(as.cpuPresent(a.addr));
     registry.deallocate(a);
     EXPECT_FALSE(static_cast<bool>(a));
-    EXPECT_EQ(frames.freeFrames(), frames.totalFrames());
+    EXPECT_EQ(node.freeFrames(), node.totalFrames());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, AllocRoundTrip,

@@ -159,8 +159,8 @@ TEST(InjectSites, DroppedCompletionsRetryThenTimeOut)
     icfg.hmmDropProb = 1.0;
     Injector inj(icfg);
 
-    vm::FaultHandler fh;
-    fh.setInjector(&inj);
+    vm::FaultHandler fh({}, vm::FaultHandler::kDefaultSeed,
+                        {.inj = &inj});
     auto svc = fh.service(vm::FaultType::GpuMajor, 64);
     EXPECT_EQ(svc.status, Status::Timeout);
     EXPECT_FALSE(svc);
@@ -202,8 +202,8 @@ TEST(InjectSites, CpuFaultsNeverEnterTheGpuPipeline)
     icfg.hmmDelayProb = 1.0;
     icfg.xnackStormProb = 1.0;
     Injector inj(icfg);
-    vm::FaultHandler fh;
-    fh.setInjector(&inj);
+    vm::FaultHandler fh({}, vm::FaultHandler::kDefaultSeed,
+                        {.inj = &inj});
     auto svc = fh.service(vm::FaultType::Cpu, 128, 4);
     EXPECT_EQ(svc.status, Status::Success);
     EXPECT_EQ(svc.time, fh.serviceTime(vm::FaultType::Cpu, 128, 4));
@@ -227,8 +227,8 @@ TEST(InjectSites, XnackStormIsBounded)
     // Through the fault handler: a storm adds whole extra service
     // rounds on top of the base time.
     Injector inj2(icfg);
-    vm::FaultHandler fh;
-    fh.setInjector(&inj2);
+    vm::FaultHandler fh({}, vm::FaultHandler::kDefaultSeed,
+                        {.inj = &inj2});
     auto svc = fh.service(vm::FaultType::GpuMajor, 32);
     ASSERT_TRUE(svc);
     EXPECT_GE(svc.replays, 1u);
@@ -244,8 +244,8 @@ TEST(InjectSites, HmmDelayMultipliesServiceTime)
     icfg.hmmDelayProb = 1.0;
     icfg.hmmDelayFactor = 8.0;
     Injector inj(icfg);
-    vm::FaultHandler fh;
-    fh.setInjector(&inj);
+    vm::FaultHandler fh({}, vm::FaultHandler::kDefaultSeed,
+                        {.inj = &inj});
     auto svc = fh.service(vm::FaultType::GpuMinor, 64);
     ASSERT_TRUE(svc);
     EXPECT_DOUBLE_EQ(svc.time,

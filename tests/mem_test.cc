@@ -389,9 +389,9 @@ TEST_P(AuditedFreeRange, HolesReportedOnceGoodFramesFreed)
         // unaudited: frees exactly the good frames, one by one.
         audit::Auditor run_aud(quietFrameAudit());
         audit::Auditor page_aud(quietFrameAudit());
-        FrameAllocator run(geom), per_page(geom), unaudited(geom);
-        run.setAuditor(&run_aud);
-        per_page.setAuditor(&page_aud);
+        FrameAllocator run(geom, {}, 0, 0, {.aud = &run_aud});
+        FrameAllocator per_page(geom, {}, 0, 0, {.aud = &page_aud});
+        FrameAllocator unaudited(geom);
         for (FrameAllocator *a : {&run, &per_page, &unaudited})
             ASSERT_TRUE(a->allocRun(n).has_value());
 
@@ -469,8 +469,7 @@ TEST(AuditedFrames, BusyBitDivergenceReportsEveryBusyFrame)
     gcfg.capacityBytes = 1000 * kPageSize;  // 1000 frames: 15.6 words
     MemGeometry geom(gcfg);
     audit::Auditor aud(quietFrameAudit());
-    FrameAllocator alloc(geom);
-    alloc.setAuditor(&aud);
+    FrameAllocator alloc(geom, {}, 0, 0, {.aud = &aud});
 
     // Busy bits on free frames, straddling word boundaries, inside
     // the first order-9 block the next allocation takes.
@@ -500,17 +499,23 @@ TEST(AuditedFrames, BusyBitDivergenceReportsEveryBusyFrame)
     EXPECT_TRUE(alloc.freeRange({0, 512}));
     EXPECT_EQ(alloc.freeFrames(), geom.numFrames());
 
-    // A cleared bit inside a held block: the block free is rejected
-    // once, naming the first non-busy frame only.
+    // A cleared bit inside a held block. Unaudited, the one block is
+    // rejected whole: shown on a twin replayed into the same state
+    // (all frames free again, so a fresh allocator's buddy state).
     runs = alloc.allocRun(8);
     ASSERT_TRUE(runs.has_value());
     FrameId base = runs->front().base;
     alloc.seedBusyBits({base + 2, 3}, false);
+    FrameAllocator twin(geom);
+    auto twin_runs = twin.allocRun(8);
+    ASSERT_TRUE(twin_runs.has_value());
+    ASSERT_EQ(*twin_runs, *runs);
+    twin.seedBusyBits({base + 2, 3}, false);
+    ASSERT_EQ(twin.busyMap(), alloc.busyMap());
+    EXPECT_FALSE(twin.freeRange({base, 8}));
+    EXPECT_EQ(twin.freeFrames(), geom.numFrames() - 8);
+    // Audited, each non-busy frame is reported and skipped.
     std::size_t before = aud.violations().size();
-    alloc.setAuditor(nullptr);  // unaudited: one block, rejected whole
-    EXPECT_FALSE(alloc.freeRange({base, 8}));
-    alloc.setAuditor(&aud);
-    EXPECT_EQ(aud.violations().size(), before);
     EXPECT_FALSE(alloc.freeRange({base, 8}));
     ASSERT_EQ(aud.violations().size(), before + 3);
     for (std::size_t i = 0; i < 3; ++i)

@@ -2,7 +2,8 @@
  * @file
  * Multi-socket System tests: shard-0 bit-identity with the legacy
  * unsharded allocator, global frame-id routing through NodeMemory,
- * socket-stamped traces, per-socket meminfo, placement policies under
+ * socket-stamped traces, PagePlace only on multi-socket nodes, node-wide
+ * peak accounting, per-socket meminfo, placement policies under
  * UPMSan on an oversubscribed 4-socket node, worker-count invariance
  * of the inter-APU sweep, and the packed-trace v2 header gate.
  */
@@ -13,6 +14,7 @@
 #include <cstring>
 
 #include "core/interapu_probe.hh"
+#include "core/process.hh"
 #include "core/system.hh"
 #include "exec/task_pool.hh"
 #include "mem/node.hh"
@@ -173,6 +175,66 @@ TEST(MultiSocket, RemoteHomePlacementStampsOwningSocket)
     for (auto f : frames)
         EXPECT_EQ(sys.nodeMemory().socketOfFrame(f), 1u);
     sys.runtime().freeChecked(p);
+}
+
+/** PagePlace events on the bus so far. */
+std::size_t
+pagePlaceCount(const System &sys)
+{
+    std::size_t n = 0;
+    for (const auto &ev : sys.tracer()->events())
+        n += ev.kind == trace::EventKind::PagePlace ? 1 : 0;
+    return n;
+}
+
+TEST(MultiSocket, PagePlaceIsEmittedOnlyOnMultiSocketNodes)
+{
+    // Placement events exist only where there is a placement choice:
+    // never on one socket (whose traces stay byte-identical to the
+    // single-APU System), always on two -- for the primary address
+    // space and for a createProcess() process alike.
+    for (unsigned sockets : {1u, 2u}) {
+        SystemConfig cfg = smallConfig(sockets);
+        cfg.trace.enabled = true;
+        System sys(cfg);
+        hip::DevPtr p = sys.runtime().hipMalloc(4 * MiB);
+        hip::DevPtr h = sys.runtime().hostMalloc(1 * MiB);
+        sys.runtime().cpuFirstTouch(h, 1 * MiB);
+        std::size_t primary = pagePlaceCount(sys);
+
+        auto proc = sys.createProcess();
+        hip::DevPtr q = proc->runtime().hipMalloc(4 * MiB);
+        std::size_t with_process = pagePlaceCount(sys);
+        if (sockets == 1) {
+            EXPECT_EQ(primary, 0u);
+            EXPECT_EQ(with_process, 0u);
+        } else {
+            EXPECT_GT(primary, 0u);
+            EXPECT_GT(with_process, primary);
+        }
+        proc->runtime().freeChecked(q);
+        sys.runtime().freeChecked(h);
+        sys.runtime().freeChecked(p);
+    }
+}
+
+TEST(MultiSocket, PeakBytesCountEveryShard)
+{
+    // A hipMalloc homed on socket 1 holds no socket-0 frame; the peak
+    // must still see it, exactly as a one-socket node sees its own.
+    std::uint64_t peak[2] = {};
+    for (unsigned sockets : {1u, 2u}) {
+        SystemConfig cfg = smallConfig(sockets);
+        cfg.geometry.capacityBytes = 512 * MiB;
+        System sys(cfg);
+        sys.allocators().setSocketPlacement(vm::SocketPolicy::Home,
+                                            sockets - 1);
+        hip::DevPtr p = sys.runtime().hipMalloc(256 * MiB);
+        peak[sockets - 1] = sys.runtime().peakBytesUsed();
+        sys.runtime().freeChecked(p);
+    }
+    EXPECT_EQ(peak[0], 256 * MiB);
+    EXPECT_EQ(peak[1], 256 * MiB);
 }
 
 TEST(MultiSocket, PerSocketMeminfoSeesOnlyItsShard)

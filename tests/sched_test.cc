@@ -2,33 +2,20 @@
  * @file
  * Event-calendar tests: TimeHeap ordering, the calendar's total
  * execution order (when, target engine, source engine, per-source
- * sequence), runUntil horizon semantics, the conservative lookahead
- * window of runAllParallel -- including the fatal contract violation --
- * and the 1/2/8-worker byte-identity property test over 16 taskSeed
- * seeds.
- *
- * Seed base for this file: 0x5c4ed000 (test hygiene: fixed per-file
- * seed bases, no std::random_device).
+ * sequence), runUntil horizon semantics and scheduling from inside a
+ * handler.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
-#include "common/rng.hh"
-#include "exec/task_pool.hh"
 #include "sched/calendar.hh"
 #include "sched/time_heap.hh"
 
 namespace upm::sched {
 namespace {
-
-constexpr std::uint64_t kSeedBase = 0x5c4ed000ull;
 
 // ---- TimeHeap -----------------------------------------------------------
 
@@ -150,74 +137,11 @@ TEST(EventCalendar, StatsAccumulateBusyAndLastEvent)
     EXPECT_EQ(cal.completedThrough(), 0.0);
 }
 
-// ---- Lookahead window edge cases ----------------------------------------
-
-TEST(EventCalendar, ZeroLookaheadParallelDrainMatchesSerial)
-{
-    // With L = 0 each window holds only events at exactly t0; chains
-    // with any positive delay are legal and the drain must fully
-    // converge (no stuck windows, no lost events).
-    exec::TaskPool pool(4);
-    EventCalendar cal(0.0);
-    std::vector<SimTime> times;
-    std::function<void(SimTime, int)> chain = [&](SimTime at, int left) {
-        cal.schedule(EngineId::Host, at, 1.0, [&, at, left] {
-            times.push_back(at);
-            if (left > 0)
-                chain(at + 0.5, left - 1);
-        });
-    };
-    chain(1.0, 9);
-    EXPECT_EQ(cal.runAllParallel(pool), 10u);
-    EXPECT_EQ(times.size(), 10u);
-    EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
-    EXPECT_EQ(cal.stats(EngineId::Host).busyNs, 10.0);
-}
-
-TEST(EventCalendar, WindowBoundaryEventIsPartOfTheWindow)
-{
-    // An event at exactly t0 + L belongs to the window [t0, t0 + L]:
-    // both events drain in one window, so a handler at t0 scheduling
-    // at t0 + L would be a violation (covered below), and the batch
-    // executes both here.
-    exec::TaskPool pool(2);
-    EventCalendar cal(10.0);
-    std::vector<SimTime> times;
-    cal.schedule(EngineId::Host, 5.0, 0.0, [&] { times.push_back(5.0); });
-    cal.schedule(EngineId::Host, 15.0, 0.0,
-                 [&] { times.push_back(15.0); });
-    EXPECT_EQ(cal.runAllParallel(pool), 2u);
-    EXPECT_EQ(times, (std::vector<SimTime>{5.0, 15.0}));
-}
-
-TEST(EventCalendar, SchedulingInsideTheWindowIsFatal)
-{
-    // The conservative contract: a handler running inside a parallel
-    // window must schedule strictly after the window end. t0 = 5,
-    // L = 10 -> window end 15; scheduling at 12 is a determinism bug
-    // and must fatal() at the merge barrier, deterministically.
-    exec::TaskPool pool(2);
-    EventCalendar cal(10.0);
-    cal.schedule(EngineId::Host, 5.0, 0.0,
-                 [&] { cal.schedule(EngineId::Sdma, 12.0); });
-    EXPECT_THROW(cal.runAllParallel(pool), SimError);
-}
-
-TEST(EventCalendar, WindowEndExactlyIsStillFatal)
-{
-    // `when == window end` is inside the closed window, so it is
-    // refused too -- only strictly-after is safe.
-    exec::TaskPool pool(2);
-    EventCalendar cal(10.0);
-    cal.schedule(EngineId::Host, 5.0, 0.0,
-                 [&] { cal.schedule(EngineId::Sdma, 15.0); });
-    EXPECT_THROW(cal.runAllParallel(pool), SimError);
-}
+// ---- Handler scheduling --------------------------------------------------
 
 TEST(EventCalendar, SerialRunsAllowSameTimeScheduling)
 {
-    // The restriction is a parallel-window rule only: under runAll()
-    // a handler may schedule at its own timestamp (even on an
+    // A handler may schedule at its own timestamp (even on an
     // earlier-ordered engine) and the event still executes.
     EventCalendar cal;
     std::vector<int> order;
@@ -228,129 +152,6 @@ TEST(EventCalendar, SerialRunsAllowSameTimeScheduling)
     EXPECT_EQ(cal.runAll(), 2u);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
-
-// ---- Worker-count byte-identity property test ---------------------------
-
-struct Link
-{
-    unsigned engine;
-    SimTime delay;
-    SimTime busy;
-};
-
-/** Per-engine execution journal: (time, chain, link) in execution
- *  order. One vector per engine, appended only by that engine's task,
- *  so the parallel drain writes it race-free. */
-struct Journal
-{
-    std::array<std::vector<std::array<double, 3>>, kNumEngines> perEngine;
-
-    bool
-    operator==(const Journal &other) const
-    {
-        return perEngine == other.perEngine;
-    }
-};
-
-void
-scheduleLink(EventCalendar &cal,
-             const std::vector<std::vector<Link>> &chains, Journal &log,
-             std::size_t chain, std::size_t idx, SimTime at)
-{
-    const Link &link = chains[chain][idx];
-    cal.schedule(
-        static_cast<EngineId>(link.engine), at, link.busy,
-        [&cal, &chains, &log, chain, idx, at] {
-            log.perEngine[chains[chain][idx].engine].push_back(
-                {at, static_cast<double>(chain),
-                 static_cast<double>(idx)});
-            if (idx + 1 < chains[chain].size()) {
-                scheduleLink(cal, chains, log, chain, idx + 1,
-                             at + chains[chain][idx + 1].delay);
-            }
-        });
-}
-
-/** Deterministic random chain workload derived purely from @p seed:
- *  every delay exceeds the lookahead so the parallel drain is legal. */
-std::vector<std::vector<Link>>
-makeChains(std::uint64_t seed, SimTime lookahead)
-{
-    SplitMix64 rng(seed);
-    std::vector<std::vector<Link>> chains(8);
-    for (auto &chain : chains) {
-        std::size_t links = 2 + rng.next() % 5;
-        for (std::size_t i = 0; i < links; ++i) {
-            std::uint64_t roll = rng.next();
-            chain.push_back(Link{
-                static_cast<unsigned>(roll % kNumEngines),
-                lookahead + 1.0 +
-                    static_cast<double>((roll >> 8) % 1000) * 0.125,
-                static_cast<double>((roll >> 24) % 997) * 0.25});
-        }
-    }
-    return chains;
-}
-
-struct RunResult
-{
-    Journal log;
-    std::array<EngineStats, kNumEngines> stats;
-    SimTime completed;
-    std::size_t executed;
-};
-
-RunResult
-runChains(std::uint64_t seed, unsigned workers)
-{
-    constexpr SimTime kLookahead = 50.0;
-    EventCalendar cal(kLookahead);
-    auto chains = makeChains(seed, kLookahead);
-    RunResult r;
-    for (std::size_t c = 0; c < chains.size(); ++c) {
-        scheduleLink(cal, chains, r.log, c, 0,
-                     chains[c][0].delay); // first link's delay == start
-    }
-    if (workers == 0) {
-        r.executed = cal.runAll();
-    } else {
-        exec::TaskPool pool(workers);
-        r.executed = cal.runAllParallel(pool);
-    }
-    for (unsigned e = 0; e < kNumEngines; ++e)
-        r.stats[e] = cal.stats(static_cast<EngineId>(e));
-    r.completed = cal.completedThrough();
-    return r;
-}
-
-class SchedSeeded : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(SchedSeeded, AnyWorkerCountIsByteIdenticalToSerial)
-{
-    std::uint64_t seed =
-        exec::taskSeed(kSeedBase, static_cast<std::uint64_t>(GetParam()));
-    RunResult serial = runChains(seed, 0);
-    ASSERT_GT(serial.executed, 0u);
-    for (unsigned workers : {1u, 2u, 8u}) {
-        RunResult par = runChains(seed, workers);
-        EXPECT_EQ(par.executed, serial.executed) << workers;
-        EXPECT_EQ(par.completed, serial.completed) << workers;
-        EXPECT_TRUE(par.log == serial.log) << workers;
-        for (unsigned e = 0; e < kNumEngines; ++e) {
-            EXPECT_EQ(par.stats[e].executed, serial.stats[e].executed);
-            // Byte-exact doubles: the window accumulator is seeded
-            // from the running stats, preserving the serial run's
-            // floating-point association addition for addition.
-            EXPECT_EQ(par.stats[e].busyNs, serial.stats[e].busyNs);
-            EXPECT_EQ(par.stats[e].lastEventNs,
-                      serial.stats[e].lastEventNs);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SchedSeeded, ::testing::Range(0, 16));
 
 } // namespace
 } // namespace upm::sched

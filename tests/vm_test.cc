@@ -174,7 +174,7 @@ class AddressSpaceTest : public ::testing::Test
 {
   protected:
     AddressSpaceTest()
-        : geom(smallGeomConfig()), frames(geom), as(frames, store)
+        : geom(smallGeomConfig()), node(geom, {}, 1), as(node, store)
     {}
 
     VirtAddr
@@ -187,7 +187,7 @@ class AddressSpaceTest : public ::testing::Test
     }
 
     mem::MemGeometry geom;
-    mem::FrameAllocator frames;
+    mem::NodeMemory node;
     mem::BackingStore store;
     AddressSpace as;
 };
@@ -323,9 +323,9 @@ TEST_F(AddressSpaceTest, MunmapFreesEverything)
     policy.placement = Placement::Contiguous;
     VirtAddr base = as.mmapAnon(2 * MiB, policy, "tmp");
     as.populateRange(base, 2 * MiB);
-    std::uint64_t free_before = frames.freeFrames();
+    std::uint64_t free_before = node.freeFrames();
     EXPECT_EQ(as.munmap(base), Status::Success);
-    EXPECT_EQ(frames.freeFrames(), free_before + 512);
+    EXPECT_EQ(node.freeFrames(), free_before + 512);
     EXPECT_EQ(as.findVma(base), nullptr);
     EXPECT_FALSE(as.gpuPresent(base));
     EXPECT_EQ(as.munmap(base), Status::NotFound);
@@ -353,9 +353,9 @@ TEST_F(AddressSpaceTest, ScatteredFractionTracksPlacementMix)
 TEST(HmmMirror, PropagatesOnlyPresentAndCountsWork)
 {
     mem::MemGeometry geom{smallGeomConfig()};
-    mem::FrameAllocator frames(geom);
+    mem::NodeMemory node(geom, {}, 1);
     mem::BackingStore store;
-    AddressSpace as(frames, store);
+    AddressSpace as(node, store);
     VmaPolicy policy;
     policy.onDemand = true;
     VirtAddr base = as.mmapAnon(64 * KiB, policy, "hmm");

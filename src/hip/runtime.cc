@@ -387,7 +387,7 @@ Runtime::resolveKernelFaults(const BufferUse &use)
 
     std::uint64_t missing = 0;
     std::uint64_t sys_present = 0;
-    as.gpuTable().forEachGap(
+    as.gpuTable().translations().forEachGap(
         first, last, [&](vm::Vpn gap_begin, vm::Vpn gap_end) {
             missing += gap_end - gap_begin;
             sys_present +=

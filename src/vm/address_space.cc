@@ -544,7 +544,8 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
     // A GPU-mapped region never faults once populated; reaching here
     // with the region fully present means no fault at all.
     std::uint64_t span = last > first ? last - first : 0;
-    bool any_missing_gpu = gpuPt.presentInRange(first, last) < span;
+    bool any_missing_gpu =
+        gpuPt.translations().presentInRange(first, last) < span;
     bool any_missing_sys = sysTable.presentInRange(first, last) < span;
     auto emit_fault = [&](GpuFaultKind kind) {
         if (tr != nullptr) {
@@ -650,7 +651,7 @@ AddressSpace::cpuPresent(VirtAddr addr) const
 bool
 AddressSpace::gpuPresent(VirtAddr addr) const
 {
-    return gpuPt.present(vpnOf(addr));
+    return gpuPt.translations().present(vpnOf(addr));
 }
 
 mem::PhysAddr
@@ -702,9 +703,10 @@ AddressSpace::auditMirrorConsistency(audit::Auditor &auditor) const
     if (!auditor.config().checkMirror)
         return 0;
     std::uint64_t violations = 0;
-    gpuPt.forRange(0, ~0ull, [&](Vpn vpn, const GpuPte &gpu_pte) {
-        auto sys_pte = sysTable.lookup(vpn);
-        if (!sys_pte) {
+    // Walk each GPU run against the system runs and gaps it overlaps,
+    // in vpn order: a gap is stale, a run compares frames per run.
+    auto stale = [&](const PteRun &gpu, Vpn begin, Vpn end) {
+        for (Vpn vpn = begin; vpn < end; ++vpn) {
             ++violations;
             auditor.record(
                 audit::ViolationKind::StaleMirror, addrOf(vpn),
@@ -712,17 +714,18 @@ AddressSpace::auditMirrorConsistency(audit::Auditor &auditor) const
                           "system PTE: the MMU notifier missed an "
                           "invalidation",
                           static_cast<unsigned long long>(vpn),
-                          static_cast<unsigned long long>(gpu_pte.frame)));
-        } else if (sys_pte->frame != gpu_pte.frame) {
-            ++violations;
-            auditor.record(
-                audit::ViolationKind::MirrorDivergence, addrOf(vpn),
-                strprintf("vpn 0x%llx: system PTE maps frame %llu but "
-                          "GPU PTE maps frame %llu",
-                          static_cast<unsigned long long>(vpn),
-                          static_cast<unsigned long long>(sys_pte->frame),
-                          static_cast<unsigned long long>(gpu_pte.frame)));
+                          static_cast<unsigned long long>(
+                              gpu.frameOf(vpn))));
         }
+    };
+    gpuPt.translations().forEachRun(0, ~0ull, [&](const PteRun &gpu) {
+        Vpn cursor = gpu.vpn;
+        sysTable.forEachRun(gpu.vpn, gpu.end(), [&](const PteRun &sys) {
+            stale(gpu, cursor, sys.vpn);
+            violations += auditRunDivergence(auditor, sys, gpu);
+            cursor = sys.end();
+        });
+        stale(gpu, cursor, gpu.end());
     });
     return violations;
 }

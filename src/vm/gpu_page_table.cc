@@ -1,238 +1,60 @@
 #include "vm/gpu_page_table.hh"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/units.hh"
 
 namespace upm::vm {
 
-GpuPageTable::RunMap::const_iterator
-GpuPageTable::findRun(Vpn vpn) const
+GpuPageTable::StampMap::const_iterator
+GpuPageTable::firstStampEndingAfter(Vpn vpn) const
 {
-    auto it = runs.upper_bound(vpn);
-    if (it == runs.begin())
-        return runs.end();
-    --it;
-    if (vpn >= it->first + it->second.len)
-        return runs.end();
+    auto it = stamps.upper_bound(vpn);
+    if (it != stamps.begin()) {
+        auto prev = std::prev(it);
+        if (prev->first + prev->second.len > vpn)
+            return prev;
+    }
     return it;
 }
 
-std::vector<GpuPageTable::FragSeg>
-GpuPageTable::splitFrags(std::vector<FragSeg> &frags, std::uint64_t cut)
-{
-    std::vector<FragSeg> suffix;
-    std::size_t keep = 0;
-    for (const FragSeg &seg : frags) {
-        if (seg.off + seg.len <= cut) {
-            ++keep;
-            continue;
-        }
-        if (seg.off < cut) {
-            suffix.push_back(
-                {0, seg.off + seg.len - cut, seg.frag});
-        } else {
-            suffix.push_back({seg.off - cut, seg.len, seg.frag});
-        }
-    }
-    if (keep < frags.size() && frags[keep].off < cut) {
-        frags[keep].len = cut - frags[keep].off;
-        ++keep;
-    }
-    frags.resize(keep);
-    return suffix;
-}
-
 void
-GpuPageTable::insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
-                          PteFlags flags)
+GpuPageTable::eraseStamps(Vpn begin, Vpn end)
 {
-    if (len == 0)
-        return;
-    auto next = runs.lower_bound(vpn);
-    auto prev = next;
-    bool merge_prev = false;
-    if (prev != runs.begin()) {
-        --prev;
-        if (vpn < prev->first + prev->second.len)
-            panic("GPU PTE for vpn 0x%llx already present",
-                  static_cast<unsigned long long>(vpn));
-        merge_prev = prev->second.scatter.empty() &&
-                     prev->first + prev->second.len == vpn &&
-                     prev->second.frame + prev->second.len == frame &&
-                     prev->second.flags == flags;
-    }
-    if (next != runs.end() && next->first < vpn + len)
-        panic("GPU PTE for vpn 0x%llx already present",
-              static_cast<unsigned long long>(next->first));
-    bool merge_next = next != runs.end() &&
-                      next->second.scatter.empty() &&
-                      next->first == vpn + len &&
-                      next->second.frame == frame + len &&
-                      next->second.flags == flags;
-
-    if (merge_prev) {
-        Run &run = prev->second;
-        if (!run.frags.empty())
-            run.frags.push_back({run.len, len, 0});
-        run.len += len;
-        if (merge_next) {
-            if (!next->second.frags.empty())
-                materializeFrags(run);
-            if (!run.frags.empty()) {
-                materializeFrags(next->second);
-                for (const FragSeg &seg : next->second.frags)
-                    run.frags.push_back(
-                        {seg.off + run.len, seg.len, seg.frag});
-            }
-            run.len += next->second.len;
-            runs.erase(next);
+    auto it = firstStampEndingAfter(begin);
+    while (it != stamps.end() && it->first < end) {
+        Vpn stamp_begin = it->first;
+        Stamp stamp = it->second;
+        it = stamps.erase(it);
+        if (stamp_begin < begin)
+            stamps.emplace_hint(it, stamp_begin,
+                                Stamp{begin - stamp_begin, stamp.frag});
+        if (stamp_begin + stamp.len > end) {
+            stamps.emplace_hint(
+                it, end, Stamp{stamp_begin + stamp.len - end, stamp.frag});
+            return;
         }
-    } else if (merge_next) {
-        Run run;
-        run.len = len + next->second.len;
-        run.frame = frame;
-        run.flags = flags;
-        if (!next->second.frags.empty()) {
-            run.frags.reserve(next->second.frags.size() + 1);
-            run.frags.push_back({0, len, 0});
-            for (const FragSeg &seg : next->second.frags)
-                run.frags.push_back({seg.off + len, seg.len, seg.frag});
-        }
-        runs.erase(next);
-        runs.emplace(vpn, std::move(run));
-    } else {
-        Run run;
-        run.len = len;
-        run.frame = frame;
-        run.flags = flags;
-        runs.emplace_hint(next, vpn, std::move(run));
     }
-    presentPages += len;
-}
-
-void
-GpuPageTable::insertFrames(Vpn vpn, const FrameId *frames,
-                           std::uint64_t n, PteFlags flags)
-{
-    if (n == 0)
-        return;
-    bool strided = true;
-    for (std::uint64_t i = 1; strided && i < n; ++i)
-        strided = frames[i] == frames[0] + i;
-    if (strided) {
-        insertRange(vpn, n, frames[0], flags);
-        return;
-    }
-
-    auto next = runs.lower_bound(vpn);
-    if (next != runs.begin()) {
-        auto prev = std::prev(next);
-        if (vpn < prev->first + prev->second.len)
-            panic("GPU PTE for vpn 0x%llx already present",
-                  static_cast<unsigned long long>(vpn));
-    }
-    if (next != runs.end() && next->first < vpn + n)
-        panic("GPU PTE for vpn 0x%llx already present",
-              static_cast<unsigned long long>(next->first));
-
-    Run run;
-    run.len = n;
-    run.frame = frames[0];
-    run.flags = flags;
-    run.scatter.assign(frames, frames + n);
-    runs.emplace_hint(next, vpn, std::move(run));
-    presentPages += n;
 }
 
 std::optional<GpuPte>
 GpuPageTable::lookup(Vpn vpn) const
 {
-    auto it = findRun(vpn);
-    if (it == runs.end())
+    auto pte = ptes.lookup(vpn);
+    if (!pte)
         return std::nullopt;
-    std::uint64_t off = vpn - it->first;
-    std::uint8_t frag = 0;
-    if (!it->second.frags.empty()) {
-        auto seg = std::upper_bound(
-            it->second.frags.begin(), it->second.frags.end(), off,
-            [](std::uint64_t o, const FragSeg &s) { return o < s.off; });
-        --seg;
-        frag = seg->frag;
-    }
-    return GpuPte{frameAt(it, vpn), it->second.flags, frag};
-}
-
-std::optional<GpuPteRun>
-GpuPageTable::lookupRun(Vpn vpn) const
-{
-    auto it = findRun(vpn);
-    if (it == runs.end())
-        return std::nullopt;
-    return GpuPteRun{it->first, it->second.len, it->second.frame,
-                     it->second.flags,
-                     it->second.scatter.empty()
-                         ? nullptr
-                         : it->second.scatter.data()};
-}
-
-bool
-GpuPageTable::remove(Vpn vpn)
-{
-    return removeRange(vpn, vpn + 1) != 0;
+    auto st = firstStampEndingAfter(vpn);
+    std::uint8_t frag =
+        st != stamps.end() && st->first <= vpn ? st->second.frag : 0;
+    return GpuPte{pte->frame, pte->flags, frag};
 }
 
 std::uint64_t
 GpuPageTable::removeRange(Vpn begin, Vpn end)
 {
-    std::uint64_t removed = 0;
-    if (begin >= end)
-        return removed;
-    auto it = runs.upper_bound(begin);
-    if (it != runs.begin()) {
-        --it;
-        if (begin >= it->first + it->second.len)
-            ++it;
-    }
-    while (it != runs.end() && it->first < end) {
-        Vpn run_vpn = it->first;
-        Run run = std::move(it->second);
-        Vpn cut_begin = std::max(begin, run_vpn);
-        Vpn cut_end = std::min(end, run_vpn + run.len);
-        it = runs.erase(it);
-        if (cut_end < run_vpn + run.len) {
-            Run tail;
-            tail.len = run_vpn + run.len - cut_end;
-            tail.flags = run.flags;
-            if (run.scatter.empty()) {
-                tail.frame = run.frame + (cut_end - run_vpn);
-            } else {
-                tail.scatter.assign(
-                    run.scatter.begin() + (cut_end - run_vpn),
-                    run.scatter.end());
-                tail.frame = tail.scatter.front();
-            }
-            tail.frags = splitFrags(run.frags, cut_end - run_vpn);
-            it = runs.emplace_hint(it, cut_end, std::move(tail));
-        }
-        if (run_vpn < cut_begin) {
-            Run head;
-            head.len = cut_begin - run_vpn;
-            head.frame = run.frame;
-            head.flags = run.flags;
-            if (!run.scatter.empty()) {
-                run.scatter.resize(head.len);
-                head.scatter = std::move(run.scatter);
-            }
-            splitFrags(run.frags, cut_begin - run_vpn);
-            head.frags = std::move(run.frags);
-            runs.emplace(run_vpn, std::move(head));
-        }
-        removed += cut_end - cut_begin;
-    }
-    presentPages -= removed;
-    return removed;
+    eraseStamps(begin, end);
+    return ptes.removeRange(begin, end, [](const PteRun &) {});
 }
 
 namespace {
@@ -264,14 +86,14 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     // pages with consecutive frames and equal flags — so the result
     // does not depend on how the mapping is split into stored runs.
     // Greedily stamp each stretch with naturally-aligned power-of-two
-    // blocks; stamps are page-absolute and RLE-compressed.
-    struct Stamp
+    // blocks; blocks are page-absolute and RLE-compressed.
+    struct Block
     {
         Vpn begin;
         std::uint64_t len;
         std::uint8_t frag;
     };
-    std::vector<Stamp> stamps;
+    std::vector<Block> blocks;
     auto stampStretch = [&](Vpn s, Vpn e, FrameId frame0) {
         Vpn v = s;
         while (v < e) {
@@ -280,12 +102,12 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
             unsigned len_log = floorLog2(e - v);
             unsigned frag = std::min({align, len_log, kMaxFragment});
             std::uint64_t block = 1ull << frag;
-            if (!stamps.empty() &&
-                stamps.back().frag == static_cast<std::uint8_t>(frag) &&
-                stamps.back().begin + stamps.back().len == v) {
-                stamps.back().len += block;
+            if (!blocks.empty() &&
+                blocks.back().frag == static_cast<std::uint8_t>(frag) &&
+                blocks.back().begin + blocks.back().len == v) {
+                blocks.back().len += block;
             } else {
-                stamps.push_back(
+                blocks.push_back(
                     {v, block, static_cast<std::uint8_t>(frag)});
             }
             v += block;
@@ -296,7 +118,7 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     Vpn s_begin = 0, s_end = 0;
     FrameId s_frame = 0;
     PteFlags s_flags;
-    forEachRun(begin, end, [&](const GpuPteRun &part) {
+    ptes.forEachRun(begin, end, [&](const PteRun &part) {
         Vpn p = part.vpn;
         while (p < part.end()) {
             // Maximal internally frame-contiguous piece of the part.
@@ -330,114 +152,13 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     if (open)
         stampStretch(s_begin, s_end, s_frame);
 
-    // Phase 2: splice the stamps into each overlapped run's RLE. When
-    // a run's current per-page values already equal the stamps (the
-    // common case for scattered fault batches, where every fragment is
-    // and stays 0), skip the splice and keep the lazy representation.
-    std::size_t si = 0;
-    auto it = runs.upper_bound(begin);
-    if (it != runs.begin()) {
-        --it;
-        if (begin >= it->first + it->second.len)
-            ++it;
+    // Phase 2: the window's stamps are exactly the nonzero blocks.
+    eraseStamps(begin, end);
+    auto hint = stamps.lower_bound(end);
+    for (const Block &b : blocks) {
+        if (b.frag != 0)
+            stamps.emplace_hint(hint, b.begin, Stamp{b.len, b.frag});
     }
-    for (; it != runs.end() && it->first < end; ++it) {
-        Run &run = it->second;
-        Vpn wb = std::max(begin, it->first);
-        Vpn we = std::min(end, it->first + run.len);
-        if (wb >= we)
-            continue;
-        while (si < stamps.size() &&
-               stamps[si].begin + stamps[si].len <= wb)
-            ++si;
-
-        bool same = true;
-        std::size_t sj = si;
-        auto checkSpan = [&](Vpn cb, Vpn ce, std::uint8_t cur) {
-            while (same && cb < ce) {
-                while (sj < stamps.size() &&
-                       stamps[sj].begin + stamps[sj].len <= cb)
-                    ++sj;
-                if (sj >= stamps.size() || stamps[sj].begin > cb ||
-                    stamps[sj].frag != cur) {
-                    same = false;
-                    return;
-                }
-                cb = std::min<Vpn>(ce,
-                                   stamps[sj].begin + stamps[sj].len);
-            }
-        };
-        if (run.frags.empty()) {
-            checkSpan(wb, we, 0);
-        } else {
-            for (const FragSeg &seg : run.frags) {
-                Vpn sb = it->first + seg.off;
-                Vpn se = sb + seg.len;
-                if (se <= wb)
-                    continue;
-                if (sb >= we || !same)
-                    break;
-                checkSpan(std::max(wb, sb), std::min(we, se), seg.frag);
-            }
-        }
-        if (same)
-            continue;
-
-        materializeFrags(run);
-        auto suffix = splitFrags(run.frags, we - it->first);
-        splitFrags(run.frags, wb - it->first);
-        for (std::size_t sk = si;
-             sk < stamps.size() && stamps[sk].begin < we; ++sk) {
-            Vpn sb = std::max<Vpn>(stamps[sk].begin, wb);
-            Vpn se =
-                std::min<Vpn>(stamps[sk].begin + stamps[sk].len, we);
-            if (sb >= se)
-                continue;
-            run.frags.push_back(
-                {sb - it->first, se - sb, stamps[sk].frag});
-        }
-        std::size_t suffix_at = run.frags.size();
-        run.frags.insert(run.frags.end(), suffix.begin(), suffix.end());
-        for (std::size_t i = suffix_at; i < run.frags.size(); ++i)
-            run.frags[i].off += we - it->first;
-
-        bool all_zero = true;
-        for (const FragSeg &seg : run.frags)
-            all_zero = all_zero && seg.frag == 0;
-        if (all_zero)
-            run.frags.clear();
-    }
-}
-
-Fragment
-GpuPageTable::fragmentOf(Vpn vpn) const
-{
-    auto pte = lookup(vpn);
-    if (!pte)
-        panic("fragmentOf on absent vpn 0x%llx",
-              static_cast<unsigned long long>(vpn));
-    std::uint64_t span = 1ull << pte->fragment;
-    return Fragment{vpn & ~(span - 1), span};
-}
-
-std::vector<std::uint64_t>
-GpuPageTable::fragmentHistogram(Vpn begin, Vpn end) const
-{
-    std::vector<std::uint64_t> histogram(kMaxFragment + 1, 0);
-    forEachFragmentRun(begin, end,
-                       [&](Vpn, std::uint64_t len, std::uint8_t frag) {
-                           histogram[frag] += len;
-                       });
-    return histogram;
-}
-
-std::uint64_t
-GpuPageTable::presentInRange(Vpn begin, Vpn end) const
-{
-    std::uint64_t n = 0;
-    forEachRun(begin, end,
-               [&](const GpuPteRun &run) { n += run.len; });
-    return n;
 }
 
 } // namespace upm::vm

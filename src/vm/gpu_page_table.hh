@@ -11,25 +11,25 @@
  * TLB reach -- the mechanism behind hipMalloc's bandwidth advantage
  * (paper Sections 4.2/5.3).
  *
- * Storage is extent-coalesced like SystemPageTable: a sorted map of
- * [vpn, vpn+len) runs, strided or carrying an explicit scatter frame
- * vector (one node per mirrored fault batch instead of one per page).
- * Fragment values are *stamped by window* (each recomputeFragments
- * call only rewrites the pages inside its window), so they cannot be
- * derived from the run alone; each run carries a run-length-encoded
- * list of fragment segments that reproduces the per-page stamping
- * history exactly. An empty segment list is the common case and means
- * "every page fragment 0" (the value fresh PTEs get), so scattered
- * mirrors allocate no RLE storage at all.
+ * Translations live in a SystemPageTable (the same extent run store
+ * the CPU side uses); the fragment field is the only thing a GPU PTE
+ * adds. Fragment values are *stamped by window* (each
+ * recomputeFragments call only rewrites the pages inside its window),
+ * so they cannot be derived from the translations alone. They are kept
+ * beside them in a vpn-keyed map of stamp stretches that holds only
+ * nonzero stamps: a page without a stamp carries fragment 0, the value
+ * fresh PTEs get, so scattered mirrors store no stamps at all.
+ * Invariant: every stamped page is present; unmapping a page erases
+ * its stamp.
  */
 
 #ifndef UPM_VM_GPU_PAGE_TABLE_HH
 #define UPM_VM_GPU_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "vm/page_table.hh"
 
@@ -41,36 +41,6 @@ struct GpuPte
     FrameId frame = 0;
     PteFlags flags;
     std::uint8_t fragment = 0;  //!< log2(pages) of the covering block
-};
-
-/** A fragment descriptor returned to TLB fill logic. */
-struct Fragment
-{
-    Vpn base = 0;
-    std::uint64_t span = 1;  //!< pages
-};
-
-/**
- * An extent of GPU-mapped pages. Strided (scatter null, page vpn+i ->
- * frame+i) or scatter (scatter[i] gives page vpn+i's frame). The
- * scatter pointer aliases table storage and is valid only until the
- * next table mutation.
- */
-struct GpuPteRun
-{
-    Vpn vpn = 0;
-    std::uint64_t len = 0;
-    FrameId frame = 0;
-    PteFlags flags;
-    const FrameId *scatter = nullptr;
-
-    Vpn end() const { return vpn + len; }
-
-    FrameId
-    frameOf(Vpn v) const
-    {
-        return scatter != nullptr ? scatter[v - vpn] : frame + (v - vpn);
-    }
 };
 
 /**
@@ -88,45 +58,38 @@ class GpuPageTable
     void
     insert(Vpn vpn, FrameId frame, PteFlags flags = {})
     {
-        insertRange(vpn, 1, frame, flags);
+        ptes.insert(vpn, frame, flags);
     }
 
-    /**
-     * Map [vpn, vpn+len) to frames [frame, frame+len) with fragment 0
-     * (unstamped), merging with contiguous same-flag strided
-     * neighbours. Panics if any page is present.
-     */
-    void insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
-                     PteFlags flags = {});
+    /** Map [vpn, vpn+len) to [frame, frame+len) with fragment 0. */
+    void
+    insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
+                PteFlags flags = {})
+    {
+        ptes.insertRange(vpn, len, frame, flags);
+    }
 
-    /**
-     * Map page vpn+i to frames[i] for i in [0, n) as one run with
-     * fragment 0. A frame-contiguous batch degenerates to a strided
-     * run. Panics if any page is present.
-     */
-    void insertFrames(Vpn vpn, const FrameId *frames, std::uint64_t n,
-                      PteFlags flags = {});
+    /** Map page vpn+i to frames[i] for i in [0, n) with fragment 0. */
+    void
+    insertFrames(Vpn vpn, const FrameId *frames, std::uint64_t n,
+                 PteFlags flags = {})
+    {
+        ptes.insertFrames(vpn, frames, n, flags);
+    }
 
     std::optional<GpuPte> lookup(Vpn vpn) const;
 
-    /** @return the extent containing @p vpn, if present. */
-    std::optional<GpuPteRun> lookupRun(Vpn vpn) const;
-
-    bool present(Vpn vpn) const { return findRun(vpn) != runs.end(); }
-
     /** Unmap; @return true if it was mapped. */
-    bool remove(Vpn vpn);
+    bool remove(Vpn vpn) { return removeRange(vpn, vpn + 1) != 0; }
 
-    /** Unmap every present page in [begin, end). @return removed. */
+    /**
+     * Unmap every present page in [begin, end) and erase their
+     * fragment stamps. @return pages removed.
+     */
     std::uint64_t removeRange(Vpn begin, Vpn end);
 
-    std::uint64_t presentCount() const { return presentPages; }
-
-    /** Number of stored runs (diagnostics / tests). */
-    std::uint64_t runCount() const { return runs.size(); }
-
-    /** Present pages within [begin, end). O(log runs + runs hit). */
-    std::uint64_t presentInRange(Vpn begin, Vpn end) const;
+    /** The translations, for read-only walks (runs, gaps, counts). */
+    const SystemPageTable &translations() const { return ptes; }
 
     /**
      * Driver fragment scan over [begin, end): find maximal stretches
@@ -142,88 +105,8 @@ class GpuPageTable
     void recomputeFragments(Vpn begin, Vpn end);
 
     /**
-     * Fragment containing @p vpn, for UTCL1 fills. Requires presence.
-     */
-    Fragment fragmentOf(Vpn vpn) const;
-
-    /**
-     * Span histogram over [begin, end): pages covered per fragment
-     * log2-size. Used by tests and the TLB-miss analysis.
-     */
-    std::vector<std::uint64_t> fragmentHistogram(Vpn begin, Vpn end) const;
-
-    /** Visit present entries in [begin, end) in vpn order. */
-    template <typename Fn>
-    void
-    forRange(Vpn begin, Vpn end, Fn &&fn) const
-    {
-        forEachFragSeg(begin, end,
-                       [&](const RunMap::value_type &node, Vpn seg_begin,
-                           Vpn seg_end, std::uint8_t frag) {
-                           const Run &run = node.second;
-                           GpuPte pte{0, run.flags, frag};
-                           for (Vpn vpn = seg_begin; vpn < seg_end;
-                                ++vpn) {
-                               pte.frame =
-                                   run.scatter.empty()
-                                       ? run.frame + (vpn - node.first)
-                                       : run.scatter[vpn - node.first];
-                               fn(vpn, pte);
-                           }
-                       });
-    }
-
-    /**
-     * Visit runs overlapping [begin, end) in vpn order, clipped to the
-     * window. @param fn callable (const GpuPteRun &); the run's
-     * scatter pointer is valid only while the table is unmodified.
-     */
-    template <typename Fn>
-    void
-    forEachRun(Vpn begin, Vpn end, Fn &&fn) const
-    {
-        if (begin >= end)
-            return;
-        auto it = runs.upper_bound(begin);
-        if (it != runs.begin()) {
-            --it;
-            if (begin >= it->first + it->second.len)
-                ++it;
-        }
-        for (; it != runs.end() && it->first < end; ++it) {
-            Vpn clip_begin = std::max(begin, it->first);
-            Vpn clip_end = std::min(end, it->first + it->second.len);
-            fn(GpuPteRun{clip_begin, clip_end - clip_begin,
-                         frameAt(it, clip_begin), it->second.flags,
-                         it->second.scatter.empty()
-                             ? nullptr
-                             : it->second.scatter.data() +
-                                   (clip_begin - it->first)});
-        }
-    }
-
-    /**
-     * Visit the *unmapped* gaps of [begin, end) in vpn order.
-     * @param fn callable (Vpn gap_begin, Vpn gap_end).
-     */
-    template <typename Fn>
-    void
-    forEachGap(Vpn begin, Vpn end, Fn &&fn) const
-    {
-        Vpn cursor = begin;
-        forEachRun(begin, end, [&](const GpuPteRun &run) {
-            if (cursor < run.vpn)
-                fn(cursor, run.vpn);
-            cursor = run.end();
-        });
-        if (cursor < end)
-            fn(cursor, end);
-    }
-
-    /**
      * Visit same-fragment stretches of mapped pages in [begin, end) in
-     * vpn order: the run-length-encoded form of the per-page fragment
-     * field. @param fn callable (Vpn seg_begin, uint64 seg_len,
+     * vpn order. @param fn callable (Vpn seg_begin, uint64 seg_len,
      * uint8 fragment). UTCL1 walkers use this instead of per-page
      * lookups. Segment boundaries are a storage artifact; only the
      * per-page values are meaningful.
@@ -232,103 +115,46 @@ class GpuPageTable
     void
     forEachFragmentRun(Vpn begin, Vpn end, Fn &&fn) const
     {
-        forEachFragSeg(begin, end,
-                       [&](const RunMap::value_type &, Vpn seg_begin,
-                           Vpn seg_end, std::uint8_t frag) {
-                           fn(seg_begin, seg_end - seg_begin, frag);
-                       });
+        auto st = firstStampEndingAfter(begin);
+        ptes.forEachRun(begin, end, [&](const PteRun &run) {
+            Vpn v = run.vpn;
+            while (v < run.end()) {
+                while (st != stamps.end() && st->first + st->second.len <= v)
+                    ++st;
+                if (st == stamps.end() || st->first >= run.end()) {
+                    fn(v, run.end() - v, std::uint8_t{0});
+                    return;
+                }
+                if (v < st->first) {
+                    fn(v, st->first - v, std::uint8_t{0});
+                    v = st->first;
+                }
+                Vpn seg_end =
+                    std::min(run.end(), st->first + st->second.len);
+                fn(v, seg_end - v, st->second.frag);
+                v = seg_end;
+            }
+        });
     }
 
   private:
-    /** One RLE fragment segment, run-relative: pages
-     *  [off, off+len) of the run all carry @ref frag. */
-    struct FragSeg
+    /** Pages [key, key+len) all carry the nonzero fragment @ref frag. */
+    struct Stamp
     {
-        std::uint64_t off = 0;
         std::uint64_t len = 0;
         std::uint8_t frag = 0;
     };
 
-    /**
-     * Stored extent. @ref scatter empty means strided. @ref frags
-     * tiles [0, len) in ascending order; empty means every page
-     * carries fragment 0.
-     */
-    struct Run
-    {
-        std::uint64_t len = 0;
-        FrameId frame = 0;
-        PteFlags flags;
-        std::vector<FrameId> scatter;
-        std::vector<FragSeg> frags;
-    };
+    using StampMap = std::map<Vpn, Stamp>;
 
-    using RunMap = std::map<Vpn, Run>;
+    /** First stamp whose stretch ends after @p vpn. */
+    StampMap::const_iterator firstStampEndingAfter(Vpn vpn) const;
 
-    RunMap::const_iterator findRun(Vpn vpn) const;
+    /** Drop the stamps of [begin, end), splitting straddling ones. */
+    void eraseStamps(Vpn begin, Vpn end);
 
-    /** Frame of page @p vpn, which must lie inside @p it's run. */
-    template <typename It>
-    static FrameId
-    frameAt(It it, Vpn vpn)
-    {
-        const auto &run = it->second;
-        return run.scatter.empty() ? run.frame + (vpn - it->first)
-                                   : run.scatter[vpn - it->first];
-    }
-
-    /** Expand a lazy all-zero RLE into an explicit segment. */
-    static void
-    materializeFrags(Run &run)
-    {
-        if (run.frags.empty())
-            run.frags.push_back({0, run.len, 0});
-    }
-
-    /** Split @p frags at run-relative @p cut; returns the suffix
-     *  (rebased to offset 0) and truncates @p frags to the prefix.
-     *  An empty (lazy all-zero) input stays empty on both sides. */
-    static std::vector<FragSeg> splitFrags(std::vector<FragSeg> &frags,
-                                           std::uint64_t cut);
-
-    /** Visit clipped fragment segments of runs overlapping the window,
-     *  with the owning map node:
-     *  fn(node, abs_seg_begin, abs_seg_end, frag). */
-    template <typename Fn>
-    void
-    forEachFragSeg(Vpn begin, Vpn end, Fn &&fn) const
-    {
-        if (begin >= end)
-            return;
-        auto it = runs.upper_bound(begin);
-        if (it != runs.begin()) {
-            --it;
-            if (begin >= it->first + it->second.len)
-                ++it;
-        }
-        for (; it != runs.end() && it->first < end; ++it) {
-            if (it->second.frags.empty()) {
-                Vpn seg_begin = it->first;
-                Vpn seg_end = it->first + it->second.len;
-                fn(*it, std::max(begin, seg_begin),
-                   std::min(end, seg_end), std::uint8_t{0});
-                continue;
-            }
-            for (const FragSeg &seg : it->second.frags) {
-                Vpn seg_begin = it->first + seg.off;
-                Vpn seg_end = seg_begin + seg.len;
-                if (seg_end <= begin)
-                    continue;
-                if (seg_begin >= end)
-                    break;
-                fn(*it, std::max(begin, seg_begin),
-                   std::min(end, seg_end), seg.frag);
-            }
-        }
-    }
-
-    RunMap runs;
-    std::uint64_t presentPages = 0;
+    SystemPageTable ptes;
+    StampMap stamps;
 };
 
 } // namespace upm::vm

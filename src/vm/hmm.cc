@@ -1,5 +1,6 @@
 #include "vm/hmm.hh"
 
+#include <algorithm>
 #include <vector>
 
 #include "audit/auditor.hh"
@@ -9,37 +10,45 @@
 namespace upm::vm {
 
 std::uint64_t
+auditRunDivergence(audit::Auditor &aud, const PteRun &sys,
+                   const PteRun &gpu)
+{
+    Vpn begin = std::max(sys.vpn, gpu.vpn);
+    Vpn end = std::min(sys.end(), gpu.end());
+    if (begin >= end ||
+        (sys.scatter == nullptr && gpu.scatter == nullptr &&
+         sys.frameOf(begin) == gpu.frameOf(begin)))
+        return 0;
+    std::uint64_t recorded = 0;
+    for (Vpn vpn = begin; vpn < end; ++vpn) {
+        FrameId sys_frame = sys.frameOf(vpn);
+        FrameId gpu_frame = gpu.frameOf(vpn);
+        if (sys_frame == gpu_frame)
+            continue;
+        ++recorded;
+        aud.record(audit::ViolationKind::MirrorDivergence, addrOf(vpn),
+                   strprintf("vpn 0x%llx: system PTE maps frame %llu but "
+                             "GPU PTE maps frame %llu",
+                             static_cast<unsigned long long>(vpn),
+                             static_cast<unsigned long long>(sys_frame),
+                             static_cast<unsigned long long>(gpu_frame)));
+    }
+    return recorded;
+}
+
+std::uint64_t
 HmmMirror::mirrorRange(Vpn begin, Vpn end)
 {
+    const SystemPageTable &gpu_ptes = gpuTable.translations();
     if (aud != nullptr && aud->config().checkMirror) {
-        // Pages mapped on both sides must agree. Walk each system run
-        // against the GPU runs it overlaps: two strided runs with the
-        // same frame-vpn offset agree in O(1), anything else compares
-        // frames page by page. Only runs when the auditor is attached,
-        // so UPMSan coverage is unchanged at zero cost when off.
+        // Pages mapped on both sides must agree: walk each system run
+        // against the GPU runs it overlaps. Only runs when the auditor
+        // is attached, so UPMSan coverage is unchanged at zero cost
+        // when off.
         sysTable.forEachRun(begin, end, [&](const PteRun &sys) {
-            gpuTable.forEachRun(
-                sys.vpn, sys.end(), [&](const GpuPteRun &gpu) {
-                    if (sys.scatter == nullptr && gpu.scatter == nullptr &&
-                        sys.frameOf(gpu.vpn) == gpu.frame)
-                        return;
-                    for (Vpn vpn = gpu.vpn; vpn < gpu.end(); ++vpn) {
-                        FrameId sys_frame = sys.frameOf(vpn);
-                        FrameId gpu_frame = gpu.frameOf(vpn);
-                        if (sys_frame == gpu_frame)
-                            continue;
-                        aud->record(
-                            audit::ViolationKind::MirrorDivergence,
-                            addrOf(vpn),
-                            strprintf("vpn 0x%llx: system PTE maps frame "
-                                      "%llu but GPU PTE maps frame %llu",
-                                      static_cast<unsigned long long>(vpn),
-                                      static_cast<unsigned long long>(
-                                          sys_frame),
-                                      static_cast<unsigned long long>(
-                                          gpu_frame)));
-                    }
-                });
+            gpu_ptes.forEachRun(sys.vpn, sys.end(), [&](const PteRun &gpu) {
+                auditRunDivergence(*aud, sys, gpu);
+            });
         });
     }
 
@@ -59,7 +68,7 @@ HmmMirror::mirrorRange(Vpn begin, Vpn end)
     std::vector<Missing> missing;
     std::uint64_t missing_pages = 0;
     sysTable.forEachRun(begin, end, [&](const PteRun &run) {
-        gpuTable.forEachGap(run.vpn, run.end(), [&](Vpn gap_begin,
+        gpu_ptes.forEachGap(run.vpn, run.end(), [&](Vpn gap_begin,
                                                     Vpn gap_end) {
             missing.push_back(
                 {gap_begin, gap_end - gap_begin, run.frameOf(gap_begin),

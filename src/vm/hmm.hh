@@ -22,6 +22,15 @@
 namespace upm::vm {
 
 /**
+ * Record a MirrorDivergence for every page where @p sys and @p gpu
+ * overlap but map different frames, in vpn order. Two strided runs
+ * with the same frame-vpn offset agree in O(1); anything else compares
+ * frames page by page. @return pages recorded.
+ */
+std::uint64_t auditRunDivergence(audit::Auditor &aud, const PteRun &sys,
+                                 const PteRun &gpu);
+
+/**
  * Propagates PTEs from a SystemPageTable into a GpuPageTable and
  * handles invalidation, recomputing fragments over touched windows.
  *

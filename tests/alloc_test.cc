@@ -9,6 +9,7 @@
 
 #include "alloc/registry.hh"
 #include "common/log.hh"
+#include "gpu_table_util.hh"
 
 namespace upm::alloc {
 namespace {
@@ -94,7 +95,7 @@ TEST_F(AllocTest, HipMallocIsUpFrontContiguousPinned)
     EXPECT_EQ(as.framesOf(a.addr, a.size).size(), 256u);
     EXPECT_TRUE(as.gpuPresent(a.addr));
     // Physically contiguous -> one big fragment.
-    EXPECT_GE(as.gpuTable().fragmentOf(vm::vpnOf(a.addr)).span, 256u);
+    EXPECT_GE(test::fragmentOf(as.gpuTable(), vm::vpnOf(a.addr)).span, 256u);
     registry.deallocate(a);
 }
 
@@ -104,7 +105,7 @@ TEST_F(AllocTest, HipHostMallocIsBalancedButFragmentFree)
     auto frame_list = as.framesOf(a.addr, a.size);
     EXPECT_EQ(frame_list.size(), 256u);
     EXPECT_GT(geom.stackBalance(frame_list), 0.95);
-    EXPECT_LE(as.gpuTable().fragmentOf(vm::vpnOf(a.addr)).span, 4u);
+    EXPECT_LE(test::fragmentOf(as.gpuTable(), vm::vpnOf(a.addr)).span, 4u);
     registry.deallocate(a);
 }
 

@@ -11,6 +11,7 @@
 #include "cache/directory.hh"
 #include "common/log.hh"
 #include "core/system.hh"
+#include "gpu_table_util.hh"
 #include "workloads/workload.hh"
 
 namespace upm {
@@ -172,6 +173,60 @@ TEST(AuditSeeded, MirrorDivergenceReportedPerPageInVpnOrder)
         EXPECT_EQ(found[before + i].kind, ViolationKind::MirrorDivergence);
         EXPECT_EQ(found[before + i].addr, want[i].first);
         EXPECT_EQ(found[before + i].detail, want[i].second);
+    }
+
+    // The teardown check walks the same runs: drop the system PTE of
+    // one page inside the shifted stretch behind HMM's back, and every
+    // GPU page must get its per-page verdict, in vpn order, before any
+    // other finalize record.
+    as.systemTable().remove(d + 9);
+    struct Record
+    {
+        ViolationKind kind;
+        std::uint64_t addr;
+        std::string detail;
+    };
+    std::vector<Record> want_final;
+    test::forRange(
+        as.gpuTable(), 0, ~0ull, [&](vm::Vpn v, const vm::GpuPte &gpu_pte) {
+            auto sys_pte = as.systemTable().lookup(v);
+            auto vpn = static_cast<unsigned long long>(v);
+            auto gpu_frame = static_cast<unsigned long long>(gpu_pte.frame);
+            if (!sys_pte) {
+                want_final.push_back(
+                    {ViolationKind::StaleMirror, vm::addrOf(v),
+                     strprintf("GPU PTE for vpn 0x%llx (frame %llu) has "
+                               "no system PTE: the MMU notifier missed "
+                               "an invalidation",
+                               vpn, gpu_frame)});
+            } else if (sys_pte->frame != gpu_pte.frame) {
+                want_final.push_back(
+                    {ViolationKind::MirrorDivergence, vm::addrOf(v),
+                     strprintf("vpn 0x%llx: system PTE maps frame %llu "
+                               "but GPU PTE maps frame %llu",
+                               vpn,
+                               static_cast<unsigned long long>(
+                                   sys_pte->frame),
+                               gpu_frame)});
+            }
+        });
+    ASSERT_EQ(want_final.size(), want.size());
+    EXPECT_EQ(want_final[2].kind, ViolationKind::StaleMirror);
+    EXPECT_EQ(want_final[2].addr, vm::addrOf(d + 9));
+
+    std::size_t at = sys.auditor()->violations().size();
+    sys.finalizeAudit();
+    const auto &final_found = sys.auditor()->violations();
+    ASSERT_GE(final_found.size() - at, want_final.size());
+    for (std::size_t i = 0; i < want_final.size(); ++i) {
+        EXPECT_EQ(final_found[at + i].kind, want_final[i].kind);
+        EXPECT_EQ(final_found[at + i].addr, want_final[i].addr);
+        EXPECT_EQ(final_found[at + i].detail, want_final[i].detail);
+    }
+    for (std::size_t i = at + want_final.size(); i < final_found.size();
+         ++i) {
+        EXPECT_NE(final_found[i].kind, ViolationKind::StaleMirror);
+        EXPECT_NE(final_found[i].kind, ViolationKind::MirrorDivergence);
     }
 }
 

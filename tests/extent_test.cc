@@ -18,6 +18,7 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "exec/task_pool.hh"
+#include "gpu_table_util.hh"
 #include "mem/interval_set.hh"
 #include "vm/gpu_page_table.hh"
 #include "vm/page_table.hh"
@@ -192,16 +193,24 @@ TEST(GpuExtents, RemoveRangeSplitsAndKeepsFragments)
     vm::GpuPageTable pt;
     pt.insertRange(0, 16, 0);
     pt.recomputeFragments(0, 16);
-    EXPECT_EQ(pt.fragmentOf(0).span, 16u);
+    EXPECT_EQ(test::fragmentOf(pt, 0).span, 16u);
     // Punch a hole; the surviving pages keep their (now stale) stamps,
     // exactly as the driver leaves PTEs outside the unmap window alone.
     pt.removeRange(4, 8);
-    EXPECT_EQ(pt.presentCount(), 12u);
-    EXPECT_EQ(pt.runCount(), 2u);
+    EXPECT_EQ(pt.translations().presentCount(), 12u);
+    EXPECT_EQ(pt.translations().runCount(), 2u);
     EXPECT_EQ(pt.lookup(2)->fragment, 4u);
     EXPECT_EQ(pt.lookup(8)->fragment, 4u);
     // Restamping only the tail updates just the tail.
     pt.recomputeFragments(8, 16);
+    EXPECT_EQ(pt.lookup(2)->fragment, 4u);
+    EXPECT_EQ(pt.lookup(8)->fragment, 3u);
+    // Unmapping dropped the hole's stamps: re-inserted pages read as
+    // fresh PTEs (fragment 0) until the next scan covers them, while
+    // their neighbours keep theirs.
+    pt.insertRange(4, 4, 4);
+    for (Vpn vpn = 4; vpn < 8; ++vpn)
+        EXPECT_EQ(pt.lookup(vpn)->fragment, 0u) << vpn;
     EXPECT_EQ(pt.lookup(2)->fragment, 4u);
     EXPECT_EQ(pt.lookup(8)->fragment, 3u);
 }
@@ -227,7 +236,7 @@ TEST(GpuExtents, ScatterRunStampsByValue)
     // contiguous stretch must stamp exactly as a strided insert would.
     std::vector<mem::FrameId> frames = {50, 9, 10, 11, 12, 70};
     pt.insertFrames(8, frames.data(), frames.size());
-    EXPECT_EQ(pt.runCount(), 1u);
+    EXPECT_EQ(pt.translations().runCount(), 1u);
     pt.recomputeFragments(8, 14);
     EXPECT_EQ(pt.lookup(8)->fragment, 0u);   // frame 50, alone
     EXPECT_EQ(pt.lookup(9)->fragment, 0u);   // vpn 9 odd: align 0
@@ -240,7 +249,7 @@ TEST(GpuExtents, ScatterRunStampsByValue)
     EXPECT_EQ(pt.lookup(9)->frame, 9u);
     EXPECT_EQ(pt.lookup(12)->frame, 12u);
     EXPECT_EQ(pt.lookup(13)->frame, 70u);
-    EXPECT_EQ(pt.runCount(), 2u);
+    EXPECT_EQ(pt.translations().runCount(), 2u);
 }
 
 namespace {
@@ -473,7 +482,7 @@ TEST_P(ExtentParity, SystemTableMatchesPerPageModel)
 }
 
 /**
- * Randomized parity of the extent GPU table (RLE fragment segments)
+ * Randomized parity of the extent GPU table (nonzero stamp map)
  * against the per-page driver scan it replaced: every per-page
  * fragment value, lookup, and histogram must match after arbitrary
  * interleavings of inserts, windowed recomputes, and removals.
@@ -549,7 +558,7 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
                 const auto &pte = ref.all().at(vpn);
                 EXPECT_EQ(got->frame, pte.frame);
                 EXPECT_EQ(got->fragment, pte.fragment);
-                auto frag = pt.fragmentOf(vpn);
+                auto frag = test::fragmentOf(pt, vpn);
                 std::uint64_t span = 1ull << pte.fragment;
                 EXPECT_EQ(frag.span, span);
                 EXPECT_EQ(frag.base, vpn & ~(span - 1));
@@ -561,7 +570,7 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
 
     // Per-page walk parity, including fragment stamps.
     std::vector<std::pair<Vpn, vm::GpuPte>> walked;
-    pt.forRange(0, kSpace, [&](Vpn vpn, const vm::GpuPte &pte) {
+    test::forRange(pt, 0, kSpace, [&](Vpn vpn, const vm::GpuPte &pte) {
         walked.emplace_back(vpn, pte);
     });
     ASSERT_EQ(walked.size(), ref.all().size());
@@ -574,7 +583,7 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
     }
 
     // Histogram parity.
-    auto hist = pt.fragmentHistogram(0, kSpace);
+    auto hist = test::fragmentHistogram(pt, 0, kSpace);
     std::vector<std::uint64_t> ref_hist(
         vm::GpuPageTable::kMaxFragment + 1, 0);
     for (const auto &[vpn, pte] : ref.all()) {
@@ -582,7 +591,7 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
         ++ref_hist[pte.fragment];
     }
     EXPECT_EQ(hist, ref_hist);
-    EXPECT_EQ(pt.presentCount(), ref.all().size());
+    EXPECT_EQ(pt.translations().presentCount(), ref.all().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentParity,

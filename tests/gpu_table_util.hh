@@ -1,0 +1,66 @@
+/**
+ * @file
+ * Per-page views of a vm::GpuPageTable for tests, built only on its
+ * public lookup() and forEachFragmentRun(): a page-by-page walk, the
+ * fragment block covering a page, and the fragment-size histogram.
+ */
+
+#ifndef UPM_TESTS_GPU_TABLE_UTIL_HH
+#define UPM_TESTS_GPU_TABLE_UTIL_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "common/log.hh"
+#include "vm/gpu_page_table.hh"
+
+namespace upm::test {
+
+/** The fragment block a UTCL1 fill would cover. */
+struct Fragment
+{
+    vm::Vpn base = 0;
+    std::uint64_t span = 1;  //!< pages
+};
+
+/** Fragment containing @p vpn. Panics if @p vpn is not mapped. */
+inline Fragment
+fragmentOf(const vm::GpuPageTable &pt, vm::Vpn vpn)
+{
+    auto pte = pt.lookup(vpn);
+    if (!pte)
+        panic("fragmentOf on absent vpn 0x%llx",
+              static_cast<unsigned long long>(vpn));
+    std::uint64_t span = 1ull << pte->fragment;
+    return Fragment{vpn & ~(span - 1), span};
+}
+
+/** Visit present PTEs in [begin, end) in vpn order:
+ *  fn(Vpn, const vm::GpuPte &). */
+template <typename Fn>
+void
+forRange(const vm::GpuPageTable &pt, vm::Vpn begin, vm::Vpn end, Fn &&fn)
+{
+    pt.forEachFragmentRun(
+        begin, end, [&](vm::Vpn seg_begin, std::uint64_t len, std::uint8_t) {
+            for (vm::Vpn vpn = seg_begin; vpn < seg_begin + len; ++vpn)
+                fn(vpn, *pt.lookup(vpn));
+        });
+}
+
+/** Pages of [begin, end) per fragment log2-size. */
+inline std::vector<std::uint64_t>
+fragmentHistogram(const vm::GpuPageTable &pt, vm::Vpn begin, vm::Vpn end)
+{
+    std::vector<std::uint64_t> histogram(vm::GpuPageTable::kMaxFragment + 1,
+                                         0);
+    pt.forEachFragmentRun(
+        begin, end, [&](vm::Vpn, std::uint64_t len, std::uint8_t frag) {
+            histogram[frag] += len;
+        });
+    return histogram;
+}
+
+} // namespace upm::test
+
+#endif // UPM_TESTS_GPU_TABLE_UTIL_HH

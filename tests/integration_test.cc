@@ -12,6 +12,7 @@
 #include "core/latency_probe.hh"
 #include "core/stream_probe.hh"
 #include "core/system.hh"
+#include "gpu_table_util.hh"
 
 namespace upm {
 namespace {
@@ -138,8 +139,8 @@ TEST(Integration, FragmentPipelineFromBuddyToTlb)
     hip::DevPtr a = rt.hipMalloc(64 * MiB);
     hip::DevPtr b = rt.hipHostMalloc(64 * MiB);
 
-    auto frag_a = rt.addressSpace().gpuTable().fragmentOf(vm::vpnOf(a));
-    auto frag_b = rt.addressSpace().gpuTable().fragmentOf(vm::vpnOf(b));
+    auto frag_a = test::fragmentOf(rt.addressSpace().gpuTable(), vm::vpnOf(a));
+    auto frag_b = test::fragmentOf(rt.addressSpace().gpuTable(), vm::vpnOf(b));
     EXPECT_GT(frag_a.span, 1000u);
     EXPECT_LE(frag_b.span, 4u);
 

@@ -10,6 +10,7 @@
 
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "gpu_table_util.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_handler.hh"
 
@@ -72,7 +73,7 @@ TEST(GpuPageTable, ContiguousRunGetsLargeFragments)
     for (Vpn vpn = 0; vpn < 64; ++vpn)
         pt.insert(64 + vpn, 128 + vpn);
     pt.recomputeFragments(64, 128);
-    auto frag = pt.fragmentOf(64);
+    auto frag = test::fragmentOf(pt, 64);
     EXPECT_EQ(frag.span, 64u);
     EXPECT_EQ(frag.base, 64u);
 }
@@ -84,7 +85,7 @@ TEST(GpuPageTable, ScatteredFramesGetUnitFragments)
         pt.insert(vpn, vpn * 7 + 3);  // physically discontiguous
     pt.recomputeFragments(0, 32);
     for (Vpn vpn = 0; vpn < 32; ++vpn)
-        EXPECT_EQ(pt.fragmentOf(vpn).span, 1u) << vpn;
+        EXPECT_EQ(test::fragmentOf(pt, vpn).span, 1u) << vpn;
 }
 
 TEST(GpuPageTable, MisalignedRunSplitsGreedily)
@@ -95,8 +96,8 @@ TEST(GpuPageTable, MisalignedRunSplitsGreedily)
     for (Vpn vpn = 2; vpn < 8; ++vpn)
         pt.insert(vpn, vpn);
     pt.recomputeFragments(0, 16);
-    EXPECT_EQ(pt.fragmentOf(2).span, 2u);
-    EXPECT_EQ(pt.fragmentOf(4).span, 4u);
+    EXPECT_EQ(test::fragmentOf(pt, 2).span, 2u);
+    EXPECT_EQ(test::fragmentOf(pt, 4).span, 4u);
 }
 
 TEST(GpuPageTable, FlagBoundarySplitsRun)
@@ -106,10 +107,10 @@ TEST(GpuPageTable, FlagBoundarySplitsRun)
     for (Vpn vpn = 0; vpn < 8; ++vpn)
         pt.insert(vpn, vpn, vpn < 4 ? PteFlags{} : pinned);
     pt.recomputeFragments(0, 8);
-    EXPECT_EQ(pt.fragmentOf(0).span, 4u);
-    EXPECT_EQ(pt.fragmentOf(4).span, 4u);
-    EXPECT_EQ(pt.fragmentOf(3).base, 0u);
-    EXPECT_EQ(pt.fragmentOf(7).base, 4u);
+    EXPECT_EQ(test::fragmentOf(pt, 0).span, 4u);
+    EXPECT_EQ(test::fragmentOf(pt, 4).span, 4u);
+    EXPECT_EQ(test::fragmentOf(pt, 3).base, 0u);
+    EXPECT_EQ(test::fragmentOf(pt, 7).base, 4u);
 }
 
 TEST(GpuPageTable, PhysicalMisalignmentLimitsFragment)
@@ -120,9 +121,9 @@ TEST(GpuPageTable, PhysicalMisalignmentLimitsFragment)
         pt.insert(vpn, vpn + 1);
     pt.recomputeFragments(0, 16);
     // frame 1 has tz 0 -> first block span 1.
-    EXPECT_EQ(pt.fragmentOf(0).span, 1u);
+    EXPECT_EQ(test::fragmentOf(pt, 0).span, 1u);
     // frame 2 at vpn 1: min(tz(1), tz(2)) = 0 -> span 1 again.
-    EXPECT_EQ(pt.fragmentOf(1).span, 1u);
+    EXPECT_EQ(test::fragmentOf(pt, 1).span, 1u);
 }
 
 /** Fragment invariants over random populations. */
@@ -149,7 +150,7 @@ TEST_P(FragmentProperty, FragmentsAreAlignedCoveringBlocks)
     }
     pt.recomputeFragments(0, vpn + 1);
 
-    pt.forRange(0, vpn + 1, [&](Vpn v, const GpuPte &pte) {
+    test::forRange(pt, 0, vpn + 1, [&](Vpn v, const GpuPte &pte) {
         std::uint64_t span = 1ull << pte.fragment;
         Vpn base = v & ~(span - 1);
         // Every page of the fragment block must exist, be contiguous
@@ -246,7 +247,7 @@ TEST_F(AddressSpaceTest, PopulateContiguousMapsBothTables)
     EXPECT_TRUE(as.cpuPresent(base));
     EXPECT_TRUE(as.gpuPresent(base));
     // Contiguous placement earns a large fragment.
-    EXPECT_GE(as.gpuTable().fragmentOf(vpnOf(base)).span, 256u);
+    EXPECT_GE(test::fragmentOf(as.gpuTable(), vpnOf(base)).span, 256u);
 }
 
 TEST_F(AddressSpaceTest, GpuFaultWithoutXnackIsViolation)
@@ -293,8 +294,8 @@ TEST_F(AddressSpaceTest, GpuMajorPlacementIsBalancedButFragmentFree)
     auto frame_list = as.framesOf(base, 4 * MiB);
     EXPECT_GT(geom.stackBalance(frame_list), 0.9);
     // Virtually-random arrival order prevents large fragments.
-    auto hist = as.gpuTable().fragmentHistogram(vpnOf(base),
-                                                vpnOf(base) + 1024);
+    auto hist = test::fragmentHistogram(as.gpuTable(), vpnOf(base),
+                                        vpnOf(base) + 1024);
     std::uint64_t small = hist[0] + hist[1] + hist[2];
     EXPECT_GT(small, 900u);
 }

@@ -10,6 +10,31 @@
 
 namespace upm::mem {
 
+namespace {
+
+/**
+ * First index in [begin, end) whose bit in @p words is @p set, or end;
+ * a word at a time. Bits of @p words past @p end are never read as a
+ * hit.
+ */
+std::uint64_t
+findBit(const std::vector<std::uint64_t> &words, std::uint64_t begin,
+        std::uint64_t end, bool set)
+{
+    while (begin < end) {
+        std::size_t w = begin / 64;
+        std::uint64_t word = set ? words[w] : ~words[w];
+        word &= ~0ull << (begin % 64);
+        if (word != 0)
+            return std::min<std::uint64_t>(end,
+                                           w * 64 + std::countr_zero(word));
+        begin = (w + 1) * 64;
+    }
+    return end;
+}
+
+} // namespace
+
 FrameAllocator::FrameAllocator(const MemGeometry &geometry,
                                const FrameAllocatorConfig &config,
                                FrameId base_frame, unsigned socket,
@@ -198,13 +223,12 @@ FrameAllocator::refillOnDemandPool()
     std::uint64_t n = 1ull << order;
     unsigned stacks = geom.numStacks();
     unsigned start = static_cast<unsigned>(rng.nextBelow(stacks));
-    for (unsigned s = 0; s < stacks; ++s) {
-        unsigned stack = (start + s) % stacks;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            FrameId f = base + i;
-            if (geom.stackOfFrame(f) == stack)
-                onDemandPool.push_back(f);
-        }
+    for (unsigned s = 0, stack = start; s < stacks; ++s) {
+        for (FrameId f = geom.firstFrameOnStack(base, stack); f < base + n;
+             f += stacks)
+            onDemandPool.push_back(f);
+        if (++stack == stacks)
+            stack = 0;
     }
     if (tr != nullptr)
         tr->emitAt(socketId, trace::EventKind::PoolRefill, base + baseF,
@@ -219,17 +243,21 @@ FrameAllocator::allocScattered(std::uint64_t n, std::vector<FrameId> &out)
         return false;
     std::size_t start_size = out.size();
     // Appended ids stay shard-local until success so the rollback path
-    // can feed them straight back to the local buddy.
-    for (std::uint64_t i = 0; i < n; ++i) {
+    // can feed them straight back to the local buddy. The pool is
+    // drained in whole stretches; it refills only when empty, exactly
+    // as a frame-at-a-time grab would.
+    for (std::uint64_t remaining = n; remaining > 0;) {
         if (onDemandPool.empty() && !refillOnDemandPool()) {
-            // Roll back.
-            for (std::size_t j = start_size; j < out.size(); ++j)
-                releaseRange({out[j], 1});
-            out.resize(start_size);
+            rollback(out, start_size);
             return false;
         }
-        out.push_back(onDemandPool.front());
-        onDemandPool.pop_front();
+        auto take = static_cast<std::ptrdiff_t>(
+            std::min<std::uint64_t>(remaining, onDemandPool.size()));
+        out.insert(out.end(), onDemandPool.begin(),
+                   onDemandPool.begin() + take);
+        onDemandPool.erase(onDemandPool.begin(),
+                           onDemandPool.begin() + take);
+        remaining -= static_cast<std::uint64_t>(take);
     }
     for (std::size_t j = start_size; j < out.size(); ++j)
         out[j] += baseF;
@@ -295,20 +323,22 @@ FrameAllocator::refillStackPools()
     std::uint64_t n = 1ull << order;
     unsigned stacks = geom.numStacks();
 
-    // Collect per-stack, then append each stack's list rotated by its
-    // stack id: the round-robin consumer then receives frames that are
-    // stack-balanced but never physically adjacent (pinned buffers are
-    // assembled page-by-page on the real system, not carved whole).
-    std::vector<std::vector<FrameId>> collected(stacks);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        FrameId f = base + i;
-        collected[geom.stackOfFrame(f)].push_back(f);
-    }
+    // Append each stack's frames of the block (an arithmetic
+    // progression) rotated by its stack id: the round-robin consumer
+    // then receives frames that are stack-balanced but never
+    // physically adjacent (pinned buffers are assembled page-by-page
+    // on the real system, not carved whole).
     for (unsigned s = 0; s < stacks; ++s) {
-        auto &list = collected[s];
-        std::size_t rot = list.empty() ? 0 : s % list.size();
-        for (std::size_t i = 0; i < list.size(); ++i)
-            stackPools[s].push_back(list[(i + rot) % list.size()]);
+        FrameId first = geom.firstFrameOnStack(base, s);
+        if (first >= base + n)
+            continue;
+        std::uint64_t count = ceilDiv(base + n - first, stacks);
+        std::uint64_t rot = s % count;
+        auto &pool = stackPools[s];
+        for (std::uint64_t i = rot; i < count; ++i)
+            pool.push_back(first + i * stacks);
+        for (std::uint64_t i = 0; i < rot; ++i)
+            pool.push_back(first + i * stacks);
     }
     if (tr != nullptr)
         tr->emitAt(socketId, trace::EventKind::PoolRefill, base + baseF,
@@ -322,31 +352,30 @@ FrameAllocator::allocInterleaved(std::uint64_t n, std::vector<FrameId> &out)
     if (inj != nullptr && inj->failFrameAlloc(n))
         return false;
     std::size_t start_size = out.size();
+    unsigned stacks = geom.numStacks();
     if (stackPools.empty())
-        stackPools.resize(geom.numStacks());
+        stackPools.resize(stacks);
+    auto next_of = [stacks](unsigned stack) {
+        return stack + 1 == stacks ? 0 : stack + 1;
+    };
     for (std::uint64_t i = 0; i < n; ++i) {
         unsigned tried = 0;
-        while (stackPools[nextStack].empty() &&
-               tried < geom.numStacks()) {
-            nextStack = (nextStack + 1) % geom.numStacks();
+        while (stackPools[nextStack].empty() && tried < stacks) {
+            nextStack = next_of(nextStack);
             ++tried;
         }
-        if (stackPools[nextStack].empty()) {
-            if (!refillStackPools()) {
-                for (std::size_t j = start_size; j < out.size(); ++j)
-                    releaseRange({out[j], 1});
-                out.resize(start_size);
-                return false;
-            }
+        if (stackPools[nextStack].empty() && !refillStackPools()) {
+            rollback(out, start_size);
+            return false;
         }
         // After a refill the preferred stack may still be empty on a
         // fragmented node; fall back to any non-empty pool.
         unsigned stack = nextStack;
         while (stackPools[stack].empty())
-            stack = (stack + 1) % geom.numStacks();
+            stack = next_of(stack);
         out.push_back(stackPools[stack].front());
         stackPools[stack].pop_front();
-        nextStack = (stack + 1) % geom.numStacks();
+        nextStack = next_of(stack);
     }
     for (std::size_t j = start_size; j < out.size(); ++j)
         out[j] += baseF;
@@ -453,6 +482,16 @@ FrameAllocator::releaseRange(const FrameRange &range)
 }
 
 void
+FrameAllocator::rollback(std::vector<FrameId> &out, std::size_t start)
+{
+    std::vector<FrameRange> ranges;
+    appendFrameStretches(out.data() + start, out.size() - start, ranges);
+    for (const auto &range : ranges)
+        releaseRange(range);
+    out.resize(start);
+}
+
+void
 FrameAllocator::seedBusyBits(const FrameRange &range, bool busy)
 {
     if (!ownsFrame(range.base) ||
@@ -466,15 +505,7 @@ FrameAllocator::seedBusyBits(const FrameRange &range, bool busy)
 FrameId
 FrameAllocator::findBusy(FrameId begin, FrameId end, bool busy) const
 {
-    while (begin < end) {
-        std::size_t w = begin / 64;
-        std::uint64_t word = busy ? busyWords[w] : ~busyWords[w];
-        word &= ~0ull << (begin % 64);
-        if (word != 0)
-            return std::min<FrameId>(end, w * 64 + std::countr_zero(word));
-        begin = (w + 1) * 64;
-    }
-    return end;
+    return findBit(busyWords, begin, end, busy);
 }
 
 void
@@ -591,6 +622,90 @@ FrameAllocator::perStackFree() const
             ++free_per_stack[geom.stackOfFrame(f)];
     }
     return free_per_stack;
+}
+
+namespace {
+
+/**
+ * Coalesce through a bitmap over [min, max] while the span is at most
+ * this many frames per frame (the bitmap then has no more words to
+ * scan than there are frames); sort sparser sets. Scatter runs are
+ * mostly shuffles of whole pool blocks, a span per frame near 1, so
+ * nearly all of them take the bitmap.
+ */
+constexpr std::uint64_t kDenseSpanPerFrame = 64;
+
+[[noreturn]] void
+duplicateFrame(FrameId frame)
+{
+    panic("frame %llu appears twice in one free",
+          static_cast<unsigned long long>(frame));
+}
+
+} // namespace
+
+void
+appendFrameStretches(const FrameId *frames, std::uint64_t n,
+                     std::vector<FrameRange> &out)
+{
+    if (n == 0)
+        return;
+    auto [lo, hi] = std::minmax_element(frames, frames + n);
+    FrameId min = *lo;
+    std::uint64_t span = *hi - min + 1;
+    if (span / kDenseSpanPerFrame <= n) {
+        std::vector<std::uint64_t> bits(ceilDiv(span, 64), 0);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            std::uint64_t off = frames[i] - min;
+            std::uint64_t bit = 1ull << (off % 64);
+            if ((bits[off / 64] & bit) != 0)
+                duplicateFrame(frames[i]);
+            bits[off / 64] |= bit;
+        }
+        for (std::uint64_t off = 0; off < span;) {
+            std::uint64_t end = findBit(bits, off, span, false);
+            out.push_back({min + off, end - off});
+            off = findBit(bits, end, span, true);
+        }
+        return;
+    }
+    std::vector<FrameId> sorted(frames, frames + n);
+    std::sort(sorted.begin(), sorted.end());
+    std::size_t i = 0;
+    while (i < sorted.size()) {
+        std::size_t j = i + 1;
+        while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1)
+            ++j;
+        if (j < sorted.size() && sorted[j] == sorted[j - 1])
+            duplicateFrame(sorted[j]);
+        out.push_back({sorted[i], j - i});
+        i = j;
+    }
+}
+
+void
+mergeFrameRanges(std::vector<FrameRange> &ranges)
+{
+    std::sort(ranges.begin(), ranges.end(),
+              [](const FrameRange &a, const FrameRange &b) {
+                  return a.base < b.base;
+              });
+    std::size_t kept = 0;
+    for (const FrameRange &range : ranges) {
+        if (range.count == 0)
+            continue;
+        if (kept != 0) {
+            FrameRange &last = ranges[kept - 1];
+            if (range.base < last.base + last.count)
+                duplicateFrame(range.base);
+            if (range.base == last.base + last.count) {
+                last.count += range.count;
+                continue;
+            }
+        }
+        ranges[kept++] = range;
+    }
+    ranges.resize(kept);
 }
 
 } // namespace upm::mem

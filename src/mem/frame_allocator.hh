@@ -48,6 +48,23 @@ struct FrameRange
     bool operator==(const FrameRange &) const = default;
 };
 
+/**
+ * Append the distinct frames @p frames[0..n) (any order) to @p out as
+ * their maximal contiguous ranges, ascending: the intervals an
+ * IntervalSet of the frames would hold. Panics if a frame appears
+ * twice. Dense sets go through a bitmap over [min, max], sparse ones
+ * through a sort.
+ */
+void appendFrameStretches(const FrameId *frames, std::uint64_t n,
+                          std::vector<FrameRange> &out);
+
+/**
+ * Sort @p ranges by base and merge touching ones in place, so they
+ * become the maximal intervals of their union. Panics if two ranges
+ * overlap (a frame freed twice).
+ */
+void mergeFrameRanges(std::vector<FrameRange> &ranges);
+
 /** Tunables for the on-demand path. */
 struct FrameAllocatorConfig
 {
@@ -245,6 +262,10 @@ class FrameAllocator
     /** Return known-valid frames without emitting FrameFree (rollback
      *  of partially-completed allocations). */
     void releaseRange(const FrameRange &range);
+    /** Roll back a failed single-frame allocation: release the
+     *  shard-local frames out[start..] as coalesced ranges and drop
+     *  them from @p out. */
+    void rollback(std::vector<FrameId> &out, std::size_t start);
     /** Emit FrameAlloc events for out[start..], coalescing physically
      *  adjacent frames into single run events. */
     void emitFrameAllocs(const std::vector<FrameId> &out,

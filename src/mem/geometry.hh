@@ -62,6 +62,18 @@ class MemGeometry
     /** Stack owning @p frame (4 KiB page interleave across stacks). */
     unsigned stackOfFrame(FrameId frame) const;
 
+    /**
+     * First frame at or after @p from on @p stack. The frames of one
+     * stack step by numStacks(), so a block's frames on that stack are
+     * firstFrameOnStack(base, stack) + k * numStacks().
+     */
+    FrameId
+    firstFrameOnStack(FrameId from, unsigned stack) const
+    {
+        unsigned from_stack = stackOfFrame(from);
+        return from + (stack + cfg.numStacks - from_stack) % cfg.numStacks;
+    }
+
     /** Channel servicing @p addr. */
     unsigned channelOf(PhysAddr addr) const;
 

@@ -84,45 +84,6 @@ class IntervalSet
         ++count;
     }
 
-    /**
-     * Insert [start, start+len), merging with neighbours. Panics if
-     * any key in the range is already present.
-     */
-    void
-    insertRange(std::uint64_t start, std::uint64_t len)
-    {
-        if (len == 0)
-            return;
-        auto next = ivals.upper_bound(start);
-        auto prev = next;
-        bool joins_prev = false;
-        if (prev != ivals.begin()) {
-            --prev;
-            if (start < prev->second)
-                panic("IntervalSet: duplicate insert of %llu",
-                      static_cast<unsigned long long>(start));
-            joins_prev = prev->second == start;
-        }
-        if (next != ivals.end() && next->first < start + len)
-            panic("IntervalSet: duplicate insert of %llu",
-                  static_cast<unsigned long long>(next->first));
-        bool joins_next =
-            next != ivals.end() && next->first == start + len;
-        if (joins_prev && joins_next) {
-            prev->second = next->second;
-            ivals.erase(next);
-        } else if (joins_prev) {
-            prev->second = start + len;
-        } else if (joins_next) {
-            std::uint64_t end = next->second;
-            ivals.erase(next);
-            ivals.emplace(start, end);
-        } else {
-            ivals.emplace_hint(next, start, start + len);
-        }
-        count += len;
-    }
-
     /** Erase @p key, splitting its interval. Panics if absent. */
     void
     erase(std::uint64_t key)

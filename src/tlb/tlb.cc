@@ -1,5 +1,7 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/units.hh"
 
@@ -11,17 +13,20 @@ FragTlb::FragTlb(const FragTlbConfig &config) : cfg(config)
         fatal("FragTlb needs at least one entry");
     if (cfg.maxSpanPages == 0 || !isPow2(cfg.maxSpanPages))
         fatal("FragTlb max span must be a power of two");
-    entries.resize(cfg.entries);
+    base.assign(cfg.entries, 0);
+    span.assign(cfg.entries, 0);
+    lru.assign(cfg.entries, 0);
 }
 
 bool
 FragTlb::lookup(Vpn vpn)
 {
     ++stamp;
-    for (auto &entry : entries) {
-        if (entry.span != 0 && vpn >= entry.base &&
-            vpn < entry.base + entry.span) {
-            entry.lru = stamp;
+    // One unsigned compare per entry: vpn - base wraps past any span
+    // when vpn < base, and nothing is below an invalid entry's span 0.
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        if (vpn - base[i] < span[i]) {
+            lru[i] = stamp;
             ++hitCount;
             return true;
         }
@@ -41,33 +46,27 @@ FragTlb::insert(Vpn vpn, Vpn frag_base, std::uint64_t frag_span)
     // Clamp to the aligned block of maxSpanPages containing vpn. The
     // fragment is pow2-aligned by construction, so the clamped block is
     // fully covered by the same fragment.
-    std::uint64_t span = frag_span;
-    Vpn base = frag_base;
-    if (span > cfg.maxSpanPages) {
-        span = cfg.maxSpanPages;
-        base = vpn & ~static_cast<Vpn>(span - 1);
+    std::uint64_t entry_span = frag_span;
+    Vpn entry_base = frag_base;
+    if (entry_span > cfg.maxSpanPages) {
+        entry_span = cfg.maxSpanPages;
+        entry_base = vpn & ~static_cast<Vpn>(entry_span - 1);
     }
 
-    Entry *victim = &entries[0];
-    for (auto &entry : entries) {
-        if (entry.span == 0) {
-            victim = &entry;
-            break;
-        }
-        if (entry.lru < victim->lru)
-            victim = &entry;
-    }
+    // LRU victim; the first invalid entry (lru 0) wins.
+    auto victim = static_cast<std::size_t>(
+        std::min_element(lru.begin(), lru.end()) - lru.begin());
     ++stamp;
-    victim->base = base;
-    victim->span = span;
-    victim->lru = stamp;
+    base[victim] = entry_base;
+    span[victim] = entry_span;
+    lru[victim] = stamp;
 }
 
 void
 FragTlb::flush()
 {
-    for (auto &entry : entries)
-        entry.span = 0;
+    std::fill(span.begin(), span.end(), 0);
+    std::fill(lru.begin(), lru.end(), 0);
 }
 
 PlainTlb::PlainTlb(const PlainTlbConfig &config) : cfg(config)

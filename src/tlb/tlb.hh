@@ -67,15 +67,13 @@ class FragTlb
     const FragTlbConfig &config() const { return cfg; }
 
   private:
-    struct Entry
-    {
-        Vpn base = 0;
-        std::uint64_t span = 0;  // pages; 0 == invalid
-        std::uint64_t lru = 0;
-    };
-
     FragTlbConfig cfg;
-    std::vector<Entry> entries;
+    /** Entries as parallel arrays, scanned whole on every miss. Entry
+     *  i covers [base[i], base[i] + span[i]); span 0 == invalid, and
+     *  an invalid entry keeps lru 0, below every valid stamp. */
+    std::vector<Vpn> base;
+    std::vector<std::uint64_t> span;
+    std::vector<std::uint64_t> lru;
     std::uint64_t stamp = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;

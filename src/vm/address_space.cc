@@ -4,7 +4,6 @@
 
 #include "audit/auditor.hh"
 #include "common/log.hh"
-#include "mem/interval_set.hh"
 #include "trace/tracer.hh"
 
 namespace upm::vm {
@@ -164,27 +163,26 @@ AddressSpace::munmap(VirtAddr base)
     // said so); a failed free here is free-list/busy-bit divergence,
     // an internal invariant break, and stays a panic.
     //
-    // Batch: accumulate the freed frames into merged intervals first,
-    // then hand the buddy a few big ranges. Eager buddy merging makes
-    // the final free-list state a pure function of the free frame set,
-    // so this is equivalent to per-run frees -- audited or not, which
-    // keeps the FrameFree trace the same with UPMSan on.
-    mem::IntervalSet freed;
+    // Batch: coalesce the freed frames into their maximal intervals
+    // first, then hand the buddy a few big ranges. Eager buddy merging
+    // makes the final free-list state a pure function of the free
+    // frame set, so this is equivalent to per-run frees -- audited or
+    // not, which keeps the FrameFree trace the same with UPMSan on.
+    std::vector<mem::FrameRange> freed;
     sysTable.removeRange(
         vma.beginVpn(), vma.endVpn(), [&](const PteRun &cut) {
-            if (cut.scatter == nullptr) {
-                freed.insertRange(cut.frame, cut.len);
-            } else {
-                for (std::uint64_t i = 0; i < cut.len; ++i)
-                    freed.insert(cut.scatter[i]);
-            }
+            if (cut.scatter == nullptr)
+                freed.push_back({cut.frame, cut.len});
+            else
+                mem::appendFrameStretches(cut.scatter, cut.len, freed);
         });
-    freed.forEach([&](FrameId begin_frame, FrameId end_frame) {
-        if (!node.freeRange({begin_frame, end_frame - begin_frame})) {
+    mem::mergeFrameRanges(freed);
+    for (const auto &range : freed) {
+        if (!node.freeRange(range)) {
             panic("munmap freed a frame the allocator says is not "
                   "allocated");
         }
-    });
+    }
     for (const auto &replica : vma.replicaRanges) {
         if (!node.freeRange(replica))
             panic("munmap freed a replica frame the allocator says is "
@@ -588,8 +586,10 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
     // is a stack-balanced but virtually-random frame assignment: big
     // fragments never form, exactly as the paper's TLB-miss counts
     // show for GPU-initialized on-demand memory.
+    std::vector<std::pair<Vpn, Vpn>> gaps;
     std::vector<Vpn> holes;
     sysTable.forEachGap(first, last, [&](Vpn gap_begin, Vpn gap_end) {
+        gaps.emplace_back(gap_begin, gap_end);
         for (Vpn vpn = gap_begin; vpn < gap_end; ++vpn)
             holes.push_back(vpn);
     });
@@ -611,7 +611,9 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
         std::size_t j = static_cast<std::size_t>(faultRng.nextBelow(i));
         std::swap(holes[i - 1], holes[j]);
     }
-    PteFlags flags = flagsFor(*vma);
+    // Page holes[i] gets frame_list[i]; gather the frames by vpn so
+    // each gap is mapped as one run.
+    std::vector<FrameId> by_vpn(last - first);
     std::size_t run_end = 0; // exclusive end of the last emitted run
     for (std::size_t i = 0; i < holes.size(); ++i) {
         // The shuffled arrival order leaves little (vpn, frame)
@@ -628,7 +630,12 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
                      frame_list[i], 1);
             run_end = j + 1;
         }
-        sysTable.insert(holes[i], frame_list[i], flags);
+        by_vpn[holes[i] - first] = frame_list[i];
+    }
+    PteFlags flags = flagsFor(*vma);
+    for (const auto &[gap_begin, gap_end] : gaps) {
+        sysTable.insertFrames(gap_begin, by_vpn.data() + (gap_begin - first),
+                              gap_end - gap_begin, flags);
     }
     hmm.mirrorRange(first, last);
     vma->pagesPlaced += holes.size();

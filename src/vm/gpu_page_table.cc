@@ -1,5 +1,6 @@
 #include "vm/gpu_page_table.hh"
 
+#include <bit>
 #include <vector>
 
 #include "common/log.hh"
@@ -57,24 +58,6 @@ GpuPageTable::removeRange(Vpn begin, Vpn end)
     return ptes.removeRange(begin, end, [](const PteRun &) {});
 }
 
-namespace {
-
-/** Trailing zero count, saturated for zero input. */
-unsigned
-tzCount(std::uint64_t x)
-{
-    if (x == 0)
-        return 63;
-    unsigned n = 0;
-    while ((x & 1) == 0) {
-        x >>= 1;
-        ++n;
-    }
-    return n;
-}
-
-} // namespace
-
 void
 GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
 {
@@ -86,7 +69,9 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     // pages with consecutive frames and equal flags — so the result
     // does not depend on how the mapping is split into stored runs.
     // Greedily stamp each stretch with naturally-aligned power-of-two
-    // blocks; blocks are page-absolute and RLE-compressed.
+    // blocks; blocks are page-absolute and RLE-compressed. Only
+    // nonzero blocks are kept (fragment 0 is never stored), so
+    // fragment-0 blocks, one-page stretches among them, are skipped.
     struct Block
     {
         Vpn begin;
@@ -97,11 +82,16 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     auto stampStretch = [&](Vpn s, Vpn e, FrameId frame0) {
         Vpn v = s;
         while (v < e) {
-            unsigned align =
-                std::min(tzCount(v), tzCount(frame0 + (v - s)));
+            // countr_zero(0) == 64 is capped by kMaxFragment.
+            auto align = static_cast<unsigned>(std::min(
+                std::countr_zero(v), std::countr_zero(frame0 + (v - s))));
             unsigned len_log = floorLog2(e - v);
             unsigned frag = std::min({align, len_log, kMaxFragment});
             std::uint64_t block = 1ull << frag;
+            if (frag == 0) {
+                v += block;
+                continue;
+            }
             if (!blocks.empty() &&
                 blocks.back().frag == static_cast<std::uint8_t>(frag) &&
                 blocks.back().begin + blocks.back().len == v) {
@@ -152,13 +142,11 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
     if (open)
         stampStretch(s_begin, s_end, s_frame);
 
-    // Phase 2: the window's stamps are exactly the nonzero blocks.
+    // Phase 2: the window's stamps are exactly the blocks.
     eraseStamps(begin, end);
     auto hint = stamps.lower_bound(end);
-    for (const Block &b : blocks) {
-        if (b.frag != 0)
-            stamps.emplace_hint(hint, b.begin, Stamp{b.len, b.frag});
-    }
+    for (const Block &b : blocks)
+        stamps.emplace_hint(hint, b.begin, Stamp{b.len, b.frag});
 }
 
 } // namespace upm::vm

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
 #include <string>
 #include <tuple>
@@ -19,6 +20,8 @@
 #include "mem/backing_store.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/geometry.hh"
+#include "mem/interval_set.hh"
+#include "trace/tracer.hh"
 
 namespace upm::mem {
 namespace {
@@ -520,6 +523,290 @@ TEST(AuditedFrames, BusyBitDivergenceReportsEveryBusyFrame)
     ASSERT_EQ(aud.violations().size(), before + 3);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_EQ(aud.violations()[before + i].addr, base + 2 + i);
+}
+
+// ---------------------------------------------------------------------
+// Pool refills and rollbacks against the per-stack scans they replace.
+// ---------------------------------------------------------------------
+
+/**
+ * The on-demand and per-stack pools as they were filled and drained
+ * frame by frame: each refill scans its block once per stack through
+ * stackOfFrame. Driven by the PoolRefill blocks the allocator traced,
+ * so it predicts the exact frame sequence the pools must hand out.
+ * Works on global frame ids (the shard base is stack-aligned).
+ */
+class PerStackScanModel
+{
+  public:
+    PerStackScanModel(const MemGeometry &geometry, std::uint64_t seed)
+        : geom(geometry), rng(seed), stackPools(geometry.numStacks())
+    {}
+
+    /** Frames a successful allocScattered(n) hands out. */
+    std::vector<FrameId>
+    scattered(std::uint64_t n, std::deque<trace::TraceEvent> &refills)
+    {
+        std::vector<FrameId> out;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (onDemandPool.empty())
+                refillOnDemand(nextRefill(refills, 0));
+            out.push_back(onDemandPool.front());
+            onDemandPool.pop_front();
+        }
+        return out;
+    }
+
+    /** Frames a successful allocInterleaved(n) hands out. */
+    std::vector<FrameId>
+    interleaved(std::uint64_t n, std::deque<trace::TraceEvent> &refills)
+    {
+        std::vector<FrameId> out;
+        unsigned stacks = geom.numStacks();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            unsigned tried = 0;
+            while (stackPools[nextStack].empty() && tried < stacks) {
+                nextStack = (nextStack + 1) % stacks;
+                ++tried;
+            }
+            if (stackPools[nextStack].empty())
+                refillStacks(nextRefill(refills, 1));
+            unsigned stack = nextStack;
+            while (stackPools[stack].empty())
+                stack = (stack + 1) % stacks;
+            out.push_back(stackPools[stack].front());
+            stackPools[stack].pop_front();
+            nextStack = (stack + 1) % stacks;
+        }
+        return out;
+    }
+
+  private:
+    static trace::TraceEvent
+    nextRefill(std::deque<trace::TraceEvent> &refills, std::uint64_t kind)
+    {
+        if (refills.empty() || refills.front().c != kind)
+            ADD_FAILURE() << "model refilled where the allocator did not";
+        if (refills.empty())
+            return {};
+        trace::TraceEvent ev = refills.front();
+        refills.pop_front();
+        return ev;
+    }
+
+    void
+    refillOnDemand(const trace::TraceEvent &ev)
+    {
+        FrameId base = ev.a;
+        std::uint64_t n = ev.b;
+        unsigned stacks = geom.numStacks();
+        unsigned start = static_cast<unsigned>(rng.nextBelow(stacks));
+        for (unsigned s = 0; s < stacks; ++s) {
+            unsigned stack = (start + s) % stacks;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                FrameId f = base + i;
+                if (geom.stackOfFrame(f) == stack)
+                    onDemandPool.push_back(f);
+            }
+        }
+    }
+
+    void
+    refillStacks(const trace::TraceEvent &ev)
+    {
+        FrameId base = ev.a;
+        std::uint64_t n = ev.b;
+        unsigned stacks = geom.numStacks();
+        std::vector<std::vector<FrameId>> collected(stacks);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            FrameId f = base + i;
+            collected[geom.stackOfFrame(f)].push_back(f);
+        }
+        for (unsigned s = 0; s < stacks; ++s) {
+            auto &list = collected[s];
+            std::size_t rot = list.empty() ? 0 : s % list.size();
+            for (std::size_t i = 0; i < list.size(); ++i)
+                stackPools[s].push_back(list[(i + rot) % list.size()]);
+        }
+    }
+
+    const MemGeometry &geom;
+    SplitMix64 rng;
+    std::deque<FrameId> onDemandPool;
+    std::vector<std::deque<FrameId>> stackPools;
+    unsigned nextStack = 0;
+};
+
+/** Shard base used by the pool tests: nonzero and aligned to 1, 3
+ *  and 8 stacks. */
+constexpr FrameId kShardBase = 24 * 1024;
+
+MemGeometry
+stackGeometry(unsigned stacks)
+{
+    MemGeometryConfig cfg;
+    cfg.numStacks = stacks;
+    cfg.capacityBytes = 16 * MiB;  // 4096 frames: eight order-9 blocks
+    return MemGeometry(cfg);
+}
+
+/**
+ * Fragment @p alloc: take every frame, then free random short ranges
+ * (1..6 frames, 1..4 apart) below the top two order-9 blocks and those
+ * two whole, so refills take the order-9 blocks first and then fall
+ * back through orders 2, 1 and 0.
+ */
+void
+fragment(FrameAllocator &alloc, std::uint64_t seed)
+{
+    std::uint64_t n = alloc.totalFrames();
+    ASSERT_TRUE(alloc.allocRun(n).has_value());
+    SplitMix64 rng(seed);
+    FrameId top = alloc.baseFrame() + n - 1024;
+    for (FrameId f = alloc.baseFrame();;) {
+        f += 1 + rng.nextBelow(4);
+        std::uint64_t len = 1 + rng.nextBelow(6);
+        if (f + len > top)
+            break;
+        ASSERT_TRUE(alloc.freeRange({f, len}));
+        f += len;
+    }
+    ASSERT_TRUE(alloc.freeRange({top, 1024}));
+}
+
+class FramePools : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(FramePools, RefillMatchesPerStackScan)
+{
+    MemGeometry geom = stackGeometry(GetParam());
+    trace::Tracer tracer(trace::TraceConfig{.enabled = true});
+    FrameAllocatorConfig cfg;
+    FrameAllocator alloc(geom, cfg, kShardBase, 0, {.tr = &tracer});
+    fragment(alloc, 0x9001 + GetParam());
+    tracer.clear();
+
+    PerStackScanModel model(geom, cfg.seed);
+    SplitMix64 rng(0x9100 + GetParam());
+    // Each pool holds less than one order-9 block, so a request within
+    // this budget always succeeds.
+    std::uint64_t budget = alloc.freeFrames() - 1100;
+    std::uint64_t handed = 0;
+    std::uint64_t refills = 0;
+    std::uint64_t smallest_refill = ~0ull;
+    while (true) {
+        std::uint64_t n = 1 + rng.nextBelow(150);
+        if (n > budget)
+            break;
+        budget -= n;
+        bool interleaved = rng.nextBelow(2) == 1;
+        std::vector<FrameId> got;
+        ASSERT_TRUE(interleaved ? alloc.allocInterleaved(n, got)
+                                : alloc.allocScattered(n, got));
+        std::deque<trace::TraceEvent> pulled;
+        for (const auto &ev : tracer.events()) {
+            if (ev.kind == trace::EventKind::PoolRefill) {
+                pulled.push_back(ev);
+                smallest_refill = std::min(smallest_refill, ev.b);
+            }
+        }
+        refills += pulled.size();
+        tracer.clear();
+        std::vector<FrameId> want = interleaved
+                                        ? model.interleaved(n, pulled)
+                                        : model.scattered(n, pulled);
+        ASSERT_EQ(got, want) << "after " << handed << " frames";
+        EXPECT_TRUE(pulled.empty());
+        handed += n;
+    }
+    // The walk drained the whole blocks and fell back to blocks
+    // smaller than a stack stride, leaving some stacks no frame.
+    EXPECT_GT(refills, 100u);
+    EXPECT_LE(smallest_refill, 2u);
+    EXPECT_GT(handed, 1024u);
+}
+
+TEST_P(FramePools, FailedAllocLeavesStateIntact)
+{
+    MemGeometry geom = stackGeometry(GetParam());
+    for (bool interleaved : {false, true}) {
+        FrameAllocator alloc(geom, {}, kShardBase);
+        fragment(alloc, 0x9200 + GetParam());
+        std::uint64_t free_before = alloc.freeFrames();
+        std::uint64_t nodes_before = alloc.freeListNodes();
+        auto per_stack_before = alloc.perStackFree();
+        auto busy_before = alloc.busyMap();
+        std::vector<FrameId> out = {7, 9};
+        std::uint64_t n = free_before + 1;
+        EXPECT_FALSE(interleaved ? alloc.allocInterleaved(n, out)
+                                 : alloc.allocScattered(n, out));
+        EXPECT_EQ(out, (std::vector<FrameId>{7, 9}));
+        EXPECT_EQ(alloc.freeFrames(), free_before);
+        EXPECT_EQ(alloc.freeListNodes(), nodes_before);
+        EXPECT_EQ(alloc.perStackFree(), per_stack_before);
+        EXPECT_EQ(alloc.busyMap(), busy_before);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Stacks, FramePools, ::testing::Values(1, 3, 8));
+
+// ---------------------------------------------------------------------
+// Frame coalescing against the IntervalSet it replaces.
+// ---------------------------------------------------------------------
+
+/** The intervals an IntervalSet of @p frames holds, as ranges. */
+std::vector<FrameRange>
+intervalSetOf(const std::vector<FrameId> &frames)
+{
+    IntervalSet set;
+    for (FrameId f : frames)
+        set.insert(f);
+    std::vector<FrameRange> out;
+    set.forEach([&](std::uint64_t begin, std::uint64_t end) {
+        out.push_back({begin, end - begin});
+    });
+    return out;
+}
+
+TEST(FrameStretches, MatchIntervalSetDenseAndSparse)
+{
+    SplitMix64 rng(0x9300);
+    for (int round = 0; round < 64; ++round) {
+        // Dense rounds draw from a window a few times the count (the
+        // bitmap path), sparse ones from one far wider (the sort path).
+        bool dense = round % 2 == 0;
+        std::uint64_t n = 1 + rng.nextBelow(300);
+        std::uint64_t window = dense ? 2 * n + 70 : 1000 * n;
+        FrameId base = rng.nextBelow(1u << 20);
+        std::set<FrameId> picked;
+        while (picked.size() < n)
+            picked.insert(base + rng.nextBelow(window));
+        std::vector<FrameId> frames(picked.begin(), picked.end());
+        for (std::size_t i = frames.size(); i > 1; --i)
+            std::swap(frames[i - 1], frames[rng.nextBelow(i)]);
+
+        std::vector<FrameRange> got = {{1, 1}};  // appended after
+        appendFrameStretches(frames.data(), frames.size(), got);
+        got.erase(got.begin());
+        EXPECT_EQ(got, intervalSetOf(frames)) << "round " << round;
+    }
+}
+
+TEST(FrameStretches, DuplicateFramePanics)
+{
+    std::vector<FrameId> dense = {5, 6, 7, 6};
+    std::vector<FrameId> sparse = {5, 1u << 30, 9, 1u << 30};
+    std::vector<FrameRange> out;
+    EXPECT_THROW(appendFrameStretches(dense.data(), dense.size(), out),
+                 SimError);
+    EXPECT_THROW(appendFrameStretches(sparse.data(), sparse.size(), out),
+                 SimError);
+    std::vector<FrameRange> overlap = {{10, 4}, {2, 3}, {13, 2}};
+    EXPECT_THROW(mergeFrameRanges(overlap), SimError);
+    std::vector<FrameRange> touching = {{10, 4}, {2, 3}, {14, 2}, {5, 1}};
+    mergeFrameRanges(touching);
+    EXPECT_EQ(touching, (std::vector<FrameRange>{{2, 4}, {10, 6}}));
 }
 
 TEST(BackingStore, AttachAndAccess)

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "tlb/tlb.hh"
 
 namespace upm::tlb {
@@ -138,6 +142,129 @@ TEST_P(FragReach, StreamMissesInverseToSpan)
 
 INSTANTIATE_TEST_SUITE_P(Spans, FragReach,
                          ::testing::Values(1, 2, 4, 16, 64, 256, 1024));
+
+/**
+ * The UTCL1 as an array of {base, span, lru} entries, kept verbatim
+ * from before FragTlb went struct-of-arrays: the oracle the flat
+ * layout must match hit for hit.
+ */
+class EntryArrayTlb
+{
+  public:
+    explicit EntryArrayTlb(const FragTlbConfig &config) : cfg(config)
+    {
+        entries.resize(cfg.entries);
+    }
+
+    bool
+    lookup(Vpn vpn)
+    {
+        ++stamp;
+        for (auto &entry : entries) {
+            if (entry.span != 0 && vpn >= entry.base &&
+                vpn < entry.base + entry.span) {
+                entry.lru = stamp;
+                ++hitCount;
+                return true;
+            }
+        }
+        ++missCount;
+        return false;
+    }
+
+    void
+    insert(Vpn vpn, Vpn frag_base, std::uint64_t frag_span)
+    {
+        std::uint64_t span = frag_span;
+        Vpn base = frag_base;
+        if (span > cfg.maxSpanPages) {
+            span = cfg.maxSpanPages;
+            base = vpn & ~static_cast<Vpn>(span - 1);
+        }
+
+        Entry *victim = &entries[0];
+        for (auto &entry : entries) {
+            if (entry.span == 0) {
+                victim = &entry;
+                break;
+            }
+            if (entry.lru < victim->lru)
+                victim = &entry;
+        }
+        ++stamp;
+        victim->base = base;
+        victim->span = span;
+        victim->lru = stamp;
+    }
+
+    void
+    flush()
+    {
+        for (auto &entry : entries)
+            entry.span = 0;
+    }
+
+    std::uint64_t hits() const { return hitCount; }
+    std::uint64_t misses() const { return missCount; }
+
+  private:
+    struct Entry
+    {
+        Vpn base = 0;
+        std::uint64_t span = 0;  // pages; 0 == invalid
+        std::uint64_t lru = 0;
+    };
+
+    FragTlbConfig cfg;
+    std::vector<Entry> entries;
+    std::uint64_t stamp = 0;
+    std::uint64_t hitCount = 0;
+    std::uint64_t missCount = 0;
+};
+
+TEST(FragTlbDiff, MatchesEntryArrayModelAcross16Seeds)
+{
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+        SplitMix64 rng(0x71b0 + seed);
+        FragTlbConfig cfg;
+        cfg.entries = std::array<unsigned, 4>{1, 3, 8, 32}[seed % 4];
+        cfg.maxSpanPages = 1u << (2 + rng.nextBelow(7));  // 4..256
+        FragTlb flat(cfg);
+        EntryArrayTlb oracle(cfg);
+        // A window a few times the TLB's reach, so hits, misses and
+        // evictions all happen; spans above maxSpanPages get clamped.
+        Vpn window = 4 * cfg.entries * cfg.maxSpanPages;
+        for (int op = 0; op < 4000; ++op) {
+            std::uint64_t kind = rng.nextBelow(100);
+            Vpn vpn = rng.nextBelow(window);
+            if (kind < 2) {
+                flat.flush();
+                oracle.flush();
+            } else if (kind < 10) {
+                // Insert without a lookup first: entries may overlap,
+                // so the lowest matching entry must win.
+                std::uint64_t span = 1ull << rng.nextBelow(11);
+                Vpn base = vpn & ~(span - 1);
+                flat.insert(vpn, base, span);
+                oracle.insert(vpn, base, span);
+            } else {
+                bool hit = flat.lookup(vpn);
+                ASSERT_EQ(hit, oracle.lookup(vpn))
+                    << "seed " << seed << " op " << op;
+                if (!hit) {
+                    std::uint64_t span = 1ull << rng.nextBelow(11);
+                    Vpn base = vpn & ~(span - 1);
+                    flat.insert(vpn, base, span);
+                    oracle.insert(vpn, base, span);
+                }
+            }
+            ASSERT_EQ(flat.hits(), oracle.hits()) << "seed " << seed;
+            ASSERT_EQ(flat.misses(), oracle.misses()) << "seed " << seed;
+        }
+        EXPECT_GT(flat.hits(), 0u);
+        EXPECT_GT(flat.misses(), 0u);
+    }
+}
 
 } // namespace
 } // namespace upm::tlb

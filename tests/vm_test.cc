@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "gpu_table_util.hh"
+#include "mem/interval_set.hh"
+#include "trace/tracer.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_handler.hh"
 
@@ -370,6 +373,175 @@ TEST(HmmMirror, PropagatesOnlyPresentAndCountsWork)
     EXPECT_EQ(as.mirror().invalidateRange(begin, begin + 8), 4u);
     EXPECT_FALSE(as.gpuPresent(base));
     EXPECT_TRUE(as.cpuPresent(base));  // system table untouched
+}
+
+/** A one-socket address space on its own node, optionally traced. */
+struct TracedSpace
+{
+    explicit TracedSpace(trace::Tracer *tracer = nullptr)
+        : geom(smallGeomConfig()), node(geom, {}, 1, {.tr = tracer}),
+          as(node, store, {.tr = tracer})
+    {}
+
+    VirtAddr
+    mapOnDemand(std::uint64_t pages)
+    {
+        VmaPolicy policy;
+        policy.onDemand = true;
+        policy.placement = Placement::Scattered;
+        return as.mmapAnon(pages * mem::kPageSize, policy, "scatter");
+    }
+
+    mem::MemGeometry geom;
+    mem::NodeMemory node;
+    mem::BackingStore store;
+    AddressSpace as;
+};
+
+/** FrameFree events (base, count) in emission order. */
+std::vector<mem::FrameRange>
+frameFrees(const trace::Tracer &tracer)
+{
+    std::vector<mem::FrameRange> out;
+    for (const auto &ev : tracer.events()) {
+        if (ev.kind == trace::EventKind::FrameFree)
+            out.push_back({ev.a, ev.b});
+    }
+    return out;
+}
+
+/**
+ * The munmap batch before coalescing went array-native: every freed
+ * frame inserted into an IntervalSet, one interval freed per range.
+ */
+std::vector<mem::FrameRange>
+intervalSetFrees(const std::vector<FrameId> &frames)
+{
+    mem::IntervalSet freed;
+    for (FrameId f : frames)
+        freed.insert(f);
+    std::vector<mem::FrameRange> out;
+    freed.forEach([&](FrameId begin, FrameId end) {
+        out.push_back({begin, end - begin});
+    });
+    return out;
+}
+
+TEST(Munmap, ScatterFreeMatchesIntervalSetOracle)
+{
+    for (bool sparse : {false, true}) {
+        trace::Tracer tracer(trace::TraceConfig{.enabled = true});
+        TracedSpace sp(&tracer);
+        std::uint64_t stride = 150;
+        if (sparse) {
+            // Leave only every stride-th frame free: each pool refill
+            // is a lone frame, so scatter runs span ~stride frames per
+            // page and coalesce through the sort path.
+            mem::FrameAllocator &shard = sp.node.shard(0);
+            auto held = shard.allocRun(shard.totalFrames());
+            ASSERT_TRUE(held.has_value());
+            for (FrameId f = 0; f < shard.totalFrames(); f += stride)
+                ASSERT_TRUE(shard.freeRange({f, 1}));
+        }
+        std::uint64_t pages = sparse ? 100 : 1500;
+        VirtAddr base = sp.mapOnDemand(pages);
+        Vpn first = vpnOf(base);
+        sp.as.setXnack(true);
+        // CPU faults over scattered windows, then one GPU major fault
+        // over the rest: scatter runs from both paths, with strided
+        // pieces where a fault batch stayed contiguous.
+        SplitMix64 rng(sparse ? 0x7a02 : 0x7a01);
+        for (int i = 0; i < 12; ++i) {
+            Vpn at = first + rng.nextBelow(pages - 40);
+            sp.as.resolveCpuFaultRange(at, at + 1 + rng.nextBelow(40));
+        }
+        ASSERT_EQ(sp.as.resolveGpuFault(first, pages), GpuFaultKind::Major);
+        auto frames = sp.as.framesOf(base, pages * mem::kPageSize);
+        ASSERT_EQ(frames.size(), pages);
+        auto oracle = intervalSetFrees(frames);
+        if (sparse) {
+            EXPECT_GT(oracle.size(), pages / 2);
+        }
+
+        tracer.clear();
+        ASSERT_EQ(sp.as.munmap(base), Status::Success);
+        EXPECT_EQ(frameFrees(tracer), oracle) << "sparse " << sparse;
+    }
+}
+
+TEST(Munmap, FrameMappedTwicePanics)
+{
+    // A scatter run naming one frame twice (bitmap path), and two runs
+    // sharing a frame (the merge of all ranges).
+    for (bool across_runs : {false, true}) {
+        TracedSpace sp;
+        VirtAddr base = sp.mapOnDemand(64);
+        Vpn first = vpnOf(base);
+        sp.as.resolveCpuFaultRange(first, first + 8);
+        FrameId mapped = sp.as.systemTable().lookup(first)->frame;
+        std::vector<FrameId> dup =
+            across_runs ? std::vector<FrameId>{mapped + 1000, mapped}
+                        : std::vector<FrameId>{mapped + 100, mapped + 3,
+                                               mapped + 100};
+        sp.as.systemTable().insertFrames(first + 20, dup.data(),
+                                         dup.size());
+        EXPECT_THROW(static_cast<void>(sp.as.munmap(base)), SimError);
+    }
+}
+
+TEST(VmFault, MajorFaultMapsOneRunPerGap)
+{
+    // Two spaces with one history; on the second, replay the major
+    // fault the way it used to map: the same allocBatch frames and
+    // Fisher-Yates shuffle, then one page at a time.
+    TracedSpace sp, ref;
+    const std::uint64_t pages = 512;
+    Vpn first = 0;
+    for (TracedSpace *s : {&sp, &ref}) {
+        first = vpnOf(s->mapOnDemand(pages));
+        s->as.setXnack(true);
+        for (Vpn at : {3, 10, 11, 12, 40, 100, 101, 200, 511})
+            s->as.resolveCpuFault(first + at);
+    }
+    std::uint64_t runs_before = sp.as.systemTable().runCount();
+    ASSERT_EQ(sp.as.resolveGpuFault(first, pages), GpuFaultKind::Major);
+
+    std::vector<std::pair<Vpn, Vpn>> gaps;
+    std::vector<Vpn> holes;
+    ref.as.systemTable().forEachGap(first, first + pages,
+                                    [&](Vpn gap_begin, Vpn gap_end) {
+                                        gaps.emplace_back(gap_begin, gap_end);
+                                        for (Vpn v = gap_begin; v < gap_end;
+                                             ++v)
+                                            holes.push_back(v);
+                                    });
+    std::vector<mem::FrameRange> ranges;
+    ASSERT_TRUE(ref.node.shard(0).allocBatch(holes.size(), ranges));
+    std::vector<FrameId> frame_list;
+    for (const auto &range : ranges) {
+        for (std::uint64_t i = 0; i < range.count; ++i)
+            frame_list.push_back(range.base + i);
+    }
+    SplitMix64 fault_rng(0x6f4a);  // AddressSpace's fault-order stream
+    for (std::size_t i = holes.size(); i > 1; --i) {
+        auto j = static_cast<std::size_t>(fault_rng.nextBelow(i));
+        std::swap(holes[i - 1], holes[j]);
+    }
+    SystemPageTable &table = ref.as.systemTable();
+    for (std::size_t i = 0; i < holes.size(); ++i)
+        table.insert(holes[i], frame_list[i]);
+
+    for (Vpn vpn = first; vpn < first + pages; ++vpn) {
+        auto got = sp.as.systemTable().lookup(vpn);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->frame, table.lookup(vpn)->frame) << vpn - first;
+        auto gpu = sp.as.gpuTable().lookup(vpn);
+        ASSERT_TRUE(gpu.has_value());
+        EXPECT_EQ(gpu->frame, got->frame);
+    }
+    EXPECT_EQ(gaps.size(), 6u);
+    EXPECT_LE(sp.as.systemTable().runCount() - runs_before, gaps.size());
+    EXPECT_GT(table.runCount(), sp.as.systemTable().runCount());
 }
 
 TEST(FaultHandler, ColdLatencyMatchesPaperAnchors)

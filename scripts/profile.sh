@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Flat gprof profile of one perfbench workload or one bench binary.
+# gprof profile of one perfbench workload or one bench binary.
 #
 #   scripts/profile.sh paper-sweep                 # seed 3, 8 s, untraced
 #   scripts/profile.sh alloc-churn --seed 0 --seconds 4 --trace 0
@@ -13,7 +13,8 @@
 # libstdc++, so malloc/free and the std::map (_Rb_tree_*) internals
 # vanish from the profile and the listed shares are of a fraction of
 # the run. Prints the top of the flat profile; the whole one is left in
-# build-prof/<name>.gprof.txt.
+# build-prof/<name>.gprof.txt and the call graph (which callers a
+# function's time and calls come from) in build-prof/<name>.graph.txt.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -59,4 +60,5 @@ cd "$build"
 rm -f gmon.out
 "$binary" "$@" > "$build/$name.out"
 gprof -b -p "$binary" gmon.out > "$build/$name.gprof.txt"
+gprof -b -q "$binary" gmon.out > "$build/$name.graph.txt"
 head -n 40 "$build/$name.gprof.txt"

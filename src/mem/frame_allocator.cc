@@ -55,42 +55,63 @@ FrameAllocator::FrameAllocator(const MemGeometry &geometry,
         fatal("shard base frame %llu not stack-aligned (%u stacks)",
               static_cast<unsigned long long>(baseF), geom.numStacks());
 
-    freeLists.resize(cfg.maxOrder + 1);
+    freeLists.reserve(cfg.maxOrder + 1);
+    for (unsigned o = 0; o <= cfg.maxOrder; ++o)
+        freeLists.emplace_back(geom.numFrames() >> o);
     busyWords.assign(ceilDiv(geom.numFrames(), 64), 0);
 
-    // Carve the frame space into maximal naturally-aligned blocks.
-    FrameId next = 0;
-    std::uint64_t remaining = geom.numFrames();
-    while (remaining > 0) {
-        unsigned order = cfg.maxOrder;
-        while (order > 0 &&
-               ((next & ((1ull << order) - 1)) != 0 ||
-                (1ull << order) > remaining)) {
-            --order;
+    // Carve the frame space into maximal naturally-aligned blocks:
+    // max-order blocks up to the last whole one, then one block per
+    // set bit of the tail's length, largest first.
+    std::uint64_t top = geom.numFrames() >> cfg.maxOrder;
+    freeLists[cfg.maxOrder].insertPrefix(top);
+    if (top != 0)
+        freeOrders |= 1u << cfg.maxOrder;
+    FrameId next = top << cfg.maxOrder;
+    std::uint64_t tail = geom.numFrames() - next;
+    for (unsigned o = cfg.maxOrder; o-- > 0;) {
+        if ((tail >> o) & 1) {
+            pushFree(o, next >> o);
+            next += 1ull << o;
         }
-        freeLists[order].insert(next >> order);
-        next += 1ull << order;
-        remaining -= 1ull << order;
     }
     freeCount = geom.numFrames();
 }
 
-bool
-FrameAllocator::allocBlock(unsigned order, FrameId &base)
+void
+FrameAllocator::pushFree(unsigned order, std::uint64_t index)
 {
-    unsigned o = order;
-    while (o <= cfg.maxOrder && freeLists[o].empty())
-        ++o;
-    if (o > cfg.maxOrder)
+    freeLists[order].insert(index);
+    freeOrders |= 1u << order;
+}
+
+void
+FrameAllocator::popFree(unsigned order, std::uint64_t index)
+{
+    freeLists[order].erase(index);
+    if (freeLists[order].empty())
+        freeOrders &= ~(1u << order);
+}
+
+bool
+FrameAllocator::allocBlock(unsigned &order, FrameId &base)
+{
+    // The one fit rule: split the smallest free block of order or
+    // above; with none, take a block of the largest free order below
+    // it whole. Trying order, order - 1, ..., 0 in turn gives the same.
+    if (freeOrders == 0)
         return false;
+    if ((freeOrders >> order) == 0)
+        order = std::bit_width(freeOrders) - 1;
+    unsigned o = order + std::countr_zero(freeOrders >> order);
 
     FrameId block = freeLists[o].first() << o;
-    freeLists[o].erase(block >> o);
+    popFree(o, block >> o);
 
     // Split down to the requested order, keeping the upper halves free.
     while (o > order) {
         --o;
-        freeLists[o].insert((block + (1ull << o)) >> o);
+        pushFree(o, (block + (1ull << o)) >> o);
         if (tr != nullptr)
             tr->emitAt(socketId, trace::EventKind::BuddySplit,
                        block + baseF, o);
@@ -142,11 +163,11 @@ FrameAllocator::freeBlock(FrameId base, unsigned order)
         FrameId buddy = block ^ (1ull << o);
         if (!freeLists[o].contains(buddy >> o))
             break;
-        freeLists[o].erase(buddy >> o);
+        popFree(o, buddy >> o);
         block = std::min(block, buddy);
         ++o;
     }
-    freeLists[o].insert(block >> o);
+    pushFree(o, block >> o);
     return true;
 }
 
@@ -161,21 +182,14 @@ FrameAllocator::allocRun(std::uint64_t n_frames)
         unsigned order = std::min<unsigned>(
             cfg.maxOrder, floorLog2(remaining));
         FrameId base = 0;
-        // Fall back to smaller orders under fragmentation.
-        bool ok = false;
-        for (int o = static_cast<int>(order); o >= 0; --o) {
-            if (allocBlock(static_cast<unsigned>(o), base)) {
-                out.push_back({base, 1ull << o});
-                remaining -= 1ull << o;
-                ok = true;
-                break;
-            }
-        }
-        if (!ok) {
+        // Falls back to smaller orders under fragmentation.
+        if (!allocBlock(order, base)) {
             for (const auto &r : out)
                 releaseRange(r);
             return std::nullopt;
         }
+        out.push_back({base, 1ull << order});
+        remaining -= 1ull << order;
     }
 
     // Coalesce adjacent runs (buddy often returns neighbours).
@@ -215,11 +229,8 @@ FrameAllocator::refillOnDemandPool()
     // malloc memory (Section 5.4).
     unsigned order = cfg.onDemandRefillOrder;
     FrameId base = 0;
-    while (!allocBlock(order, base)) {
-        if (order == 0)
-            return false;
-        --order;
-    }
+    if (!allocBlock(order, base))
+        return false;
     std::uint64_t n = 1ull << order;
     unsigned stacks = geom.numStacks();
     unsigned start = static_cast<unsigned>(rng.nextBelow(stacks));
@@ -279,21 +290,14 @@ FrameAllocator::allocBatch(std::uint64_t n, std::vector<FrameRange> &out)
             remaining, 1ull << run_order);
         unsigned order = floorLog2(want);
         FrameId base = 0;
-        bool ok = false;
-        for (int o = static_cast<int>(order); o >= 0; --o) {
-            if (allocBlock(static_cast<unsigned>(o), base)) {
-                out.push_back({base, 1ull << o});
-                remaining -= 1ull << o;
-                ok = true;
-                break;
-            }
-        }
-        if (!ok) {
+        if (!allocBlock(order, base)) {
             for (std::size_t j = start_size; j < out.size(); ++j)
                 releaseRange(out[j]);
             out.resize(start_size);
             return false;
         }
+        out.push_back({base, 1ull << order});
+        remaining -= 1ull << order;
     }
     for (std::size_t j = start_size; j < out.size(); ++j)
         out[j].base += baseF;
@@ -313,11 +317,8 @@ FrameAllocator::refillStackPools()
 {
     unsigned order = cfg.onDemandRefillOrder;
     FrameId base = 0;
-    while (!allocBlock(order, base)) {
-        if (order == 0)
-            return false;
-        --order;
-    }
+    if (!allocBlock(order, base))
+        return false;
     if (stackPools.empty())
         stackPools.resize(geom.numStacks());
     std::uint64_t n = 1ull << order;

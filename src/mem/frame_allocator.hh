@@ -34,8 +34,8 @@
 
 #include "common/hooks.hh"
 #include "common/rng.hh"
+#include "mem/bit_tree.hh"
 #include "mem/geometry.hh"
-#include "mem/interval_set.hh"
 
 namespace upm::mem {
 
@@ -50,10 +50,10 @@ struct FrameRange
 
 /**
  * Append the distinct frames @p frames[0..n) (any order) to @p out as
- * their maximal contiguous ranges, ascending: the intervals an
- * IntervalSet of the frames would hold. Panics if a frame appears
- * twice. Dense sets go through a bitmap over [min, max], sparse ones
- * through a sort.
+ * their maximal contiguous ranges, ascending: each range is a
+ * stretch of consecutive frames with neither neighbour in the set.
+ * Panics if a frame appears twice. Dense sets go through a bitmap
+ * over [min, max], sparse ones through a sort.
  */
 void appendFrameStretches(const FrameId *frames, std::uint64_t n,
                           std::vector<FrameRange> &out);
@@ -177,10 +177,11 @@ class FrameAllocator
     /** @return total frames managed. */
     std::uint64_t totalFrames() const { return geom.numFrames(); }
 
-    /** @return interval nodes across all free lists -- the buddy
-     *  allocator's structural fragmentation. A coalesced heap is a
-     *  handful of nodes; churn that fragments the free space grows
-     *  this, so long-soak tests pin it under a ceiling. */
+    /** @return runs of consecutive free blocks, summed over the
+     *  orders -- the buddy allocator's structural fragmentation. A
+     *  coalesced heap is a handful of runs; churn that fragments the
+     *  free space grows this, so long-soak tests pin it under a
+     *  ceiling. */
     std::uint64_t freeListNodes() const;
 
     /** First global frame id of this shard (0 when unsharded). */
@@ -229,8 +230,16 @@ class FrameAllocator
     void seedBusyBits(const FrameRange &range, bool busy);
 
   private:
-    /** Allocate one buddy block of @p order; @return base or fail. */
-    bool allocBlock(unsigned order, FrameId &base);
+    /** Allocate one buddy block of @p order or, when no free block
+     *  is that large, of the largest free order below it, splitting
+     *  the smallest free block that fits. Sets @p order to the order
+     *  taken and @p base to the block. @return false iff nothing is
+     *  free. */
+    bool allocBlock(unsigned &order, FrameId &base);
+    /** Add block @p index of @p order to its free list. */
+    void pushFree(unsigned order, std::uint64_t index);
+    /** Take block @p index of @p order off its free list. */
+    void popFree(unsigned order, std::uint64_t index);
     /** Return a block to the free lists, merging with buddies.
      *  @return false (state intact) if any frame was not allocated. */
     bool freeBlock(FrameId base, unsigned order);
@@ -279,11 +288,11 @@ class FrameAllocator
     unsigned socketId = 0;
     std::uint64_t freeCount = 0;
 
-    /** Free lists: per order, coalesced interval set of block
-     *  *indices* (base >> order). Adjacent free blocks of one order
-     *  collapse into a single interval, so a freshly freed multi-GiB
-     *  run costs a handful of nodes instead of one per block. */
-    std::vector<IntervalSet> freeLists;
+    /** Free lists: per order, the set of free block *indices*
+     *  (base >> order) as a bitmap tree. */
+    std::vector<BitTree> freeLists;
+    /** Bit o is set iff freeLists[o] is non-empty. */
+    std::uint32_t freeOrders = 0;
     /** Allocation state, one bit per shard-local frame, 64 frames a
      *  word (bits past numFrames stay clear). Frames parked in the
      *  pools are busy here. */

@@ -4,7 +4,8 @@
  * insert, split on mid-run remove/setFlags, flag-boundary non-merge,
  * and randomized parity of the extent-coalesced page tables against
  * per-page reference models (the representation the extent maps
- * replaced), plus the IntervalSet underlying the buddy free lists.
+ * replaced), plus the IntervalSet reference model the buddy tests
+ * check against.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,7 @@
 #include "common/rng.hh"
 #include "exec/task_pool.hh"
 #include "gpu_table_util.hh"
-#include "mem/interval_set.hh"
+#include "interval_set.hh"
 #include "vm/gpu_page_table.hh"
 #include "vm/page_table.hh"
 
@@ -599,7 +600,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExtentParity,
 
 TEST(IntervalSet, CoalescesAndSplits)
 {
-    mem::IntervalSet set;
+    test::IntervalSet set;
     EXPECT_TRUE(set.empty());
     set.insert(5);
     set.insert(7);
@@ -625,7 +626,7 @@ TEST(IntervalSet, CoalescesAndSplits)
 TEST(IntervalSet, MatchesStdSetUnderRandomOps)
 {
     SplitMix64 rng(exec::taskSeed(0x15e7u, 0));
-    mem::IntervalSet set;
+    test::IntervalSet set;
     std::set<std::uint64_t> model;
     for (int step = 0; step < 2000; ++step) {
         std::uint64_t key = rng.nextBelow(128);

@@ -1,23 +1,21 @@
 /**
  * @file
  * A coalesced set of uint64 keys stored as half-open [first, last)
- * intervals.
- *
- * The buddy free lists used to be one std::set node per free block;
- * after a large free the lists hold thousands of *adjacent* blocks, so
- * storing them as merged intervals keeps membership, lowest-element and
- * erase at O(log runs) instead of O(log blocks) with far fewer nodes.
+ * intervals: the reference model the buddy free-list bitmap trees
+ * (mem::BitTree) and frame coalescing (mem::appendFrameStretches) are
+ * tested against. The buddy free lists were IntervalSets before they
+ * became bitmap trees.
  */
 
-#ifndef UPM_MEM_INTERVAL_SET_HH
-#define UPM_MEM_INTERVAL_SET_HH
+#ifndef UPM_TESTS_INTERVAL_SET_HH
+#define UPM_TESTS_INTERVAL_SET_HH
 
 #include <cstdint>
 #include <map>
 
 #include "common/log.hh"
 
-namespace upm::mem {
+namespace upm::test {
 
 /**
  * Sorted, automatically coalesced set of uint64 keys. Neighbouring
@@ -121,6 +119,6 @@ class IntervalSet
     std::uint64_t count = 0;
 };
 
-} // namespace upm::mem
+} // namespace upm::test
 
-#endif // UPM_MEM_INTERVAL_SET_HH
+#endif // UPM_TESTS_INTERVAL_SET_HH

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -18,10 +19,12 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "mem/backing_store.hh"
+#include "mem/bit_tree.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/geometry.hh"
-#include "mem/interval_set.hh"
 #include "trace/tracer.hh"
+
+#include "interval_set.hh"
 
 namespace upm::mem {
 namespace {
@@ -759,7 +762,7 @@ INSTANTIATE_TEST_SUITE_P(Stacks, FramePools, ::testing::Values(1, 3, 8));
 std::vector<FrameRange>
 intervalSetOf(const std::vector<FrameId> &frames)
 {
-    IntervalSet set;
+    test::IntervalSet set;
     for (FrameId f : frames)
         set.insert(f);
     std::vector<FrameRange> out;
@@ -807,6 +810,272 @@ TEST(FrameStretches, DuplicateFramePanics)
     std::vector<FrameRange> touching = {{10, 4}, {2, 3}, {14, 2}, {5, 1}};
     mergeFrameRanges(touching);
     EXPECT_EQ(touching, (std::vector<FrameRange>{{2, 4}, {10, 6}}));
+}
+
+// ---------------------------------------------------------------------
+// Buddy free lists: the bitmap tree against the IntervalSet it
+// replaces, and a buddy state that forgets how it was reached.
+// ---------------------------------------------------------------------
+
+/** Equal answers from @p tree and @p model for @p key, its two
+ *  neighbours, the lowest key, the size and the interval count. */
+void
+expectSameSet(const BitTree &tree, const test::IntervalSet &model,
+              std::uint64_t key)
+{
+    for (std::uint64_t probe : {key - 1, key, key + 1})
+        ASSERT_EQ(tree.contains(probe), model.contains(probe)) << probe;
+    ASSERT_EQ(tree.empty(), model.empty());
+    ASSERT_EQ(tree.size(), model.size());
+    ASSERT_EQ(tree.intervalCount(), model.intervalCount());
+    if (!model.empty()) {
+        ASSERT_EQ(tree.first(), model.first());
+    }
+}
+
+/**
+ * Random insert/erase on a BitTree over @p universe keys and on an
+ * IntervalSet, compared after every op. @p prefilled starts both from
+ * a full prefix of random length, as the allocator's carve does.
+ */
+void
+diffAgainstIntervalSet(std::uint64_t universe, bool prefilled)
+{
+    SplitMix64 rng(0xb17 + universe + (prefilled ? 1 : 0));
+    BitTree tree(universe);
+    test::IntervalSet model;
+    std::set<std::uint64_t> keys;  // picks a present key to erase
+    std::uint64_t last = universe - 1;
+    std::uint64_t key = 0;
+    if (prefilled) {
+        key = rng.nextBelow(universe + 1);
+        tree.insertPrefix(key);
+        for (std::uint64_t k = 0; k < key; ++k) {
+            model.insert(k);
+            keys.insert(k);
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSameSet(tree, model, key));
+    }
+    for (int step = 0; step < 4000; ++step) {
+        // Uniform keys, the last key, and neighbours of the previous
+        // key, so runs form and split at every level.
+        switch (rng.nextBelow(4)) {
+        case 0:
+            key = rng.nextBelow(universe);
+            break;
+        case 1:
+            key = last;
+            break;
+        default:
+            key = std::min(last, key + rng.nextBelow(3));
+            break;
+        }
+        bool insert = keys.empty() || rng.nextBelow(5) < 3;
+        if (insert && keys.count(key) == 0) {
+            tree.insert(key);
+            model.insert(key);
+            keys.insert(key);
+        } else if (!keys.empty()) {
+            auto it = keys.lower_bound(key);
+            key = it == keys.end() ? *keys.begin() : *it;
+            tree.erase(key);
+            model.erase(key);
+            keys.erase(key);
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSameSet(tree, model, key));
+    }
+    // Drain from the bottom: first() must walk every level down.
+    for (int step = 0; step < 4000 && !keys.empty(); ++step) {
+        key = tree.first();
+        ASSERT_EQ(key, *keys.begin());
+        tree.erase(key);
+        model.erase(key);
+        keys.erase(key);
+        ASSERT_NO_FATAL_FAILURE(expectSameSet(tree, model, key));
+    }
+}
+
+TEST(BitTree, MatchesIntervalSetAcrossUniverses)
+{
+    for (std::uint64_t universe :
+         {1ull, 63ull, 64ull, 65ull, 4097ull, (1ull << 18) + 5}) {
+        for (bool prefilled : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << universe << " keys, prefilled " << prefilled);
+            diffAgainstIntervalSet(universe, prefilled);
+        }
+    }
+}
+
+TEST(BitTree, DuplicateInsertAndAbsentErasePanic)
+{
+    BitTree tree(4097);
+    EXPECT_THROW(tree.first(), SimError);
+    EXPECT_THROW(tree.erase(4096), SimError);  // no level grown yet
+    tree.insert(4096);
+    tree.insert(5);
+    EXPECT_THROW(tree.insert(4096), SimError);
+    EXPECT_THROW(tree.insert(5), SimError);
+    EXPECT_THROW(tree.insert(4097), SimError);  // past the bound
+    EXPECT_THROW(tree.erase(6), SimError);      // grown, bit clear
+    EXPECT_THROW(tree.erase(70000), SimError);  // past every level
+    EXPECT_EQ(tree.size(), 2u);
+    EXPECT_EQ(tree.first(), 5u);
+    tree.erase(5);
+    EXPECT_EQ(tree.first(), 4096u);
+    EXPECT_THROW(tree.erase(5), SimError);
+    EXPECT_THROW(tree.insertPrefix(3), SimError);  // not empty
+    EXPECT_THROW(BitTree(64).insertPrefix(65), SimError);
+}
+
+/** BuddySplit events (block, order) in emission order, then cleared. */
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+takeSplits(trace::Tracer &tracer)
+{
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+    for (const auto &ev : tracer.events()) {
+        if (ev.kind == trace::EventKind::BuddySplit)
+            out.emplace_back(ev.a, ev.b);
+    }
+    tracer.clear();
+    return out;
+}
+
+TEST(Buddy, FreeListsDependOnlyOnFreeSet)
+{
+    for (unsigned stacks : {1u, 3u, 8u}) {
+        SCOPED_TRACE(stacks);
+        MemGeometryConfig geom_cfg;
+        geom_cfg.numStacks = stacks;
+        // 4429 frames: eight order-9 blocks and a tail of orders
+        // 8, 6, 3, 2 and 0.
+        geom_cfg.capacityBytes = 4429 * kPageSize;
+        MemGeometry geom(geom_cfg);
+        std::uint64_t n = geom.numFrames();
+        trace::Tracer trace_a(trace::TraceConfig{.enabled = true});
+        trace::Tracer trace_b(trace::TraceConfig{.enabled = true});
+        FrameAllocator a(geom, {}, kShardBase, 0, {.tr = &trace_a});
+        FrameAllocator b(geom, {}, kShardBase, 0, {.tr = &trace_b});
+        SplitMix64 rng(0xb0d + stacks);
+
+        // The free set: alternating free and held stretches of 1..40
+        // frames, the tail included.
+        std::vector<FrameRange> free_set;
+        for (FrameId f = 0; f < n;) {
+            std::uint64_t len = std::min<std::uint64_t>(
+                n - f, 1 + rng.nextBelow(40));
+            if (rng.nextBelow(2) == 0)
+                free_set.push_back({kShardBase + f, len});
+            f += len;
+        }
+
+        // A takes every frame in one run and frees the set as ranges.
+        ASSERT_TRUE(a.allocRun(n).has_value());
+        for (const FrameRange &r : free_set)
+            ASSERT_TRUE(a.freeRange(r));
+
+        // B churns first, so its blocks split elsewhere, then takes
+        // what is left and frees the set one frame at a time, in a
+        // shuffled order.
+        std::vector<FrameRange> held;
+        for (int i = 0; i < 60; ++i) {
+            std::uint64_t want = 1 + rng.nextBelow(200);
+            if (rng.nextBelow(2) == 0) {
+                auto runs = b.allocRun(want);
+                ASSERT_TRUE(runs.has_value());
+                held.insert(held.end(), runs->begin(), runs->end());
+            } else {
+                ASSERT_TRUE(b.allocBatch(want, held));
+            }
+            for (std::size_t j = held.size(); j > 0; --j) {
+                if (rng.nextBelow(3) == 0) {
+                    ASSERT_TRUE(b.freeRange(held[j - 1]));
+                    held.erase(held.begin() + j - 1);
+                }
+            }
+        }
+        ASSERT_TRUE(b.allocRun(b.freeFrames()).has_value());
+        std::vector<FrameId> frames;
+        for (const FrameRange &r : free_set) {
+            for (FrameId f = r.base; f < r.base + r.count; ++f)
+                frames.push_back(f);
+        }
+        for (std::size_t i = frames.size(); i > 1; --i)
+            std::swap(frames[i - 1], frames[rng.nextBelow(i)]);
+        for (FrameId f : frames)
+            ASSERT_TRUE(b.freeFrame(f));
+
+        EXPECT_EQ(a.freeFrames(), frames.size());
+        EXPECT_EQ(b.freeFrames(), frames.size());
+        EXPECT_EQ(a.freeListNodes(), b.freeListNodes());
+        EXPECT_EQ(a.perStackFree(), b.perStackFree());
+        EXPECT_EQ(a.busyMap(), b.busyMap());
+
+        // From here both must hand out the same blocks, split the same
+        // blocks, and run out at the same call.
+        trace_a.clear();
+        trace_b.clear();
+        int failures = 0;
+        for (int i = 0; i < 200; ++i) {
+            std::uint64_t want = 1 + rng.nextBelow(48);
+            if (rng.nextBelow(2) == 0) {
+                auto got_a = a.allocRun(want);
+                auto got_b = b.allocRun(want);
+                ASSERT_EQ(got_a, got_b) << "call " << i;
+                failures += got_a.has_value() ? 0 : 1;
+            } else {
+                std::vector<FrameRange> got_a;
+                std::vector<FrameRange> got_b;
+                bool ok_a = a.allocBatch(want, got_a);
+                ASSERT_EQ(ok_a, b.allocBatch(want, got_b)) << "call " << i;
+                ASSERT_EQ(got_a, got_b) << "call " << i;
+                failures += ok_a ? 0 : 1;
+            }
+            ASSERT_EQ(takeSplits(trace_a), takeSplits(trace_b))
+                << "call " << i;
+        }
+        EXPECT_EQ(a.freeListNodes(), b.freeListNodes());
+        EXPECT_GT(failures, 0);  // the walk reached exhaustion
+    }
+}
+
+TEST(Buddy, FallBackTakesTheLargestFreeOrderBelow)
+{
+    // Free {0}, {2, 3} and {6, 7} of 16 frames: blocks of orders 0, 1
+    // and 1, nothing of order 2 or above. A request for an order-2
+    // block must take the order-1 blocks, lowest first, and never the
+    // order-0 block while a larger one is free.
+    MemGeometryConfig geom_cfg;
+    geom_cfg.capacityBytes = 16 * kPageSize;
+    MemGeometry geom(geom_cfg);
+    trace::Tracer tracer(trace::TraceConfig{.enabled = true});
+    auto fragmented = [&] {
+        auto alloc = std::make_unique<FrameAllocator>(
+            geom, FrameAllocatorConfig{}, 0, 0, Hooks{.tr = &tracer});
+        EXPECT_TRUE(alloc->allocRun(16).has_value());
+        for (FrameRange r : {FrameRange{0, 1}, FrameRange{2, 2},
+                             FrameRange{6, 2}})
+            EXPECT_TRUE(alloc->freeRange(r));
+        tracer.clear();
+        return alloc;
+    };
+    auto run_alloc = fragmented();
+    EXPECT_EQ(run_alloc->allocRun(4),
+              (std::vector<FrameRange>{{2, 2}, {6, 2}}));
+    auto batch_alloc = fragmented();
+    std::vector<FrameRange> batch;
+    ASSERT_TRUE(batch_alloc->allocBatch(4, batch));
+    EXPECT_EQ(batch, (std::vector<FrameRange>{{2, 2}, {6, 2}}));
+    auto pool_alloc = fragmented();
+    std::vector<FrameId> scattered;
+    ASSERT_TRUE(pool_alloc->allocScattered(1, scattered));
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> refills;
+    for (const auto &ev : tracer.events()) {
+        if (ev.kind == trace::EventKind::PoolRefill)
+            refills.emplace_back(ev.a, ev.b);
+    }
+    EXPECT_EQ(refills, (std::vector<std::pair<std::uint64_t,
+                                              std::uint64_t>>{{2, 2}}));
 }
 
 TEST(BackingStore, AttachAndAccess)

@@ -12,7 +12,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "gpu_table_util.hh"
-#include "mem/interval_set.hh"
+#include "interval_set.hh"
 #include "trace/tracer.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_handler.hh"
@@ -417,7 +417,7 @@ frameFrees(const trace::Tracer &tracer)
 std::vector<mem::FrameRange>
 intervalSetFrees(const std::vector<FrameId> &frames)
 {
-    mem::IntervalSet freed;
+    test::IntervalSet freed;
     for (FrameId f : frames)
         freed.insert(f);
     std::vector<mem::FrameRange> out;

@@ -15,6 +15,16 @@
 # the run. Prints the top of the flat profile; the whole one is left in
 # build-prof/<name>.gprof.txt and the call graph (which callers a
 # function's time and calls come from) in build-prof/<name>.graph.txt.
+#
+# Two ways gprof misleads. The call graph splits a callee's time among
+# its callers by call count, not by what each call cost: on paper-sweep
+# the few 256 MiB allocations of the stream anchors are charged to the
+# many small ones of AllocProbe, so AllocProbe::measure reads 34.8%
+# inclusive and StreamProbe::allocate 0.5%, while the core.alloc_probe
+# span gives the alloc probe about 17% of probe wall time. And the flat
+# profile samples user time only; system time (page zeroing, mmap) is
+# not in it. For wall time per probe, read the spans of
+# `python3 perfbench/run.py --workload paper-sweep --trace 1`.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then

@@ -131,9 +131,6 @@ struct GpuTlbCalib
      *  hipMalloc's TRIAD miss count lands ~7x below the 4 KiB-fragment
      *  allocators, as rocprof measures (158 K vs 1.0-1.2 M). */
     unsigned utcl1MaxSpanPages = 1024;
-    SimTime utcl1MissLatency = 400.0;
-    unsigned utcl2Entries = 1024;
-    unsigned utcl2Assoc = 8;
 };
 
 /**

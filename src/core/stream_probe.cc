@@ -56,39 +56,42 @@ StreamProbe::simulateTlbMisses(const Arrays &arrays)
     std::uint64_t pages_per_block =
         std::max<std::uint64_t>(1, cfg.blockBytes / mem::kPageSize);
 
-    // Fragment span per page, precomputed per array for speed.
-    auto spans_of = [&](hip::DevPtr base) {
-        std::uint64_t pages = arrays.bytes / mem::kPageSize;
-        std::vector<std::pair<vm::Vpn, std::uint64_t>> spans(pages);
-        vm::Vpn first = vm::vpnOf(base);
-        // Unmapped pages translate one page at a time; overwrite the
-        // mapped stretches from the fragment runs (no per-page walks).
-        for (std::uint64_t p = 0; p < pages; ++p)
-            spans[p] = {first + p, 1};
-        as.gpuTable().forEachFragmentRun(
-            first, first + pages,
-            [&](vm::Vpn seg_begin, std::uint64_t len,
-                std::uint8_t frag) {
-                std::uint64_t span = 1ull << frag;
-                for (vm::Vpn vpn = seg_begin; vpn < seg_begin + len;
-                     ++vpn)
-                    spans[vpn - first] = {vpn & ~(span - 1), span};
-            });
-        return spans;
+    // Each array's stretches of nonzero fragment, in page order. A page
+    // outside them (fragment 0 or unmapped) translates alone.
+    struct FragSeg
+    {
+        vm::Vpn begin;
+        vm::Vpn end;
+        std::uint64_t span;
     };
-    auto spans_a = spans_of(arrays.a);
-    auto spans_b = spans_of(arrays.b);
-    auto spans_c = spans_of(arrays.c);
-    vm::Vpn vpn_a = vm::vpnOf(arrays.a);
-    vm::Vpn vpn_b = vm::vpnOf(arrays.b);
-    vm::Vpn vpn_c = vm::vpnOf(arrays.c);
+    struct Array
+    {
+        vm::Vpn first;
+        std::vector<FragSeg> segs;
+    };
+    auto array_of = [&](hip::DevPtr ptr) {
+        Array array{vm::vpnOf(ptr), {}};
+        as.gpuTable().forEachFragmentRun(
+            array.first, array.first + arrays.bytes / mem::kPageSize,
+            [&](vm::Vpn seg_begin, std::uint64_t len, std::uint8_t frag) {
+                if (frag != 0)
+                    array.segs.push_back(
+                        {seg_begin, seg_begin + len, 1ull << frag});
+            });
+        return array;
+    };
+    // TRIAD order: one translation of b, c, then a per touched page.
+    const Array refs[3] = {array_of(arrays.b), array_of(arrays.c),
+                           array_of(arrays.a)};
 
     // Simulate `sampled` CUs: blocks are dispatched round-robin, so CU
     // k executes blocks k, k+228, ... For each block the TRIAD kernel
     // issues one translation request per touched page of b, c and a.
-    // Each CU owns a private UTCL1 over read-only span tables, so the
-    // per-CU walks fan out to the pool; the summation order is fixed,
-    // keeping the total exact at any worker count.
+    // Each CU owns a private UTCL1 over the read-only segment lists,
+    // so the per-CU walks fan out to the pool; the summation order is
+    // fixed, keeping the total exact at any worker count. A CU's pages
+    // only climb within an iteration, so each array's segment is found
+    // by a cursor that moves forward and restarts every iteration.
     tlb::FragTlbConfig tcfg;
     tcfg.entries = tlb_cal.utcl1Entries;
     tcfg.maxSpanPages = tlb_cal.utcl1MaxSpanPages;
@@ -96,25 +99,26 @@ StreamProbe::simulateTlbMisses(const Arrays &arrays)
     exec::globalPool().parallelFor(sampled, [&](std::size_t cu) {
         tlb::FragTlb utcl1(tcfg);
         for (unsigned iter = 0; iter < cfg.profiledIterations; ++iter) {
+            std::size_t cursor[3] = {0, 0, 0};
             for (std::uint64_t blk = cu; blk < blocks_per_array;
                  blk += total_cus) {
                 std::uint64_t first_page =
                     blk * cfg.blockBytes / mem::kPageSize;
                 for (std::uint64_t p = first_page;
                      p < first_page + pages_per_block; ++p) {
-                    const struct
-                    {
-                        vm::Vpn base;
-                        const std::pair<vm::Vpn, std::uint64_t> *span;
-                    } refs[3] = {{vpn_b, &spans_b[p]},
-                                 {vpn_c, &spans_c[p]},
-                                 {vpn_a, &spans_a[p]}};
-                    for (const auto &ref : refs) {
-                        vm::Vpn vpn = ref.base + p;
-                        if (!utcl1.lookup(vpn)) {
-                            utcl1.insert(vpn, ref.span->first,
-                                         ref.span->second);
-                        }
+                    for (int r = 0; r < 3; ++r) {
+                        vm::Vpn vpn = refs[r].first + p;
+                        if (utcl1.lookup(vpn))
+                            continue;
+                        const auto &segs = refs[r].segs;
+                        std::size_t &at = cursor[r];
+                        while (at < segs.size() && segs[at].end <= vpn)
+                            ++at;
+                        std::uint64_t span =
+                            at < segs.size() && segs[at].begin <= vpn
+                                ? segs[at].span
+                                : 1;
+                        utcl1.insert(vpn, vpn & ~(span - 1), span);
                     }
                 }
             }

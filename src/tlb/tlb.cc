@@ -15,18 +15,18 @@ FragTlb::FragTlb(const FragTlbConfig &config) : cfg(config)
         fatal("FragTlb max span must be a power of two");
     base.assign(cfg.entries, 0);
     span.assign(cfg.entries, 0);
-    lru.assign(cfg.entries, 0);
+    prev.assign(cfg.entries, 0);
+    next.assign(cfg.entries, 0);
 }
 
 bool
 FragTlb::lookup(Vpn vpn)
 {
-    ++stamp;
     // One unsigned compare per entry: vpn - base wraps past any span
     // when vpn < base, and nothing is below an invalid entry's span 0.
     for (std::size_t i = 0; i < base.size(); ++i) {
         if (vpn - base[i] < span[i]) {
-            lru[i] = stamp;
+            moveToFront(static_cast<std::uint32_t>(i));
             ++hitCount;
             return true;
         }
@@ -36,16 +36,32 @@ FragTlb::lookup(Vpn vpn)
 }
 
 void
+FragTlb::moveToFront(std::uint32_t i)
+{
+    if (i == head)
+        return;
+    next[prev[i]] = next[i];
+    if (i == tail)
+        tail = prev[i];
+    else
+        prev[next[i]] = prev[i];
+    prev[head] = i;
+    next[i] = head;
+    head = i;
+}
+
+void
 FragTlb::insert(Vpn vpn, Vpn frag_base, std::uint64_t frag_span)
 {
-    if (frag_span == 0)
-        panic("FragTlb insert with zero span");
+    if (!isPow2(frag_span))
+        panic("FragTlb insert: fragment span must be a power of two");
+    if ((frag_base & (frag_span - 1)) != 0)
+        panic("FragTlb insert: fragment base not aligned to its span");
     if (vpn < frag_base || vpn >= frag_base + frag_span)
         panic("FragTlb insert: vpn outside fragment");
 
-    // Clamp to the aligned block of maxSpanPages containing vpn. The
-    // fragment is pow2-aligned by construction, so the clamped block is
-    // fully covered by the same fragment.
+    // Clamp to the aligned block of maxSpanPages containing vpn; the
+    // fragment is aligned to its larger span, so it covers the block.
     std::uint64_t entry_span = frag_span;
     Vpn entry_base = frag_base;
     if (entry_span > cfg.maxSpanPages) {
@@ -53,65 +69,29 @@ FragTlb::insert(Vpn vpn, Vpn frag_base, std::uint64_t frag_span)
         entry_base = vpn & ~static_cast<Vpn>(entry_span - 1);
     }
 
-    // LRU victim; the first invalid entry (lru 0) wins.
-    auto victim = static_cast<std::size_t>(
-        std::min_element(lru.begin(), lru.end()) - lru.begin());
-    ++stamp;
+    // The lowest-index invalid entry first, else the LRU tail.
+    std::uint32_t victim;
+    if (filled < base.size()) {
+        victim = filled++;
+        if (victim == 0)
+            tail = 0;
+        else
+            prev[head] = victim;
+        next[victim] = head;
+        head = victim;
+    } else {
+        victim = tail;
+        moveToFront(victim);
+    }
     base[victim] = entry_base;
     span[victim] = entry_span;
-    lru[victim] = stamp;
 }
 
 void
 FragTlb::flush()
 {
     std::fill(span.begin(), span.end(), 0);
-    std::fill(lru.begin(), lru.end(), 0);
-}
-
-PlainTlb::PlainTlb(const PlainTlbConfig &config) : cfg(config)
-{
-    if (cfg.entries == 0 || cfg.assoc == 0 || cfg.entries % cfg.assoc != 0)
-        fatal("PlainTlb entries must divide into ways");
-    sets = cfg.entries / cfg.assoc;
-    // Round sets down to a power of two for cheap indexing.
-    while (!isPow2(sets))
-        --sets;
-    ways.resize(static_cast<std::size_t>(sets) * cfg.assoc);
-}
-
-bool
-PlainTlb::access(Vpn vpn)
-{
-    unsigned set = static_cast<unsigned>(vpn & (sets - 1));
-    Way *base = &ways[static_cast<std::size_t>(set) * cfg.assoc];
-    ++stamp;
-    Way *victim = base;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == vpn) {
-            way.lru = stamp;
-            ++hitCount;
-            return true;
-        }
-        if (!way.valid) {
-            victim = &way;
-        } else if (victim->valid && way.lru < victim->lru) {
-            victim = &way;
-        }
-    }
-    victim->valid = true;
-    victim->tag = vpn;
-    victim->lru = stamp;
-    ++missCount;
-    return false;
-}
-
-void
-PlainTlb::flush()
-{
-    for (auto &way : ways)
-        way.valid = false;
+    filled = 0;
 }
 
 } // namespace upm::tlb

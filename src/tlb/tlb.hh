@@ -1,13 +1,12 @@
 /**
  * @file
- * TLB models.
+ * The GPU's per-CU UTCL1 model.
  *
- * `FragTlb` models the GPU's per-CU UTCL1: fully associative, LRU, and
- * *fragment-aware* -- one entry can cover a whole page-table fragment
- * (a virtually and physically contiguous, identically-flagged range),
- * which is how AMD's adaptive fragment scheme multiplies TLB reach
- * (paper Section 5.3). `PlainTlb` is a conventional one-page-per-entry
- * set-associative TLB used for the CPU dTLB model.
+ * `FragTlb` is fully associative, LRU, and *fragment-aware* -- one
+ * entry can cover a whole page-table fragment (a virtually and
+ * physically contiguous, identically-flagged range), which is how
+ * AMD's adaptive fragment scheme multiplies TLB reach (paper
+ * Section 5.3).
  */
 
 #ifndef UPM_TLB_TLB_HH
@@ -15,8 +14,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "common/units.hh"
 
 namespace upm::tlb {
 
@@ -33,8 +30,6 @@ struct FragTlbConfig
      * single entry even when the PTE advertises a larger fragment.
      */
     unsigned maxSpanPages = 256;
-    /** Latency charged on a miss (walk through UTCL2 / page walker). */
-    SimTime missLatency = 400.0;
 };
 
 /**
@@ -51,8 +46,10 @@ class FragTlb
 
     /**
      * Install a translation after a miss. @p frag_base / @p frag_span
-     * describe the PTE's fragment; the inserted entry is the aligned
-     * sub-block of at most `maxSpanPages` pages containing @p vpn.
+     * describe the PTE's fragment: a power-of-two span, its base
+     * aligned to it, containing @p vpn (panics otherwise). The inserted
+     * entry is the aligned sub-block of at most `maxSpanPages` pages
+     * containing @p vpn.
      */
     void insert(Vpn vpn, Vpn frag_base, std::uint64_t frag_span);
 
@@ -63,58 +60,27 @@ class FragTlb
     std::uint64_t misses() const { return missCount; }
     void resetStats() { hitCount = missCount = 0; }
 
-    SimTime missLatency() const { return cfg.missLatency; }
     const FragTlbConfig &config() const { return cfg; }
 
   private:
+    /** Make valid entry @p i the most recently used. */
+    void moveToFront(std::uint32_t i);
+
     FragTlbConfig cfg;
-    /** Entries as parallel arrays, scanned whole on every miss. Entry
-     *  i covers [base[i], base[i] + span[i]); span 0 == invalid, and
-     *  an invalid entry keeps lru 0, below every valid stamp. */
+    /** Entries as parallel arrays, scanned whole on every lookup.
+     *  Entry i covers [base[i], base[i] + span[i]); span 0 == invalid. */
     std::vector<Vpn> base;
     std::vector<std::uint64_t> span;
-    std::vector<std::uint64_t> lru;
-    std::uint64_t stamp = 0;
-    std::uint64_t hitCount = 0;
-    std::uint64_t missCount = 0;
-};
-
-/** Parameters of a conventional TLB. */
-struct PlainTlbConfig
-{
-    unsigned entries = 1536;  //!< Zen4 L2 dTLB per core (model)
-    unsigned assoc = 12;
-    SimTime missLatency = 25.0;
-};
-
-/** Set-associative single-page TLB (CPU dTLB model). */
-class PlainTlb
-{
-  public:
-    explicit PlainTlb(const PlainTlbConfig &config = {});
-
-    /** Look up @p vpn, allocating the entry on miss. @return hit? */
-    bool access(Vpn vpn);
-
-    void flush();
-
-    std::uint64_t hits() const { return hitCount; }
-    std::uint64_t misses() const { return missCount; }
-    void resetStats() { hitCount = missCount = 0; }
-    SimTime missLatency() const { return cfg.missLatency; }
-
-  private:
-    struct Way
-    {
-        Vpn tag = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    PlainTlbConfig cfg;
-    unsigned sets;
-    std::vector<Way> ways;
-    std::uint64_t stamp = 0;
+    /** Recency list over the valid entries: `head` is the most
+     *  recently used, `tail` the LRU victim. */
+    std::vector<std::uint32_t> prev;
+    std::vector<std::uint32_t> next;
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+    /** Entries [0, filled) are valid. Only flush() invalidates, and it
+     *  invalidates all, so the lowest-index invalid entry -- the one
+     *  an insert fills first -- is always `filled`. */
+    std::uint32_t filled = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
 };

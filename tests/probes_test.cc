@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/log.hh"
 #include "core/alloc_probe.hh"
 #include "core/atomics_probe.hh"
@@ -100,6 +103,78 @@ TEST(StreamProbe, TlbMissesSplitByAllocator)
                                        FirstTouch::Cpu).tlbMisses;
     }
     EXPECT_GT(pinned_misses, 4 * hip_misses);
+}
+
+TEST(StreamProbe, TlbMissesPinnedForTable1Configs)
+{
+    // Exact UTCL1 walk outputs at 16 MiB arrays: only hipMalloc's
+    // fragments outreach the 114-page stride between a CU's blocks.
+    const struct
+    {
+        AK kind;
+        bool xnack;
+        std::uint64_t misses;
+    } rows[] = {
+        {AK::Malloc, false, 73872},
+        {AK::Malloc, true, 73872},
+        {AK::MallocRegistered, false, 73872},
+        {AK::HipMalloc, false, 3648},
+        {AK::HipHostMalloc, false, 73872},
+        {AK::HipMallocManaged, false, 73872},
+        {AK::HipMallocManaged, true, 73872},
+    };
+    StreamProbe::Params p;
+    p.gpuArrayBytes = 16 * MiB;
+    for (const auto &row : rows) {
+        System sys(probeConfig());
+        sys.runtime().setXnack(row.xnack);
+        StreamProbe probe(sys, p);
+        EXPECT_EQ(probe.gpuTriad(row.kind, FirstTouch::Cpu).tlbMisses,
+                  row.misses)
+            << alloc::allocatorName(row.kind) << " xnack " << row.xnack;
+    }
+}
+
+TEST(StreamProbe, TlbMissesPinnedAcrossReachCaps)
+{
+    // bench_ablation's sweep A: hipMalloc TRIAD at 64 MiB. Cap 1 clamps
+    // every fragment to a page.
+    const std::pair<unsigned, std::uint64_t> rows[] = {
+        {1, 295488}, {16, 295488}, {128, 262656}, {1024, 43776}};
+    StreamProbe::Params p;
+    p.gpuArrayBytes = 64 * MiB;
+    for (auto [cap, misses] : rows) {
+        SystemConfig cfg = probeConfig();
+        cfg.gpuTlb.utcl1MaxSpanPages = cap;
+        System sys(cfg);
+        StreamProbe probe(sys, p);
+        EXPECT_EQ(probe.gpuTriad(AK::HipMalloc, FirstTouch::Cpu).tlbMisses,
+                  misses)
+            << "cap " << cap;
+    }
+}
+
+TEST(StreamProbe, TlbMissesPinnedOnFragmentedMemory)
+{
+    // hipMalloc arrays pieced together from 3 MiB holes: each array is
+    // many fragment stretches of unequal span, the TLB cannot hold an
+    // iteration, and with every CU sampled every page is referenced,
+    // stretch boundaries included.
+    SystemConfig cfg;
+    cfg.geometry.capacityBytes = 512 * MiB;
+    System sys(cfg);
+    auto &rt = sys.runtime();
+    std::vector<hip::DevPtr> held;
+    for (int i = 0; i < 162; ++i)
+        held.push_back(rt.allocate(AK::HipMalloc, 3 * MiB));
+    for (std::size_t i = 0; i < held.size(); i += 2)
+        rt.freeChecked(held[i]);
+    StreamProbe::Params p;
+    p.gpuArrayBytes = 64 * MiB;
+    p.sampledCus = sys.config().numCus;
+    StreamProbe probe(sys, p);
+    EXPECT_EQ(probe.gpuTriad(AK::HipMalloc, FirstTouch::Cpu).tlbMisses,
+              62928u);
 }
 
 TEST(StreamProbe, CpuFaultCountsMatchFig10Bands)

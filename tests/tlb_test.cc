@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the TLB module: the fragment-aware UTCL1 model and the
- * conventional CPU dTLB model.
+ * Tests for the TLB module: the fragment-aware UTCL1 model.
  */
 
 #include <gtest/gtest.h>
@@ -85,40 +84,40 @@ TEST(FragTlb, InsertValidation)
     EXPECT_THROW(tlb.insert(10, 6, 4), SimError); // vpn past end
 }
 
+TEST(FragTlb, InsertRejectsMisshapenFragment)
+{
+    // The clamp to maxSpanPages assumes a power-of-two fragment
+    // aligned to its span; anything else is a caller bug.
+    FragTlb tlb({.entries = 2, .maxSpanPages = 16});
+    EXPECT_THROW(tlb.insert(5, 4, 3), SimError);     // span not pow2
+    EXPECT_THROW(tlb.insert(7, 6, 4), SimError);     // base unaligned
+    EXPECT_THROW(tlb.insert(100, 96, 48), SimError); // span not pow2
+    tlb.insert(98, 96, 4);
+    EXPECT_TRUE(tlb.lookup(99));
+}
+
+TEST(FragTlb, LowestInvalidEntryFillsFirst)
+{
+    // Overlapping entries: a lookup refreshes the lowest-index match,
+    // so the fill order decides which entry the next insert evicts.
+    // Each round ends with entry 1 least recent, and the flush must
+    // restart the fill at entry 0 regardless.
+    FragTlb tlb({.entries = 2, .maxSpanPages = 16});
+    for (int round = 0; round < 2; ++round) {
+        tlb.insert(0, 0, 16);        // entry 0: [0, 16)
+        tlb.insert(0, 0, 1);         // entry 1: [0, 1)
+        EXPECT_TRUE(tlb.lookup(0));  // refreshes entry 0
+        tlb.insert(32, 32, 1);       // evicts entry 1
+        EXPECT_TRUE(tlb.lookup(32)) << "round " << round;
+        EXPECT_TRUE(tlb.lookup(5)) << "round " << round;
+        tlb.flush();
+    }
+}
+
 TEST(FragTlb, ConfigValidation)
 {
     EXPECT_THROW(FragTlb({.entries = 0, .maxSpanPages = 16}), SimError);
     EXPECT_THROW(FragTlb({.entries = 4, .maxSpanPages = 3}), SimError);
-}
-
-TEST(PlainTlb, StreamingMissesEveryNewPage)
-{
-    PlainTlb tlb({.entries = 64, .assoc = 4, .missLatency = 25.0});
-    for (Vpn vpn = 0; vpn < 1000; ++vpn)
-        tlb.access(vpn);
-    EXPECT_EQ(tlb.misses(), 1000u);
-    EXPECT_EQ(tlb.hits(), 0u);
-}
-
-TEST(PlainTlb, ResidentSetHits)
-{
-    PlainTlb tlb({.entries = 64, .assoc = 4, .missLatency = 25.0});
-    for (int round = 0; round < 4; ++round) {
-        for (Vpn vpn = 0; vpn < 16; ++vpn)
-            tlb.access(vpn);
-    }
-    EXPECT_EQ(tlb.misses(), 16u);
-    EXPECT_EQ(tlb.hits(), 3u * 16u);
-}
-
-TEST(PlainTlb, FlushForcesRefill)
-{
-    PlainTlb tlb({.entries = 64, .assoc = 4, .missLatency = 25.0});
-    tlb.access(7);
-    tlb.flush();
-    tlb.resetStats();
-    tlb.access(7);
-    EXPECT_EQ(tlb.misses(), 1u);
 }
 
 /** Reach property: misses scale inversely with fragment span. */
@@ -227,8 +226,11 @@ TEST(FragTlbDiff, MatchesEntryArrayModelAcross16Seeds)
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
         SplitMix64 rng(0x71b0 + seed);
         FragTlbConfig cfg;
-        cfg.entries = std::array<unsigned, 4>{1, 3, 8, 32}[seed % 4];
-        cfg.maxSpanPages = 1u << (2 + rng.nextBelow(7));  // 4..256
+        // Caps run from 1 (every fragment clamped) to 1024 (the
+        // calibrated UTCL1's); each meets four different entry counts.
+        const unsigned cap_log2[8] = {0, 10, 2, 4, 0, 6, 8, 10};
+        cfg.entries = std::array<unsigned, 5>{1, 3, 8, 32, 64}[seed % 5];
+        cfg.maxSpanPages = 1u << cap_log2[seed % 8];
         FragTlb flat(cfg);
         EntryArrayTlb oracle(cfg);
         // A window a few times the TLB's reach, so hits, misses and

@@ -215,8 +215,7 @@ runMigrationPoint(policy::MigrationKind migration,
     pcfg.migration = migration;
     policy::PolicyEngine engine(pcfg);
 
-    uvm::UvmSimulator sim(capacity, EvictionKind::Lru, pcfg.seed);
-    sim.setPolicyEngine(&engine);
+    uvm::UvmSimulator sim(capacity, EvictionKind::Lru, pcfg.seed, &engine);
 
     const std::uint64_t total = capacity / 2;  // fits: no evictions
     const std::uint64_t hot = capacity / 4;
@@ -262,8 +261,7 @@ runSoak(std::uint64_t seed, unsigned cycles, std::uint64_t capacity)
     pcfg.migration = policy::MigrationKind::HotCold;
     policy::PolicyEngine engine(pcfg);
 
-    uvm::UvmSimulator sim(capacity, EvictionKind::Lru, seed);
-    sim.setPolicyEngine(&engine);
+    uvm::UvmSimulator sim(capacity, EvictionKind::Lru, seed, &engine);
 
     const std::uint64_t total = capacity + capacity / 2;
     const std::uint64_t total_pages = ceilDiv(total, mem::kPageSize);
@@ -526,11 +524,10 @@ run(int argc, char **argv)
 
         policy::PolicyConfig pcfg;
         pcfg.migration = policy::MigrationKind::HotCold;
-        policy::PolicyEngine engine(pcfg);
-        engine.setTracer(&tracer);
+        policy::PolicyEngine engine(pcfg, &tracer);
 
-        uvm::UvmSimulator sim(64 * MiB, EvictionKind::Lru, pcfg.seed);
-        sim.setPolicyEngine(&engine);
+        uvm::UvmSimulator sim(64 * MiB, EvictionKind::Lru, pcfg.seed,
+                              &engine);
         const std::uint64_t ws = 80 * MiB;  // oversubscribed: evicts
         const std::uint64_t h = sim.allocManaged(ws);
         for (unsigned i = 0; i < 6; ++i)

@@ -4,8 +4,10 @@
 
 namespace upm::policy {
 
-PolicyEngine::PolicyEngine(const PolicyConfig &config)
-    : cfg(config), mig(makeMigration(cfg.migration, cfg.migrationTuning))
+PolicyEngine::PolicyEngine(const PolicyConfig &config,
+                           trace::Tracer *tracer)
+    : cfg(config), mig(makeMigration(cfg.migration, cfg.migrationTuning)),
+      tr(tracer)
 {
 }
 

@@ -53,7 +53,10 @@ struct PolicyStats
 class PolicyEngine
 {
   public:
-    explicit PolicyEngine(const PolicyConfig &config);
+    /** @p tracer, when not null, receives the PolicyEvict and
+     *  PolicyMigrate events of applied decisions. */
+    explicit PolicyEngine(const PolicyConfig &config,
+                          trace::Tracer *tracer = nullptr);
     ~PolicyEngine();
 
     PolicyEngine(const PolicyEngine &) = delete;
@@ -61,9 +64,6 @@ class PolicyEngine
 
     const PolicyConfig &config() const { return cfg; }
     const PolicyStats &stats() const { return counters; }
-
-    /** Wire the trace bus (null to disconnect). */
-    void setTracer(trace::Tracer *t) { tr = t; }
 
     // ------------------------------------------------------- eviction
 
@@ -130,7 +130,7 @@ class PolicyEngine
 
     std::unique_ptr<MigrationPolicy> mig;  //!< NullMigration when Off
 
-    trace::Tracer *tr = nullptr;  //!< null-checked, like every hook
+    trace::Tracer *tr;  //!< null-checked, like every hook
 };
 
 } // namespace upm::policy

@@ -13,8 +13,8 @@ namespace {
  *  every touch. */
 constexpr std::uint64_t kMinStale = 64;
 
-/** Lazy min-heap helpers over a random-access container ordered by
- *  its entries' operator<. */
+/** Lazy min-heap helpers over a vector ordered by its entries'
+ *  operator<. */
 template <typename E>
 bool
 later(const E &a, const E &b)
@@ -22,41 +22,80 @@ later(const E &a, const E &b)
     return b < a;
 }
 
-template <typename Heap>
+template <typename E>
 void
-heapPush(Heap &heap, const typename Heap::value_type &entry)
+heapPush(std::vector<E> &heap, const E &entry)
 {
-    using E = typename Heap::value_type;
     heap.push_back(entry);
     std::push_heap(heap.begin(), heap.end(), later<E>);
 }
 
-template <typename Heap>
+template <typename E>
 void
-heapPop(Heap &heap)
+heapPop(std::vector<E> &heap)
 {
-    using E = typename Heap::value_type;
     std::pop_heap(heap.begin(), heap.end(), later<E>);
     heap.pop_back();
 }
 
+/** Restore the heap after its top entry grew: sift it down, stopping
+ *  as soon as it is no larger than both children. */
+template <typename E>
+void
+heapSiftTop(std::vector<E> &heap)
+{
+    const std::size_t size = heap.size();
+    E moving = heap.front();
+    std::size_t at = 0;
+    for (std::size_t child = 1; child < size; child = 2 * at + 1) {
+        if (child + 1 < size && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < moving))
+            break;
+        heap[at] = heap[child];
+        at = child;
+    }
+    heap[at] = moving;
+}
+
 /** Drop stale tops; the least valid entry, or nullptr. */
-template <typename Heap, typename Valid>
-const typename Heap::value_type *
-heapTop(Heap &heap, Valid valid)
+template <typename E, typename Valid>
+const E *
+heapTop(std::vector<E> &heap, Valid valid)
 {
     while (!heap.empty() && !valid(heap.front()))
         heapPop(heap);
     return heap.empty() ? nullptr : &heap.front();
 }
 
-template <typename Heap, typename Valid>
-void
-heapCompact(Heap &heap, Valid valid)
+/** The last entry of @p run. */
+StampEntry
+lastOf(const StampRun &run)
 {
-    using E = typename Heap::value_type;
-    std::erase_if(heap, [&](const E &e) { return !valid(e); });
-    std::make_heap(heap.begin(), heap.end(), later<E>);
+    return {run.head.stamp,
+            {run.head.key.space, run.head.key.page + run.n - 1},
+            run.head.seq + run.n - 1};
+}
+
+/** Hand each maximal stretch of valid entries of @p run to @p out, in
+ *  order, as a run of its own. */
+template <typename Valid, typename Out>
+void
+splitValid(StampRun run, Valid valid, Out out)
+{
+    StampRun piece{run.head, 0};
+    for (; run.n > 0; run.advance()) {
+        if (valid(run.head)) {
+            if (piece.n == 0)
+                piece.head = run.head;
+            ++piece.n;
+        } else if (piece.n > 0) {
+            out(piece);
+            piece.n = 0;
+        }
+    }
+    if (piece.n > 0)
+        out(piece);
 }
 
 } // namespace
@@ -135,14 +174,21 @@ PageSlab<Node>::add(PageKey key)
 }
 
 template <typename Node>
-void
+bool
 PageSlab<Node>::drop(PageKey key)
 {
     Space *space = spaceOf(key.space);
+    if (space == nullptr)
+        return false;
     std::uint64_t index = key.page / kChunkPages;
-    std::uint64_t slot = key.page % kChunkPages;
+    if (index >= space->chunks.size() || !space->chunks[index])
+        return false;
     Chunk &chunk = *space->chunks[index];
-    chunk.live[slot / 64] &= ~(1ull << (slot % 64));
+    std::uint64_t slot = key.page % kChunkPages;
+    std::uint64_t bit = 1ull << (slot % 64);
+    if ((chunk.live[slot / 64] & bit) == 0)
+        return false;
+    chunk.live[slot / 64] &= ~bit;
     --tracked;
     if (--chunk.count == 0)
         space->chunks[index].reset();
@@ -150,40 +196,53 @@ PageSlab<Node>::drop(PageKey key)
         spaces.erase(key.space);
         cached = nullptr;
     }
+    return true;
 }
 
 // --------------------------------------------------------- StampQueue
 
 void
-StampQueue::push(const StampEntry &entry)
+StampQueue::push(StampRun run)
 {
-    if (!fifo.empty() && entry < fifo.back())
-        heapPush(spill, entry);
+    while (run.n > 0 && !fifo.empty() && run.head < lastOf(fifo.back())) {
+        heapPush(spill, run.head);
+        run.advance();
+    }
+    if (run.n == 0)
+        return;
+    if (!fifo.empty() && fifo.back().continuedBy(run.head))
+        fifo.back().n += run.n;
     else
-        fifo.push_back(entry);
+        fifo.push_back(run);
 }
 
 template <typename Valid>
 const StampEntry *
 StampQueue::front(Valid valid)
 {
-    while (!fifo.empty() && !valid(fifo.front()))
-        fifo.pop_front();
+    while (!fifo.empty() && !valid(fifo.front().head)) {
+        fifo.front().advance();
+        if (fifo.front().n == 0)
+            fifo.pop_front();
+    }
     const StampEntry *spilled = heapTop(spill, valid);
-    spillFront =
-        spilled != nullptr && (fifo.empty() || *spilled < fifo.front());
+    spillFront = spilled != nullptr &&
+                 (fifo.empty() || *spilled < fifo.front().head);
     if (spillFront)
         return spilled;
-    return fifo.empty() ? nullptr : &fifo.front();
+    return fifo.empty() ? nullptr : &fifo.front().head;
 }
 
 void
 StampQueue::pop()
 {
-    if (spillFront)
+    if (spillFront) {
         heapPop(spill);
-    else
-        fifo.pop_front();
+    } else {
+        fifo.front().advance();
+        if (fifo.front().n == 0)
+            fifo.pop_front();
+    }
     spillFront = false;
 }
 
@@ -191,8 +250,13 @@ template <typename Valid>
 void
 StampQueue::compact(Valid valid)
 {
-    std::erase_if(fifo, [&](const StampEntry &e) { return !valid(e); });
-    heapCompact(spill, valid);
+    std::deque<StampRun> kept;
+    for (const StampRun &run : fifo)
+        splitValid(run, valid,
+                   [&](const StampRun &piece) { kept.push_back(piece); });
+    fifo.swap(kept);
+    std::erase_if(spill, [&](const StampEntry &e) { return !valid(e); });
+    std::make_heap(spill.begin(), spill.end(), later<StampEntry>);
     spillFront = false;
 }
 
@@ -230,6 +294,15 @@ LazyEviction<Node>::current(const StampEntry &entry)
 }
 
 template <typename Node>
+PageKey
+LazyEviction<Node>::take(const StampEntry &entry)
+{
+    PageKey key = entry.key;
+    pages.drop(key);
+    return key;
+}
+
+template <typename Node>
 void
 LazyEviction<Node>::retire()
 {
@@ -240,11 +313,14 @@ LazyEviction<Node>::retire()
 
 template <typename Node>
 void
-LazyEviction<Node>::remove(PageKey key)
+LazyEviction<Node>::removeRun(std::uint64_t space, std::uint64_t first,
+                              std::uint64_t n)
 {
-    tracked(key, "remove");
-    pages.drop(key);
-    retire();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (!pages.drop({space, first + i}))
+            panic("%s remove of an untracked page", name());
+        retire();
+    }
 }
 
 template <typename Node>
@@ -261,30 +337,41 @@ template class LazyEviction<PredictiveNode>;
 // ---------------------------------------------------------------- LRU
 
 void
-LruEviction::insert(PageKey key, std::uint64_t tick)
+LruEviction::touchRun(std::uint64_t space, std::uint64_t first,
+                      std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    order.push({tick, key, reissue(claim(key))});
+    for (std::uint64_t i = 0; i < n; ++i) {
+        PageKey key{space, first + i};
+        order.push({{tick, key, reissue(tracked(key, "touch"))}, 1});
+        retire();
+    }
 }
 
 void
-LruEviction::touch(PageKey key, std::uint64_t tick)
+LruEviction::admitRun(std::uint64_t space, std::uint64_t first,
+                      std::uint64_t n, std::uint64_t tick,
+                      std::uint64_t room, std::vector<PageKey> &victims)
 {
     advanceTo(tick);
-    order.push({tick, key, reissue(tracked(key, "touch"))});
-    retire();
+    victims.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (i >= room)
+            victims.push_back(evictOne());
+        PageKey key{space, first + i};
+        order.push({{tick, key, reissue(claim(key))}, 1});
+    }
 }
 
 PageKey
-LruEviction::evict()
+LruEviction::evictOne()
 {
     const StampEntry *victim =
         order.front([this](const StampEntry &e) { return current(e); });
     if (victim == nullptr)
         panic("LRU eviction with no resident pages");
-    PageKey key = victim->key;
+    PageKey key = take(*victim);
     order.pop();
-    pages.drop(key);
     return key;
 }
 
@@ -297,35 +384,59 @@ LruEviction::compact()
 // ---------------------------------------------------------------- LFU
 
 void
-LfuEviction::insert(PageKey key, std::uint64_t tick)
+LfuEviction::touchRun(std::uint64_t space, std::uint64_t first,
+                      std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    LfuNode &node = claim(key);
-    node.freq = 1;
-    levels[node.freq].push({tick, key, reissue(node)});
+    // One level lookup per segment of equal frequency. The level holds
+    // valid entries from the segment's first push on, so a compaction
+    // inside the segment cannot erase it.
+    StampQueue *level = nullptr;
+    std::uint64_t segmentFreq = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        PageKey key{space, first + i};
+        LfuNode &node = tracked(key, "touch");
+        if (level == nullptr || node.freq != segmentFreq) {
+            segmentFreq = node.freq;
+            level = &levels[segmentFreq + 1];
+        }
+        ++node.freq;
+        level->push({{tick, key, reissue(node)}, 1});
+        retire();
+    }
 }
 
 void
-LfuEviction::touch(PageKey key, std::uint64_t tick)
+LfuEviction::admitRun(std::uint64_t space, std::uint64_t first,
+                      std::uint64_t n, std::uint64_t tick,
+                      std::uint64_t room, std::vector<PageKey> &victims)
 {
     advanceTo(tick);
-    LfuNode &node = tracked(key, "touch");
-    ++node.freq;
-    levels[node.freq].push({tick, key, reissue(node)});
-    retire();
+    victims.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (i >= room)
+            victims.push_back(evictOne());
+        PageKey key{space, first + i};
+        LfuNode &node = claim(key);
+        node.freq = 1;
+        // Level 1 is the lowest there can be: begin() or a new head.
+        auto level = levels.begin();
+        if (level == levels.end() || level->first != 1)
+            level = levels.emplace_hint(level, 1, StampQueue());
+        level->second.push({{tick, key, reissue(node)}, 1});
+    }
 }
 
 PageKey
-LfuEviction::evict()
+LfuEviction::evictOne()
 {
     auto valid = [this](const StampEntry &e) { return current(e); };
     // Levels left with only stale entries drain and go.
     for (auto it = levels.begin(); it != levels.end();
          it = levels.erase(it)) {
         if (const StampEntry *victim = it->second.front(valid)) {
-            PageKey key = victim->key;
+            PageKey key = take(*victim);
             it->second.pop();
-            pages.drop(key);
             return key;
         }
     }
@@ -345,22 +456,39 @@ LfuEviction::compact()
 // ------------------------------------------------------------- Random
 
 void
-RandomEviction::insert(PageKey key, std::uint64_t tick)
+RandomEviction::touchRun(std::uint64_t space, std::uint64_t first,
+                         std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    Node *node = pages.add(key);
-    if (node == nullptr)
-        panic("random-eviction insert of an already-tracked page");
-    node->slot = slots.size();
-    slots.push_back(key);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (pages.find({space, first + i}) == nullptr)
+            panic("random-eviction touch of an untracked page");
+    }
 }
 
 void
-RandomEviction::touch(PageKey key, std::uint64_t tick)
+RandomEviction::admitRun(std::uint64_t space, std::uint64_t first,
+                         std::uint64_t n, std::uint64_t tick,
+                         std::uint64_t room, std::vector<PageKey> &victims)
 {
     advanceTo(tick);
-    if (pages.find(key) == nullptr)
-        panic("random-eviction touch of an untracked page");
+    victims.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (i >= room) {
+            if (slots.empty())
+                panic("random eviction with no resident pages");
+            std::uint64_t slot = rng.nextBelow(slots.size());
+            victims.push_back(slots[slot]);
+            pages.drop(slots[slot]);
+            swapRemove(slot);
+        }
+        PageKey key{space, first + i};
+        Node *node = pages.add(key);
+        if (node == nullptr)
+            panic("random-eviction insert of an already-tracked page");
+        node->slot = slots.size();
+        slots.push_back(key);
+    }
 }
 
 void
@@ -374,26 +502,18 @@ RandomEviction::swapRemove(std::uint64_t slot)
 }
 
 void
-RandomEviction::remove(PageKey key)
+RandomEviction::removeRun(std::uint64_t space, std::uint64_t first,
+                          std::uint64_t n)
 {
-    const Node *node = pages.find(key);
-    if (node == nullptr)
-        panic("random-eviction remove of an untracked page");
-    std::uint64_t slot = node->slot;
-    pages.drop(key);
-    swapRemove(slot);
-}
-
-PageKey
-RandomEviction::evict()
-{
-    if (slots.empty())
-        panic("random eviction with no resident pages");
-    std::uint64_t slot = rng.nextBelow(slots.size());
-    PageKey key = slots[slot];
-    pages.drop(key);
-    swapRemove(slot);
-    return key;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        PageKey key{space, first + i};
+        const Node *node = pages.find(key);
+        if (node == nullptr)
+            panic("random-eviction remove of an untracked page");
+        std::uint64_t slot = node->slot;
+        pages.drop(key);
+        swapRemove(slot);
+    }
 }
 
 bool
@@ -418,63 +538,114 @@ PredictiveEviction::enqueue(PageKey key, PredictiveNode &node)
 {
     StampEntry entry{node.stamp, key, reissue(node)};
     std::uint64_t rank = ~predictedNext(node);
-    if (rank == 0)
-        fresh.push(entry);
-    else
-        heapPush(reused, RankedEntry{rank, entry});
+    if (rank == 0) {
+        fresh.push({entry, 1});
+    } else if (open.run.n > 0 && open.rank == rank &&
+               open.run.continuedBy(entry)) {
+        ++open.run.n;
+    } else {
+        if (open.run.n > 0)
+            heapPush(reused, open);
+        open = {rank, {entry, 1}};
+    }
 }
 
 void
-PredictiveEviction::insert(PageKey key, std::uint64_t tick)
+PredictiveEviction::touchRun(std::uint64_t space, std::uint64_t first,
+                             std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    PredictiveNode &node = claim(key);
-    node.stamp = tick;
-    node.ewmaGap = kNeverReused;
-    enqueue(key, node);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        PageKey key{space, first + i};
+        PredictiveNode &node = tracked(key, "touch");
+        std::uint64_t gap = tick - node.stamp;
+        node.ewmaGap = node.ewmaGap == kNeverReused
+                           ? gap
+                           : (3 * node.ewmaGap + gap) / 4;
+        node.stamp = tick;
+        enqueue(key, node);
+        retire();
+    }
 }
 
 void
-PredictiveEviction::touch(PageKey key, std::uint64_t tick)
+PredictiveEviction::admitRun(std::uint64_t space, std::uint64_t first,
+                             std::uint64_t n, std::uint64_t tick,
+                             std::uint64_t room,
+                             std::vector<PageKey> &victims)
 {
     advanceTo(tick);
-    PredictiveNode &node = tracked(key, "touch");
-    std::uint64_t gap = tick - node.stamp;
-    node.ewmaGap = node.ewmaGap == kNeverReused
-                       ? gap
-                       : (3 * node.ewmaGap + gap) / 4;
-    node.stamp = tick;
-    enqueue(key, node);
-    retire();
+    victims.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (i >= room)
+            victims.push_back(evictOne());
+        PageKey key{space, first + i};
+        PredictiveNode &node = claim(key);
+        node.stamp = tick;
+        node.ewmaGap = kNeverReused;
+        enqueue(key, node);
+    }
+}
+
+PredictiveEviction::RankedRun *
+PredictiveEviction::reusedFront()
+{
+    auto valid = [this](const StampEntry &e) { return current(e); };
+    while (open.run.n > 0 && !valid(open.run.head))
+        open.run.advance();
+    while (!reused.empty() && !valid(reused.front().run.head)) {
+        reused.front().run.advance();
+        if (reused.front().run.n == 0)
+            heapPop(reused);
+        else
+            heapSiftTop(reused);
+    }
+    RankedRun *best = reused.empty() ? nullptr : &reused.front();
+    if (open.run.n > 0 && (best == nullptr || open < *best))
+        best = &open;
+    return best;
 }
 
 PageKey
-PredictiveEviction::evict()
+PredictiveEviction::evictOne()
 {
-    PageKey key;
     if (const StampEntry *victim = fresh.front(
             [this](const StampEntry &e) { return current(e); })) {
-        key = victim->key;
+        PageKey key = take(*victim);
         fresh.pop();
-    } else if (const RankedEntry *ranked = heapTop(
-                   reused, [this](const RankedEntry &r) {
-                       return current(r.entry);
-                   })) {
-        key = ranked->entry.key;
-        heapPop(reused);
-    } else {
-        panic("predictive eviction with no resident pages");
+        return key;
     }
-    pages.drop(key);
+    RankedRun *ranked = reusedFront();
+    if (ranked == nullptr)
+        panic("predictive eviction with no resident pages");
+    PageKey key = take(ranked->run.head);
+    ranked->run.advance();
+    if (ranked != &open) {
+        if (ranked->run.n == 0)
+            heapPop(reused);
+        else
+            heapSiftTop(reused);
+    }
     return key;
 }
 
 void
 PredictiveEviction::compact()
 {
-    fresh.compact([this](const StampEntry &e) { return current(e); });
-    heapCompact(reused,
-                [this](const RankedEntry &r) { return current(r.entry); });
+    auto valid = [this](const StampEntry &e) { return current(e); };
+    fresh.compact(valid);
+    std::vector<RankedRun> kept;
+    for (RankedRun ranked : reused) {
+        splitValid(ranked.run, valid, [&](const StampRun &piece) {
+            kept.push_back({ranked.rank, piece});
+        });
+    }
+    splitValid(open.run, valid, [&](const StampRun &piece) {
+        kept.push_back({open.rank, piece});
+    });
+    open.run.n = 0;
+    std::make_heap(kept.begin(), kept.end(), later<RankedRun>);
+    reused.swap(kept);
 }
 
 // ------------------------------------------------------------ factory

@@ -5,13 +5,20 @@
  * The pre-policy simulator had exactly one eviction strategy, an LRU
  * list buried inside uvm::UvmSimulator. This interface lifts victim
  * selection out so LRU / LFU / seeded-random / predictive variants
- * are interchangeable behind one contract:
+ * are interchangeable behind one contract. The caller speaks in page
+ * runs -- pages [first, first + n) of one space -- because that is
+ * how residency changes: one access call faults or touches whole
+ * stretches of a region.
  *
- *  - the caller reports residency changes (insert / touch / remove)
- *    with a monotonically non-decreasing logical tick (every kind
- *    panics on a tick older than the last one it saw);
- *  - evict() deterministically picks a victim, removes it from the
- *    policy's bookkeeping, and returns it;
+ *  - touchRun / admitRun / removeRun report residency changes with a
+ *    monotonically non-decreasing logical tick (every kind panics on
+ *    a tick older than the last one it saw);
+ *  - admitRun(space, first, n, tick, room, victims) inserts the n
+ *    pages in ascending order and, before inserting page i >= room,
+ *    evicts one victim: victims[j] is chosen just before page
+ *    room + j goes in, so a run can evict pages it admitted earlier.
+ *    Every call means exactly the per-page sequence it stands for,
+ *    and a single page is a run of length 1;
  *  - every policy breaks ties by the lowest PageKey, so the victim
  *    sequence is a pure function of the access stream (and, for
  *    Random, the seed) -- never of container representation.
@@ -22,52 +29,72 @@
  * ascending page order, so the list head was always the lowest key of
  * the oldest stamp -- exactly what the explicit tie-break picks. The
  * differential tests in tests/policy_diff_test.cc pin both this and
- * the slow reference-model oracle for every variant.
+ * the slow per-page reference-model oracle for every variant.
  *
- * Layout: no per-page trees. Each policy keeps
+ * Layout: no per-page trees and no per-page entries. Each policy
+ * keeps
  *
  *  - a PageSlab: per-page state (stamp, frequency, EWMA gap, slot,
  *    validity sequence -- whatever the kind needs) in fixed 512-page
  *    chunks per space, created when a chunk's first page is tracked
  *    and freed with its last one. Tracking a page never allocates
  *    per page and never copies existing state;
- *  - ordering entries (stamp, key, seq) that are never erased in
- *    place. A touch or remove just gives the page a new sequence
+ *  - ordering entries (stamp, key, seq), stored as runs: a StampRun
+ *    (stamp, key, seq, n) stands for the n entries
+ *    (stamp, key + i, seq + i). Sequence numbers are handed out in
+ *    call order, so the pages of one run call get consecutive ones
+ *    and one run entry covers a whole stretch. Entries are never
+ *    erased in place: a touch or remove gives the page a new sequence
  *    number (or untracks it), which turns its old entry stale; stale
- *    entries are skipped when they reach a queue head and dropped in
- *    bulk by an in-place compaction.
+ *    entries are skipped when they reach a run's head and dropped in
+ *    bulk by a compaction, which splits runs at stale pages.
  *
  * StampQueue is the (stamp, key) priority queue behind LRU, every LFU
  * frequency level and Predictive's never-reused pages. Ticks never
- * decrease, so entries arrive in stamp order: a push that does not
- * sort below the FIFO's tail is appended to it, so the FIFO stays
- * sorted by (stamp, key), stale entries included. The only pushes
+ * decrease, so entries arrive in stamp order: an entry that does not
+ * sort below the FIFO's last entry is appended -- by bumping the tail
+ * run's count when it is the tail's next entry (same stamp and space,
+ * next page, next seq), as a new run otherwise -- so the FIFO stays
+ * sorted by (stamp, key), stale entries included. The only entries
  * that would break the order are a key lower than the tail's within
  * the tail's stamp (migrationStep promotions at the current tick, or
- * an out-of-order caller); those go to a small spill min-heap. Each
- * live page has exactly one valid entry, and it carries the page's
- * current stamp, so the smaller of the two valid heads is the live
- * minimum and the queue pops in exactly (stamp, key) order.
+ * an out-of-order caller); those go one by one to a small spill
+ * min-heap. Each live page has exactly one valid entry, and it
+ * carries the page's current stamp, so the smaller of the two valid
+ * heads is the live minimum and the queue pops in exactly (stamp,
+ * key) order. The FIFO is a run-length encoding of the per-page entry
+ * sequence, so it pops the same victims that sequence would.
  *
  *  - LRU: one StampQueue.
  *  - LFU: one StampQueue per frequency, in a map keyed by the
  *    frequencies tracked pages have (never one entry per page). A
  *    touch moves the page one level up at the current tick, so each
  *    level is stamp-ordered too; the victim is the lowest level's
- *    minimum.
+ *    minimum. A touched run splits into segments of equal frequency,
+ *    one level lookup and one pushed run each.
  *  - Predictive: pages that were never re-touched (or whose
  *    prediction overflows) rank as "never reused", which orders them
  *    exactly like LRU and ahead of everything else -- a StampQueue.
  *    Re-touched pages rank by predicted next touch, which is not
- *    stamp-monotone, so they sit in a flat lazy min-heap.
- *  - Random: the swap-remove vector, with the slot index in the slab.
+ *    stamp-monotone, so they sit in a lazy min-heap of runs of equal
+ *    rank, keyed by each run's head. A run's head is its least entry
+ *    and popping it advances the head, so the heap pops the per-page
+ *    heap's sequence. Runs grow in one open run kept outside the heap
+ *    (so it can grow in place); the open run is pushed when an entry
+ *    does not extend it, and the victim is the smaller of the open
+ *    run's head and the heap's top.
+ *  - Random: the swap-remove vector, with the slot index in the slab;
+ *    admitRun draws and inserts in one loop.
  *
  * Lazy entries are bounded: whenever an entry goes stale and the
  * stale entries then exceed half the live pages (and a floor of 64),
- * every structure compacts in place. So the entries stay within 1.5x
- * the live pages plus the floor, and a compaction's O(live + stale)
- * cost is under three times the stale entries it drops: amortised
- * O(1) per touch or remove. Sequence numbers and slots are 64-bit.
+ * every structure is compacted, order kept. So the entries stay within
+ * 1.5x the live pages plus the floor, and a compaction's O(live +
+ * stale) cost is under three times the stale entries it drops:
+ * amortised O(1) per touched or removed page. A run call counts and
+ * checks page by page, so a panic on a bad page leaves the pages
+ * before it applied and consistent. Sequence numbers and slots are
+ * 64-bit.
  */
 
 #ifndef UPM_POLICY_EVICTION_HH
@@ -90,27 +117,35 @@ namespace upm::policy {
 
 /**
  * Victim selection interface. Implementations are single-threaded
- * model objects, like the simulators that own them.
+ * model objects, like the simulators that own them. Every call names
+ * the run [first, first + n) of pages in @p space.
  */
 class EvictionPolicy
 {
   public:
     virtual ~EvictionPolicy() = default;
 
-    /** @p key became resident at logical time @p tick. The key must
-     *  not already be tracked. */
-    virtual void insert(PageKey key, std::uint64_t tick) = 0;
+    /** The tracked pages of the run were accessed at @p tick, in
+     *  ascending page order. */
+    virtual void touchRun(std::uint64_t space, std::uint64_t first,
+                          std::uint64_t n, std::uint64_t tick) = 0;
 
-    /** A tracked @p key was accessed at @p tick. */
-    virtual void touch(PageKey key, std::uint64_t tick) = 0;
+    /**
+     * The pages of the run, none of them tracked, become resident at
+     * @p tick, in ascending page order. Before page i goes in, for
+     * every i >= @p room, one victim is picked, untracked and appended
+     * to @p victims (cleared first). Panics when a victim is due and
+     * no page is tracked.
+     */
+    virtual void admitRun(std::uint64_t space, std::uint64_t first,
+                          std::uint64_t n, std::uint64_t tick,
+                          std::uint64_t room,
+                          std::vector<PageKey> &victims) = 0;
 
-    /** @p key left residency for a non-eviction reason (free,
-     *  explicit migration); drop it from the bookkeeping. */
-    virtual void remove(PageKey key) = 0;
-
-    /** Pick the victim, remove it, and return it. Panics when no
-     *  page is tracked. */
-    virtual PageKey evict() = 0;
+    /** The tracked pages of the run left residency for a non-eviction
+     *  reason (free, explicit migration); drop them. */
+    virtual void removeRun(std::uint64_t space, std::uint64_t first,
+                           std::uint64_t n) = 0;
 
     /** Pages currently tracked. */
     virtual std::uint64_t size() const = 0;
@@ -151,8 +186,8 @@ class PageSlab
     /** Start tracking @p key and return its node for the caller to
      *  fill; nullptr when @p key is already tracked. */
     Node *add(PageKey key);
-    /** Stop tracking @p key, which must be tracked. */
-    void drop(PageKey key);
+    /** Stop tracking @p key; false when it was not tracked. */
+    bool drop(PageKey key);
     std::uint64_t size() const { return tracked; }
 
   private:
@@ -194,18 +229,43 @@ struct StampEntry
     }
 };
 
+/** @p n ordering entries in one: entry i is (head.stamp,
+ *  head.key + i pages, head.seq + i). The head is the least. */
+struct StampRun
+{
+    StampEntry head;
+    std::uint64_t n = 1;
+
+    /** True when @p e is the entry right after the last one. */
+    bool
+    continuedBy(const StampEntry &e) const
+    {
+        return e.stamp == head.stamp && e.key.space == head.key.space &&
+               e.key.page == head.key.page + n && e.seq == head.seq + n;
+    }
+    /** Drop the head; the next entry becomes the head. */
+    void
+    advance()
+    {
+        ++head.key.page;
+        ++head.seq;
+        --n;
+    }
+};
+
 /**
  * (stamp, key) priority queue of lazily invalidated entries: a sorted
- * FIFO for pushes that keep the order, a spill min-heap for the rest
- * (see the file comment). The FIFO is a deque, so it grows and
- * shrinks block by block and never copies its entries. Callers pass a
- * validity predicate that is asked once per entry inspected; an entry
- * it rejects is dropped.
+ * FIFO of runs for entries that keep the order, a spill min-heap for
+ * the rest (see the file comment). The FIFO is a deque, so it grows
+ * and shrinks block by block and only compaction copies its runs.
+ * Callers pass a validity predicate that is asked once per entry
+ * inspected; an entry it rejects is dropped.
  */
 class StampQueue
 {
   public:
-    void push(const StampEntry &entry);
+    /** Push the entries of @p run, in order. */
+    void push(StampRun run);
     /** The least valid entry, or nullptr when none is left. Drops the
      *  stale entries it passes. */
     template <typename Valid>
@@ -218,7 +278,7 @@ class StampQueue
     bool empty() const { return fifo.empty() && spill.empty(); }
 
   private:
-    std::deque<StampEntry> fifo;    //!< sorted by (stamp, key)
+    std::deque<StampRun> fifo;      //!< sorted by (stamp, key)
     std::vector<StampEntry> spill;  //!< min-heap by (stamp, key)
     bool spillFront = false;        //!< front() came from the spill
 };
@@ -232,7 +292,8 @@ template <typename Node>
 class LazyEviction : public EvictionPolicy
 {
   public:
-    void remove(PageKey key) override;
+    void removeRun(std::uint64_t space, std::uint64_t first,
+                   std::uint64_t n) override;
     std::uint64_t size() const override { return pages.size(); }
     bool contains(PageKey key) const override;
 
@@ -247,6 +308,9 @@ class LazyEviction : public EvictionPolicy
     /** True while @p entry speaks for its page. Asked once per entry
      *  inspected; a false answer means the entry is being dropped. */
     bool current(const StampEntry &entry);
+    /** Untrack the page of the valid entry @p entry, popped by the
+     *  caller, and return its key. */
+    PageKey take(const StampEntry &entry);
     /** Count one entry gone stale; compact once the budget is spent
      *  (see the file comment). */
     void retire();
@@ -290,12 +354,15 @@ struct PredictiveNode
 class LruEviction : public LazyEviction<LruNode>
 {
   public:
-    void insert(PageKey key, std::uint64_t tick) override;
-    void touch(PageKey key, std::uint64_t tick) override;
-    PageKey evict() override;
+    void touchRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick) override;
+    void admitRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
+                  std::vector<PageKey> &victims) override;
     EvictionKind kind() const override { return EvictionKind::Lru; }
 
   private:
+    PageKey evictOne();
     void compact() override;
 
     StampQueue order;
@@ -308,12 +375,15 @@ class LruEviction : public LazyEviction<LruNode>
 class LfuEviction : public LazyEviction<LfuNode>
 {
   public:
-    void insert(PageKey key, std::uint64_t tick) override;
-    void touch(PageKey key, std::uint64_t tick) override;
-    PageKey evict() override;
+    void touchRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick) override;
+    void admitRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
+                  std::vector<PageKey> &victims) override;
     EvictionKind kind() const override { return EvictionKind::Lfu; }
 
   private:
+    PageKey evictOne();
     void compact() override;
 
     /** Frequency -> that level's queue; begin() is the lowest. */
@@ -324,19 +394,22 @@ class LfuEviction : public LazyEviction<LfuNode>
  * Seeded-random: victim = uniform SplitMix64 draw over the tracked
  * keys, held in a swap-remove vector (the standard O(1) random-
  * eviction structure). The vector's order -- and therefore the victim
- * sequence -- is a pure function of the insert/remove/evict stream
- * and the seed, never of container internals; two policies built with
- * the same seed and fed the same stream pick the same victims.
+ * sequence -- is a pure function of the admit/remove stream and the
+ * seed, never of container internals; two policies built with the
+ * same seed and fed the same stream pick the same victims.
  */
 class RandomEviction : public EvictionPolicy
 {
   public:
     explicit RandomEviction(std::uint64_t seed) : rng(seed) {}
 
-    void insert(PageKey key, std::uint64_t tick) override;
-    void touch(PageKey key, std::uint64_t tick) override;
-    void remove(PageKey key) override;
-    PageKey evict() override;
+    void touchRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick) override;
+    void admitRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
+                  std::vector<PageKey> &victims) override;
+    void removeRun(std::uint64_t space, std::uint64_t first,
+                   std::uint64_t n) override;
     std::uint64_t size() const override { return pages.size(); }
     bool contains(PageKey key) const override;
     EvictionKind kind() const override { return EvictionKind::Random; }
@@ -366,9 +439,11 @@ class RandomEviction : public EvictionPolicy
 class PredictiveEviction : public LazyEviction<PredictiveNode>
 {
   public:
-    void insert(PageKey key, std::uint64_t tick) override;
-    void touch(PageKey key, std::uint64_t tick) override;
-    PageKey evict() override;
+    void touchRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick) override;
+    void admitRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
+                  std::vector<PageKey> &victims) override;
     EvictionKind kind() const override
     {
         return EvictionKind::Predictive;
@@ -378,28 +453,33 @@ class PredictiveEviction : public LazyEviction<PredictiveNode>
     static constexpr std::uint64_t kNeverReused = ~0ull;
 
   private:
-    /** A re-touched page's entry: @c rank = ~predicted next touch,
+    /** Re-touched pages' entries of one rank = ~predicted next touch,
      *  so the ascending order puts the furthest prediction first. */
-    struct RankedEntry
+    struct RankedRun
     {
         std::uint64_t rank = 0;
-        StampEntry entry;
+        StampRun run{{}, 0};
 
         friend bool
-        operator<(const RankedEntry &a, const RankedEntry &b)
+        operator<(const RankedRun &a, const RankedRun &b)
         {
             return a.rank != b.rank ? a.rank < b.rank
-                                    : a.entry < b.entry;
+                                    : a.run.head < b.run.head;
         }
     };
     static std::uint64_t predictedNext(const PredictiveNode &node);
     void enqueue(PageKey key, PredictiveNode &node);
+    /** Drop stale heads of the open run and the heap top; the least
+     *  valid re-touched run, or nullptr. */
+    RankedRun *reusedFront();
+    PageKey evictOne();
     void compact() override;
 
     /** Rank 0 (never reused, or the prediction overflowed): ordered
      *  by (stamp, key) alone, ahead of every re-touched page. */
     StampQueue fresh;
-    std::deque<RankedEntry> reused;  //!< lazy min-heap
+    std::vector<RankedRun> reused;  //!< lazy min-heap by head
+    RankedRun open;                 //!< not in the heap; n == 0: none
 };
 
 /** Build an eviction policy. @p seed feeds the seeded variants. */

@@ -6,18 +6,36 @@
 
 namespace upm::uvm {
 
+namespace {
+
+/** End of the stretch of pages that share page @p first's residency,
+ *  capped at @p last. */
+std::uint64_t
+stretchEnd(const std::vector<Residency> &residency, std::uint64_t first,
+           std::uint64_t last)
+{
+    std::uint64_t end = first + 1;
+    while (end < last && residency[end] == residency[first])
+        ++end;
+    return end;
+}
+
+} // namespace
+
 UvmSimulator::UvmSimulator(std::uint64_t device_memory_bytes,
                            const UvmCosts &costs)
     : UvmSimulator(device_memory_bytes, policy::EvictionKind::Lru, 0,
-                   costs)
+                   nullptr, costs)
 {
 }
 
 UvmSimulator::UvmSimulator(std::uint64_t device_memory_bytes,
                            policy::EvictionKind eviction,
-                           std::uint64_t seed, const UvmCosts &costs)
+                           std::uint64_t seed,
+                           policy::PolicyEngine *engine,
+                           const UvmCosts &costs)
     : cost(costs), capacityPages(device_memory_bytes / mem::kPageSize),
-      victims(policy::makeEviction(eviction, seed))
+      victims(policy::makeEviction(eviction, seed)), pol(engine)
 {
     if (capacityPages == 0)
         fatal("UVM device memory must hold at least one page");
@@ -47,14 +65,18 @@ UvmSimulator::freeManaged(std::uint64_t handle)
     if (it == regions.end())
         panic("free of unknown managed region %llu",
               static_cast<unsigned long long>(handle));
-    for (std::uint64_t p = 0; p < it->second.pages; ++p) {
-        auto key = policy::PageKey{handle, p};
-        if (it->second.residency[p] == Residency::Device) {
-            victims->remove(key);
-            --residentPages;
+    const Region &region = it->second;
+    for (std::uint64_t p = 0; p < region.pages;) {
+        std::uint64_t end = stretchEnd(region.residency, p, region.pages);
+        if (region.residency[p] == Residency::Device) {
+            victims->removeRun(handle, p, end - p);
+            residentPages -= end - p;
         }
-        if (pol != nullptr)
-            pol->noteRemoved(key);
+        p = end;
+    }
+    if (pol != nullptr) {
+        for (std::uint64_t p = 0; p < region.pages; ++p)
+            pol->noteRemoved({handle, p});
     }
     regions.erase(it);
 }
@@ -72,14 +94,16 @@ UvmSimulator::migrationTime(std::uint64_t pages) const
 }
 
 void
-UvmSimulator::evictOne()
+UvmSimulator::applyEviction(Region &region, std::uint64_t handle,
+                            policy::PageKey victim)
 {
-    if (victims->size() == 0)
-        panic("UVM eviction with empty device memory");
-    policy::PageKey victim = victims->evict();
-    auto it = regions.find(victim.space);
-    if (it != regions.end())
-        it->second.residency[victim.page] = Residency::Host;
+    Region *owner = &region;
+    if (victim.space != handle) {
+        auto it = regions.find(victim.space);
+        owner = it == regions.end() ? nullptr : &it->second;
+    }
+    if (owner != nullptr)
+        owner->residency[victim.page] = Residency::Host;
     --residentPages;
     ++toHost;
     ++evicted;
@@ -91,27 +115,23 @@ UvmSimulator::evictOne()
 }
 
 void
-UvmSimulator::pageInToDevice(std::uint64_t handle, std::uint64_t page)
+UvmSimulator::pageIn(Region &region, std::uint64_t handle,
+                     std::uint64_t first, std::uint64_t n)
 {
-    while (residentPages >= capacityPages)
-        evictOne();
-    auto key = policy::PageKey{handle, page};
-    victims->insert(key, tick);
-    ++residentPages;
-    ++toDevice;
-    if (pol != nullptr)
-        pol->noteResident(key, policy::Tier::Fast);
-}
-
-void
-UvmSimulator::pageOutToHost(Region &region, policy::PageKey key)
-{
-    region.residency[key.page] = Residency::Host;
-    victims->remove(key);
-    --residentPages;
-    ++toHost;
-    if (pol != nullptr)
-        pol->noteResident(key, policy::Tier::Slow);
+    // Migration only promotes into free capacity, so residency never
+    // exceeds capacity: one victim per page once the room is used up.
+    const std::uint64_t room =
+        capacityPages > residentPages ? capacityPages - residentPages : 0;
+    victims->admitRun(handle, first, n, tick, room, evictedKeys);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (i >= room)
+            applyEviction(region, handle, evictedKeys[i - room]);
+        region.residency[first + i] = Residency::Device;
+        ++residentPages;
+        if (pol != nullptr)
+            pol->noteResident({handle, first + i}, policy::Tier::Fast);
+    }
+    toDevice += n;
 }
 
 SimTime
@@ -131,14 +151,15 @@ UvmSimulator::gpuAccess(std::uint64_t handle, std::uint64_t offset,
     if (pol != nullptr)
         pol->advanceTick();
     std::uint64_t faulted = 0;
-    for (std::uint64_t p = first; p < last; ++p) {
+    for (std::uint64_t p = first; p < last;) {
+        std::uint64_t end = stretchEnd(region.residency, p, last);
         if (region.residency[p] == Residency::Device) {
-            victims->touch({handle, p}, tick);
+            victims->touchRun(handle, p, end - p, tick);
         } else {
-            region.residency[p] = Residency::Device;
-            pageInToDevice(handle, p);
-            ++faulted;
+            pageIn(region, handle, p, end - p);
+            faulted += end - p;
         }
+        p = end;
     }
     if (pol != nullptr)
         pol->noteAccessRange(handle, first, last - first);
@@ -163,12 +184,21 @@ UvmSimulator::cpuAccess(std::uint64_t handle, std::uint64_t offset,
     if (pol != nullptr)
         pol->advanceTick();
     std::uint64_t migrated = 0;
-    for (std::uint64_t p = first; p < last; ++p) {
+    for (std::uint64_t p = first; p < last;) {
+        std::uint64_t end = stretchEnd(region.residency, p, last);
         if (region.residency[p] == Residency::Device) {
-            pageOutToHost(region, {handle, p});
-            ++migrated;
+            victims->removeRun(handle, p, end - p);
+            for (std::uint64_t q = p; q < end; ++q) {
+                region.residency[q] = Residency::Host;
+                if (pol != nullptr)
+                    pol->noteResident({handle, q}, policy::Tier::Slow);
+            }
+            migrated += end - p;
         }
+        p = end;
     }
+    residentPages -= migrated;
+    toHost += migrated;
     if (pol != nullptr)
         pol->noteAccessRange(handle, first, last - first);
     return migrationTime(migrated) +
@@ -198,7 +228,8 @@ UvmSimulator::migrationStep()
                 residentPages >= capacityPages)
                 continue;
             region.residency[action.key.page] = Residency::Device;
-            victims->insert(action.key, tick);
+            victims->admitRun(action.key.space, action.key.page, 1, tick,
+                              1, evictedKeys);
             ++residentPages;
             ++toDevice;
             pol->noteMigrated(action.key, policy::Tier::Fast);
@@ -206,7 +237,7 @@ UvmSimulator::migrationStep()
             if (current == Residency::Host)
                 continue;
             region.residency[action.key.page] = Residency::Host;
-            victims->remove(action.key);
+            victims->removeRun(action.key.space, action.key.page, 1);
             --residentPages;
             ++toHost;
             pol->noteMigrated(action.key, policy::Tier::Slow);

@@ -20,8 +20,21 @@
  * differential tests -- while LFU / seeded-random / predictive
  * variants become drop-in A/B candidates for bench_policy. An
  * optional policy::PolicyEngine (`pol`, null-checked like every other
- * hook) observes the access stream and can drive hot/cold migration
- * between host and device via migrationStep().
+ * hook, wired at construction) observes the access stream and can
+ * drive hot/cold migration between host and device via
+ * migrationStep().
+ *
+ * The access paths walk a region in stretches of equal residency and
+ * make one policy call per stretch: touchRun for resident pages,
+ * admitRun for faulting ones, removeRun for pages leaving. admitRun
+ * returns its victims in order -- victim j was picked just before the
+ * stretch's page room + j went in -- and the simulator replays them in
+ * that per-page order: it flips residency, counts, and reports each
+ * eviction and each admitted page to `pol` exactly as a page-by-page
+ * loop would, so every PolicyEvict / PolicyMigrate event is the same.
+ * A stretch is read only when the walk reaches it, so a page evicted
+ * further ahead in the same call faults back in, as it did page by
+ * page.
  */
 
 #ifndef UPM_UVM_UVM_HH
@@ -80,9 +93,13 @@ class UvmSimulator
                           const UvmCosts &costs = UvmCosts());
 
     /** As above with an explicit victim-selection policy. @p seed
-     *  feeds the seeded policies (EvictionKind::Random). */
+     *  feeds the seeded policies (EvictionKind::Random). @p engine,
+     *  when not null, observes residency and the access stream keyed
+     *  {handle, page} and can drive hot/cold migration; null keeps
+     *  this simulator byte-identical to the unhooked build. */
     UvmSimulator(std::uint64_t device_memory_bytes,
                  policy::EvictionKind eviction, std::uint64_t seed,
+                 policy::PolicyEngine *engine = nullptr,
                  const UvmCosts &costs = UvmCosts());
 
     /** cudaMallocManaged-style allocation (host-resident initially). */
@@ -103,15 +120,6 @@ class UvmSimulator
     /** CPU touches a range: migrate device-resident pages back. */
     SimTime cpuAccess(std::uint64_t handle, std::uint64_t offset,
                       std::uint64_t bytes);
-
-    /**
-     * Wire (or unwire, with nullptr) a policy engine. The engine
-     * observes residency and the access stream keyed {handle, page}
-     * and can drive hot/cold migration; null keeps this simulator
-     * byte-identical to the unhooked build.
-     */
-    void setPolicyEngine(policy::PolicyEngine *engine) { pol = engine; }
-    policy::PolicyEngine *policyEngine() const { return pol; }
 
     /**
      * Apply one bounded batch of moves proposed by the wired engine's
@@ -148,13 +156,13 @@ class UvmSimulator
 
     /** Migration cost of @p pages pages (batched faults + link). */
     SimTime migrationTime(std::uint64_t pages) const;
-    /** Evict the policy's victim (a page must be resident). */
-    void evictOne();
-    /** Move a page to the device, evicting if needed. */
-    void pageInToDevice(std::uint64_t handle, std::uint64_t page);
-    /** Device -> host for one resident page (shared by cpuAccess and
-     *  demotion). */
-    void pageOutToHost(Region &region, policy::PageKey key);
+    /** Page the host-resident pages [first, first + n) of @p handle
+     *  onto the device, evicting as capacity requires. */
+    void pageIn(Region &region, std::uint64_t handle, std::uint64_t first,
+                std::uint64_t n);
+    /** Apply the eviction of @p victim; @p region is @p handle's. */
+    void applyEviction(Region &region, std::uint64_t handle,
+                       policy::PageKey victim);
 
     UvmCosts cost;
     std::uint64_t capacityPages;
@@ -166,12 +174,14 @@ class UvmSimulator
     /** Victim selection over device-resident pages, keyed
      *  {handle, page}. */
     std::unique_ptr<policy::EvictionPolicy> victims;
+    /** admitRun's victims, reused across calls. */
+    std::vector<policy::PageKey> evictedKeys;
     /** Logical clock: one tick per gpuAccess / cpuAccess call, so all
      *  pages touched by one call share a stamp (the LRU-list
      *  equivalence depends on this). */
     std::uint64_t tick = 0;
 
-    policy::PolicyEngine *pol = nullptr;  //!< null-checked hook
+    policy::PolicyEngine *pol;  //!< null-checked hook
 
     std::uint64_t toDevice = 0;
     std::uint64_t toHost = 0;

@@ -158,8 +158,7 @@ conservationSoak(std::uint64_t seed, int cycles)
     cfg.migration = MigrationKind::HotCold;
     PolicyEngine engine(cfg);
 
-    uvm::UvmSimulator sim(kCapacity);
-    sim.setPolicyEngine(&engine);
+    uvm::UvmSimulator sim(kCapacity, EvictionKind::Lru, 0, &engine);
     std::uint64_t handle = sim.allocManaged(kWorkingSet);
 
     SplitMix64 rng(seed);

@@ -17,12 +17,30 @@
  *     a seeded draw over an insertion-ordered swap-remove array --
  *     with its own independent bookkeeping.)
  *
+ *     The same reference checks the run interface on its own: seeded
+ *     streams of touchRun / admitRun / removeRun calls of 1-1100
+ *     pages (across 512-page slab chunks), admit rooms from 0 to the
+ *     run length (so a run evicts pages it admitted itself),
+ *     length-1 admits below the current tick's last key (the spill
+ *     path), bare evictions and a final drain that sample the whole
+ *     order, and a hot stream whose touches compact the queues in the
+ *     middle of open runs. The reference replays each call page by
+ *     page; victims, size() and contains() must agree after every
+ *     call.
+ *
  *  2. A verbatim copy of the pre-policy uvm list-LRU simulator (the
- *     std::list + iterator-map implementation this PR retired) runs
- *     the bench_uvm_comparison scenarios next to today's
- *     UvmSimulator. Every simulated time and counter must be
+ *     std::list + iterator-map implementation the policy layer
+ *     retired) runs the bench_uvm_comparison scenarios next to
+ *     today's UvmSimulator. Every simulated time and counter must be
  *     byte-identical: the stamp-ordered LruEviction IS the old list,
  *     not an approximation of it.
+ *
+ *  3. A page-by-page copy of the uvm access loop, with a wired
+ *     HotCold PolicyEngine and a Tracer, runs an oversubscribed
+ *     windowed GPU/CPU stream with migration steps next to today's
+ *     run-granular UvmSimulator, for every eviction kind. The
+ *     PolicyEvict / PolicyMigrate event sequences must be identical,
+ *     and their counts are pinned.
  */
 
 #include <gtest/gtest.h>
@@ -39,9 +57,12 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
+#include "eviction_util.hh"
 #include "exec/task_pool.hh"
 #include "mem/geometry.hh"
+#include "policy/engine.hh"
 #include "policy/eviction.hh"
+#include "trace/tracer.hh"
 #include "uvm/uvm.hh"
 
 namespace upm::policy {
@@ -233,12 +254,12 @@ differentialRun(EvictionKind kind, std::uint64_t seed, int op_count,
         return *it;
     };
     auto insert = [&](PageKey key) {
-        real->insert(key, tick);
+        test::insertPage(*real, key, tick);
         ref.insert(key, tick);
         tracked.insert(key);
     };
     auto touch = [&](PageKey key) {
-        real->touch(key, tick);
+        test::touchPage(*real, key, tick);
         ref.touch(key, tick);
     };
     auto touchOrInsert = [&](PageKey key) {
@@ -264,13 +285,13 @@ differentialRun(EvictionKind kind, std::uint64_t seed, int op_count,
                 touchOrInsert(key);
         } else if (roll < 60 && !tracked.empty()) {
             PageKey key = randomTracked();
-            real->remove(key);
+            test::removePage(*real, key);
             ref.remove(key);
             tracked.erase(key);
             if (ops.next() % 2)
                 insert(key);  // back again at the same tick
         } else if (roll < 85 && !tracked.empty()) {
-            PageKey victim = real->evict();
+            PageKey victim = test::evictPage(*real, tick);
             PageKey expect = ref.evict();
             ASSERT_EQ(victim, expect)
                 << evictionKindName(kind) << " seed " << seed
@@ -302,6 +323,154 @@ TEST(PolicyDiff, EveryKindMatchesReferenceAcross16Seeds)
         for (std::uint64_t s = 0; s < 2; ++s)
             differentialRun(kind, exec::taskSeed(0x407'5eedull, s),
                             60000, kHotKeys);
+    }
+}
+
+/** Key space of one run-API stream: spaces 1..spaces of @c pages
+ *  pages each, runs of up to @c maxRun pages, and a live-page cap
+ *  past which admits make no room (the reference scans every live
+ *  page per eviction). */
+struct RunUniverse
+{
+    std::uint64_t spaces;
+    std::uint64_t pages;
+    std::uint64_t maxRun;
+    std::uint64_t maxLive;
+};
+
+/** Two spaces of five slab chunks; runs long enough to span three. */
+constexpr RunUniverse kWideRuns{2, 2560, 1100, 800};
+/** 128 pages in one space: touch runs push the stale entries past
+ *  half the live pages again and again, so compaction runs inside
+ *  touchRun calls, with the queues' tail runs (and Predictive's open
+ *  run) still growing. */
+constexpr RunUniverse kHotRuns{1, 128, 48, 96};
+
+/** Drive the real policy through seeded run calls and the reference
+ *  through the same calls page by page; every victim must match, and
+ *  size() and contains() must agree after every call. */
+void
+runApiDifferential(EvictionKind kind, std::uint64_t seed, int call_count,
+                   const RunUniverse &u)
+{
+    constexpr std::uint64_t kPolicySeed = 0xfeedbeefu;
+    auto real = makeEviction(kind, kPolicySeed);
+    ReferenceModel ref(kind, kPolicySeed);
+
+    SplitMix64 ops(seed);
+    std::set<PageKey> tracked;
+    std::vector<PageKey> victims;
+    std::uint64_t tick = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t spills = 0;
+
+    // Pages from @p key on with its tracked state, at most @p cap.
+    auto stretch = [&](PageKey key, std::uint64_t cap) {
+        const bool state = tracked.count(key) != 0;
+        std::uint64_t n = 1;
+        while (n < cap && key.page + n < u.pages &&
+               (tracked.count({key.space, key.page + n}) != 0) == state)
+            ++n;
+        return n;
+    };
+    auto admit = [&](PageKey key, std::uint64_t n, std::uint64_t room) {
+        real->admitRun(key.space, key.page, n, tick, room, victims);
+        ASSERT_EQ(victims.size(), n - std::min(room, n));
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (i >= room) {
+                PageKey expect = ref.evict();
+                ASSERT_EQ(victims[i - room], expect)
+                    << evictionKindName(kind) << " seed " << seed;
+                ASSERT_EQ(tracked.erase(expect), 1u);
+                ++evictions;
+            }
+            ref.insert({key.space, key.page + i}, tick);
+            tracked.insert({key.space, key.page + i});
+        }
+    };
+    // A bare eviction samples the whole order, not just the pages an
+    // admit would leave: after touches, the LFU levels and Predictive
+    // ranks of long-lived pages decide it.
+    auto evictOne = [&] {
+        PageKey victim = test::evictPage(*real, tick);
+        ASSERT_EQ(victim, ref.evict())
+            << evictionKindName(kind) << " seed " << seed;
+        ASSERT_EQ(tracked.erase(victim), 1u);
+        ++evictions;
+    };
+
+    for (int call = 0; call < call_count; ++call) {
+        tick += ops.next() % 2;  // about half the calls share a tick
+        const std::uint64_t roll = ops.next() % 100;
+        if (roll < 10 && !tracked.empty()) {
+            for (std::uint64_t k = 1 + ops.next() % 8;
+                 k > 0 && !tracked.empty(); --k)
+                evictOne();
+        } else {
+            PageKey key{1 + ops.next() % u.spaces, ops.next() % u.pages};
+            const std::uint64_t longest =
+                ops.next() % 8 == 0 ? u.maxRun : 32;
+            const std::uint64_t cap = 1 + ops.next() % longest;
+            const std::uint64_t n = stretch(key, cap);
+            if (tracked.count(key) == 0) {
+                std::uint64_t room = tracked.size() >= u.maxLive
+                                         ? 0
+                                         : ops.next() % (n + 1);
+                if (tracked.empty())
+                    room = std::max<std::uint64_t>(room, 1);
+                admit(key, n, room);
+                // Then one page below the run at the same tick: it
+                // sorts below the queue's tail and takes the spill path.
+                PageKey below{key.space, key.page};
+                if (below.page > 0 && ops.next() % 2) {
+                    below.page = ops.next() % below.page;
+                    while (below.page > 0 && tracked.count(below) != 0)
+                        --below.page;
+                    if (tracked.count(below) == 0) {
+                        admit(below, 1, ops.next() % 2);
+                        ++spills;
+                    }
+                }
+            } else if (roll < 30) {
+                real->removeRun(key.space, key.page, n);
+                for (std::uint64_t i = 0; i < n; ++i) {
+                    ref.remove({key.space, key.page + i});
+                    tracked.erase({key.space, key.page + i});
+                }
+            } else {
+                real->touchRun(key.space, key.page, n, tick);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    ref.touch({key.space, key.page + i}, tick);
+            }
+        }
+        ASSERT_EQ(real->size(), ref.size());
+        for (int probes = 0; probes < 4; ++probes) {
+            PageKey probe{1 + ops.next() % u.spaces, ops.next() % u.pages};
+            ASSERT_EQ(real->contains(probe), ref.contains(probe))
+                << evictionKindName(kind) << " seed " << seed << " call "
+                << call;
+        }
+    }
+    // Drain: every page left, in the reference's order.
+    while (!tracked.empty())
+        evictOne();
+    ASSERT_EQ(real->size(), 0u);
+    // The stream must actually have exercised eviction and spills.
+    EXPECT_GT(evictions, static_cast<std::uint64_t>(call_count / 4))
+        << evictionKindName(kind);
+    EXPECT_GT(spills, 0u) << evictionKindName(kind);
+}
+
+TEST(PolicyDiff, RunApiMatchesPerPageReferenceAcross16Seeds)
+{
+    for (EvictionKind kind :
+         {EvictionKind::Lru, EvictionKind::Lfu, EvictionKind::Random,
+          EvictionKind::Predictive}) {
+        for (std::uint64_t s = 0; s < 16; ++s)
+            runApiDifferential(kind, exec::taskSeed(0x7a11'5eedull, s),
+                               160, kWideRuns);
+        runApiDifferential(kind, exec::taskSeed(0x407'7a11ull, 0), 6000,
+                           kHotRuns);
     }
 }
 
@@ -550,6 +719,251 @@ TEST(PolicyDiff, LruMatchesRetiredListUnderMixedWindowedTraffic)
             }
             expectSameCounters(now, old);
         }
+    }
+}
+
+// ---- Oracle 3: page-by-page hook order ----------------------------------
+
+/**
+ * The uvm access loop as it ran page by page before the simulator
+ * went run-granular, reduced to residency, counters and the engine
+ * hooks. Its policy sees length-1 runs only: each faulting page makes
+ * one admitRun that evicts (when the device is full) and then inserts,
+ * and the hooks follow in that order.
+ */
+class PagewiseUvm
+{
+  public:
+    PagewiseUvm(std::uint64_t capacity_pages, EvictionKind kind,
+                std::uint64_t seed, PolicyEngine &engine)
+        : capacityPages(capacity_pages),
+          victims(makeEviction(kind, seed)), pol(engine)
+    {}
+
+    std::uint64_t
+    allocManaged(std::uint64_t bytes)
+    {
+        std::uint64_t handle = nextHandle++;
+        std::vector<bool> &device = regions[handle];
+        device.assign(ceilDiv(bytes, mem::kPageSize), false);
+        for (std::uint64_t p = 0; p < device.size(); ++p)
+            pol.noteResident({handle, p}, Tier::Slow);
+        return handle;
+    }
+
+    void
+    freeManaged(std::uint64_t handle)
+    {
+        std::vector<bool> &device = regions.at(handle);
+        for (std::uint64_t p = 0; p < device.size(); ++p) {
+            if (device[p]) {
+                victims->removeRun(handle, p, 1);
+                --residentPages;
+            }
+            pol.noteRemoved({handle, p});
+        }
+        regions.erase(handle);
+    }
+
+    void
+    gpuAccess(std::uint64_t handle, std::uint64_t offset,
+              std::uint64_t bytes)
+    {
+        std::vector<bool> &device = regions.at(handle);
+        std::uint64_t first = offset / mem::kPageSize;
+        std::uint64_t last = ceilDiv(offset + bytes, mem::kPageSize);
+        ++tick;
+        pol.advanceTick();
+        for (std::uint64_t p = first; p < last; ++p) {
+            if (device[p]) {
+                victims->touchRun(handle, p, 1, tick);
+                continue;
+            }
+            device[p] = true;
+            std::vector<PageKey> victim;
+            victims->admitRun(handle, p, 1, tick,
+                              residentPages < capacityPages ? 1 : 0,
+                              victim);
+            if (!victim.empty()) {
+                auto it = regions.find(victim[0].space);
+                if (it != regions.end())
+                    it->second[victim[0].page] = false;
+                --residentPages;
+                ++evicted;
+                pol.noteEvicted(victim[0], residentPages);
+                pol.noteResident(victim[0], Tier::Slow);
+            }
+            ++residentPages;
+            pol.noteResident({handle, p}, Tier::Fast);
+        }
+        pol.noteAccessRange(handle, first, last - first);
+    }
+
+    void
+    cpuAccess(std::uint64_t handle, std::uint64_t offset,
+              std::uint64_t bytes)
+    {
+        std::vector<bool> &device = regions.at(handle);
+        std::uint64_t first = offset / mem::kPageSize;
+        std::uint64_t last = ceilDiv(offset + bytes, mem::kPageSize);
+        ++tick;
+        pol.advanceTick();
+        for (std::uint64_t p = first; p < last; ++p) {
+            if (device[p]) {
+                device[p] = false;
+                victims->removeRun(handle, p, 1);
+                --residentPages;
+                pol.noteResident({handle, p}, Tier::Slow);
+            }
+        }
+        pol.noteAccessRange(handle, first, last - first);
+    }
+
+    void
+    migrationStep()
+    {
+        if (!pol.migrates())
+            return;
+        for (const auto &action : pol.migrationStep()) {
+            auto it = regions.find(action.key.space);
+            if (it == regions.end() || action.key.page >= it->second.size())
+                continue;
+            std::vector<bool>::reference device =
+                it->second[action.key.page];
+            if (action.to == Tier::Fast) {
+                if (device || residentPages >= capacityPages)
+                    continue;
+                device = true;
+                std::vector<PageKey> none;
+                victims->admitRun(action.key.space, action.key.page, 1,
+                                  tick, 1, none);
+                ++residentPages;
+            } else {
+                if (!device)
+                    continue;
+                device = false;
+                victims->removeRun(action.key.space, action.key.page, 1);
+                --residentPages;
+            }
+            pol.noteMigrated(action.key, action.to);
+        }
+    }
+
+    std::uint64_t deviceResidentPages() const { return residentPages; }
+    std::uint64_t evictions() const { return evicted; }
+
+  private:
+    std::uint64_t capacityPages;
+    std::unique_ptr<EvictionPolicy> victims;
+    PolicyEngine &pol;
+    std::map<std::uint64_t, std::vector<bool>> regions;
+    std::uint64_t nextHandle = 1;
+    std::uint64_t tick = 0;
+    std::uint64_t residentPages = 0;
+    std::uint64_t evicted = 0;
+};
+
+/** Seeded oversubscribed stream over a 256-page and a 96-page region
+ *  on a 64-page device: GPU windows of up to 160 pages (longer than
+ *  the device, so runs evict their own pages), CPU windows, migration
+ *  steps, CPU re-heats that make pages promotion-eligible, and the
+ *  small region freed and reallocated halfway. */
+template <typename Sim>
+void
+hookOrderStream(Sim &sim, std::uint64_t stream_seed)
+{
+    const std::uint64_t page = mem::kPageSize;
+    const std::uint64_t pages[2] = {256, 96};
+    std::uint64_t handles[2] = {sim.allocManaged(pages[0] * page),
+                                sim.allocManaged(pages[1] * page)};
+    SplitMix64 rng(stream_seed);
+    for (int op = 0; op < 600; ++op) {
+        if (op == 300) {
+            sim.freeManaged(handles[1]);
+            handles[1] = sim.allocManaged(pages[1] * page);
+        }
+        const std::uint64_t roll = rng.next() % 10;
+        const unsigned which = rng.next() % 3 == 0 ? 1 : 0;
+        const std::uint64_t first = rng.nextBelow(pages[which]);
+        const std::uint64_t span = 1 + rng.nextBelow(std::min<std::uint64_t>(
+                                           160, pages[which] - first));
+        if (roll < 5)
+            sim.gpuAccess(handles[which], first * page, span * page);
+        else if (roll < 7)
+            sim.cpuAccess(handles[which], first * page, span * page);
+        else if (roll < 9)
+            sim.migrationStep();
+        else
+            sim.cpuAccess(handles[0], 0, 16 * page);
+    }
+}
+
+/** The (kind, a, b, c, d) of every event @p tracer recorded. */
+std::vector<std::tuple<trace::EventKind, std::uint64_t, std::uint64_t,
+                       std::uint64_t, std::uint64_t>>
+decisions(const trace::Tracer &tracer)
+{
+    std::vector<std::tuple<trace::EventKind, std::uint64_t,
+                           std::uint64_t, std::uint64_t, std::uint64_t>>
+        out;
+    for (const trace::TraceEvent &ev : tracer.events())
+        out.emplace_back(ev.kind, ev.a, ev.b, ev.c, ev.d);
+    return out;
+}
+
+TEST(PolicyDiff, RunGranularUvmKeepsPageByPageHookOrder)
+{
+    constexpr std::uint64_t kCapacityPages = 64;
+    struct Pinned
+    {
+        EvictionKind kind;
+        std::uint64_t evictEvents, migrateEvents;
+    };
+    // Event counts of the page-by-page simulator on this stream.
+    constexpr Pinned kPinned[] = {
+        {EvictionKind::Lru, 12219, 158},
+        {EvictionKind::Lfu, 10984, 340},
+        {EvictionKind::Random, 10420, 116},
+        {EvictionKind::Predictive, 12029, 296},
+    };
+    for (std::uint64_t k = 0; k < std::size(kPinned); ++k) {
+        const Pinned &pin = kPinned[k];
+        PolicyConfig cfg;
+        cfg.eviction = pin.kind;
+        cfg.migration = MigrationKind::HotCold;
+        trace::TraceConfig tcfg;
+        tcfg.enabled = true;
+
+        trace::Tracer runTracer(tcfg);
+        PolicyEngine runEngine(cfg, &runTracer);
+        uvm::UvmSimulator runs(kCapacityPages * mem::kPageSize, pin.kind,
+                               cfg.seed, &runEngine);
+        hookOrderStream(runs, 0x400c0de5ull + k);
+
+        trace::Tracer pageTracer(tcfg);
+        PolicyEngine pageEngine(cfg, &pageTracer);
+        PagewiseUvm pages(kCapacityPages, pin.kind, cfg.seed, pageEngine);
+        hookOrderStream(pages, 0x400c0de5ull + k);
+
+        const char *name = evictionKindName(pin.kind);
+        const auto got = decisions(runTracer);
+        ASSERT_EQ(got, decisions(pageTracer)) << name;
+        std::uint64_t evicts = 0, migrates = 0;
+        for (const auto &d : got) {
+            evicts += std::get<0>(d) == trace::EventKind::PolicyEvict;
+            migrates += std::get<0>(d) == trace::EventKind::PolicyMigrate;
+        }
+        EXPECT_EQ(evicts, pin.evictEvents) << name;
+        EXPECT_EQ(migrates, pin.migrateEvents) << name;
+        EXPECT_EQ(runs.evictions(), pages.evictions()) << name;
+        EXPECT_EQ(runs.deviceResidentPages(), pages.deviceResidentPages())
+            << name;
+        EXPECT_EQ(runEngine.stats().promotions,
+                  pageEngine.stats().promotions)
+            << name;
+        EXPECT_EQ(runEngine.stats().demotions,
+                  pageEngine.stats().demotions)
+            << name;
     }
 }
 

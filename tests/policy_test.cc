@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "eviction_util.hh"
 #include "mem/geometry.hh"
 #include "policy/engine.hh"
 #include "sched/replay.hh"
@@ -21,6 +22,11 @@
 
 namespace upm::policy {
 namespace {
+
+using test::evictPage;
+using test::insertPage;
+using test::removePage;
+using test::touchPage;
 
 constexpr EvictionKind kKinds[] = {
     EvictionKind::Lru,
@@ -34,22 +40,22 @@ constexpr EvictionKind kKinds[] = {
 TEST(Eviction, LruEvictsOldest)
 {
     LruEviction lru;
-    lru.insert({1, 0}, 1);
-    lru.insert({1, 1}, 2);
-    lru.insert({1, 2}, 3);
-    EXPECT_EQ(lru.evict(), (PageKey{1, 0}));
-    EXPECT_EQ(lru.evict(), (PageKey{1, 1}));
+    insertPage(lru, {1, 0}, 1);
+    insertPage(lru, {1, 1}, 2);
+    insertPage(lru, {1, 2}, 3);
+    EXPECT_EQ(evictPage(lru, 3), (PageKey{1, 0}));
+    EXPECT_EQ(evictPage(lru, 3), (PageKey{1, 1}));
     EXPECT_EQ(lru.size(), 1u);
 }
 
 TEST(Eviction, LruTouchRefreshes)
 {
     LruEviction lru;
-    lru.insert({1, 0}, 1);
-    lru.insert({1, 1}, 2);
-    lru.touch({1, 0}, 3);
-    EXPECT_EQ(lru.evict(), (PageKey{1, 1}));
-    EXPECT_EQ(lru.evict(), (PageKey{1, 0}));
+    insertPage(lru, {1, 0}, 1);
+    insertPage(lru, {1, 1}, 2);
+    touchPage(lru, {1, 0}, 3);
+    EXPECT_EQ(evictPage(lru, 3), (PageKey{1, 1}));
+    EXPECT_EQ(evictPage(lru, 3), (PageKey{1, 0}));
 }
 
 TEST(Eviction, LruSameTickTieBreaksLowestKey)
@@ -58,48 +64,48 @@ TEST(Eviction, LruSameTickTieBreaksLowestKey)
     // order regardless of insertion order -- the representation-
     // independence fix for the retired list's implicit ordering.
     LruEviction lru;
-    lru.insert({2, 7}, 5);
-    lru.insert({1, 9}, 5);
-    lru.insert({2, 3}, 5);
-    EXPECT_EQ(lru.evict(), (PageKey{1, 9}));
-    EXPECT_EQ(lru.evict(), (PageKey{2, 3}));
-    EXPECT_EQ(lru.evict(), (PageKey{2, 7}));
+    insertPage(lru, {2, 7}, 5);
+    insertPage(lru, {1, 9}, 5);
+    insertPage(lru, {2, 3}, 5);
+    EXPECT_EQ(evictPage(lru, 5), (PageKey{1, 9}));
+    EXPECT_EQ(evictPage(lru, 5), (PageKey{2, 3}));
+    EXPECT_EQ(evictPage(lru, 5), (PageKey{2, 7}));
 }
 
 TEST(Eviction, LfuEvictsLeastFrequent)
 {
     LfuEviction lfu;
-    lfu.insert({1, 0}, 1);
-    lfu.insert({1, 1}, 1);
-    lfu.touch({1, 0}, 2);
-    lfu.touch({1, 0}, 3);
-    lfu.touch({1, 1}, 4);
-    lfu.insert({1, 2}, 5);  // freq 1: the coldest
-    EXPECT_EQ(lfu.evict(), (PageKey{1, 2}));
-    EXPECT_EQ(lfu.evict(), (PageKey{1, 1}));
-    EXPECT_EQ(lfu.evict(), (PageKey{1, 0}));
+    insertPage(lfu, {1, 0}, 1);
+    insertPage(lfu, {1, 1}, 1);
+    touchPage(lfu, {1, 0}, 2);
+    touchPage(lfu, {1, 0}, 3);
+    touchPage(lfu, {1, 1}, 4);
+    insertPage(lfu, {1, 2}, 5);  // freq 1: the coldest
+    EXPECT_EQ(evictPage(lfu, 5), (PageKey{1, 2}));
+    EXPECT_EQ(evictPage(lfu, 5), (PageKey{1, 1}));
+    EXPECT_EQ(evictPage(lfu, 5), (PageKey{1, 0}));
 }
 
 TEST(Eviction, LfuTieFallsBackToStampThenKey)
 {
     LfuEviction lfu;
-    lfu.insert({1, 9}, 1);  // freq 1, stamp 1: oldest goes first
-    lfu.insert({1, 5}, 2);  // freq 1, stamp 2
-    lfu.insert({1, 1}, 2);  // freq 1, stamp 2: key breaks the tie
-    EXPECT_EQ(lfu.evict(), (PageKey{1, 9}));
-    EXPECT_EQ(lfu.evict(), (PageKey{1, 1}));
-    EXPECT_EQ(lfu.evict(), (PageKey{1, 5}));
+    insertPage(lfu, {1, 9}, 1);  // freq 1, stamp 1: oldest goes first
+    insertPage(lfu, {1, 5}, 2);  // freq 1, stamp 2
+    insertPage(lfu, {1, 1}, 2);  // freq 1, stamp 2: key breaks the tie
+    EXPECT_EQ(evictPage(lfu, 2), (PageKey{1, 9}));
+    EXPECT_EQ(evictPage(lfu, 2), (PageKey{1, 1}));
+    EXPECT_EQ(evictPage(lfu, 2), (PageKey{1, 5}));
 }
 
 TEST(Eviction, RandomSeedDeterministic)
 {
     RandomEviction a(42), b(42);
     for (std::uint64_t p = 0; p < 64; ++p) {
-        a.insert({1, p}, p);
-        b.insert({1, p}, p);
+        insertPage(a, {1, p}, p);
+        insertPage(b, {1, p}, p);
     }
     for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(a.evict(), b.evict());
+        EXPECT_EQ(evictPage(a, 64), evictPage(b, 64));
     EXPECT_EQ(a.size(), 0u);
 }
 
@@ -107,11 +113,11 @@ TEST(Eviction, RandomVictimAlwaysTracked)
 {
     RandomEviction rnd(7);
     for (std::uint64_t p = 0; p < 32; ++p)
-        rnd.insert({3, p}, 0);
-    rnd.remove({3, 10});
-    rnd.remove({3, 31});  // exercises the swap-remove tail case
+        insertPage(rnd, {3, p}, 0);
+    removePage(rnd, {3, 10});
+    removePage(rnd, {3, 31});  // exercises the swap-remove tail case
     for (int i = 0; i < 30; ++i) {
-        PageKey v = rnd.evict();
+        PageKey v = evictPage(rnd, 0);
         EXPECT_NE(v, (PageKey{3, 10}));
         EXPECT_NE(v, (PageKey{3, 31}));
         EXPECT_FALSE(rnd.contains(v));
@@ -124,54 +130,54 @@ TEST(Eviction, PredictiveEvictsFurthestPredicted)
     PredictiveEviction pred;
     // Page 0: retouched every tick (gap 1). Page 1: gap 8. Both seen
     // at tick 16; page 1's predicted next touch is further out.
-    pred.insert({1, 0}, 1);
+    insertPage(pred, {1, 0}, 1);
     for (std::uint64_t t = 2; t <= 16; ++t) {
         if (t == 8)
-            pred.insert({1, 1}, t);
-        pred.touch({1, 0}, t);
+            insertPage(pred, {1, 1}, t);
+        touchPage(pred, {1, 0}, t);
     }
-    pred.touch({1, 1}, 16);
-    EXPECT_EQ(pred.evict(), (PageKey{1, 1}));
-    EXPECT_EQ(pred.evict(), (PageKey{1, 0}));
+    touchPage(pred, {1, 1}, 16);
+    EXPECT_EQ(evictPage(pred, 16), (PageKey{1, 1}));
+    EXPECT_EQ(evictPage(pred, 16), (PageKey{1, 0}));
 }
 
 TEST(Eviction, PredictiveNeverReusedGoesFirst)
 {
     PredictiveEviction pred;
-    pred.insert({1, 0}, 1);
-    pred.touch({1, 0}, 2);   // has a reuse history now
-    pred.insert({1, 1}, 3);  // never retouched: predicted never
-    EXPECT_EQ(pred.evict(), (PageKey{1, 1}));
+    insertPage(pred, {1, 0}, 1);
+    touchPage(pred, {1, 0}, 2);   // has a reuse history now
+    insertPage(pred, {1, 1}, 3);  // never retouched: predicted never
+    EXPECT_EQ(evictPage(pred, 3), (PageKey{1, 1}));
 }
 
 TEST(Eviction, PredictiveOverflowClampsToNeverReused)
 {
     PredictiveEviction pred;
     std::uint64_t huge = ~0ull - 4;
-    pred.insert({1, 0}, huge);
-    pred.touch({1, 0}, ~0ull - 1);  // stamp + gap would overflow
-    pred.insert({1, 1}, ~0ull - 1);
-    pred.touch({1, 1}, ~0ull);  // gap 1, prediction overflows too
+    insertPage(pred, {1, 0}, huge);
+    touchPage(pred, {1, 0}, ~0ull - 1);  // stamp + gap would overflow
+    insertPage(pred, {1, 1}, ~0ull - 1);
+    touchPage(pred, {1, 1}, ~0ull);  // gap 1, prediction overflows too
     // Both clamp to "never reused"; the tie falls to stamp then key.
-    EXPECT_EQ(pred.evict(), (PageKey{1, 0}));
-    EXPECT_EQ(pred.evict(), (PageKey{1, 1}));
+    EXPECT_EQ(evictPage(pred, ~0ull), (PageKey{1, 0}));
+    EXPECT_EQ(evictPage(pred, ~0ull), (PageKey{1, 1}));
 }
 
 TEST(Eviction, MisusePanicsForEveryKind)
 {
     for (EvictionKind kind : kKinds) {
         auto ev = makeEviction(kind, 1);
-        EXPECT_THROW(ev->evict(), SimError) << ev->name();
-        EXPECT_THROW(ev->touch({1, 0}, 1), SimError) << ev->name();
-        EXPECT_THROW(ev->remove({1, 0}), SimError) << ev->name();
-        ev->insert({1, 0}, 1);
-        EXPECT_THROW(ev->insert({1, 0}, 2), SimError) << ev->name();
+        EXPECT_THROW(evictPage(*ev, 1), SimError) << ev->name();
+        EXPECT_THROW(touchPage(*ev, {1, 0}, 1), SimError) << ev->name();
+        EXPECT_THROW(removePage(*ev, {1, 0}), SimError) << ev->name();
+        insertPage(*ev, {1, 0}, 1);
+        EXPECT_THROW(insertPage(*ev, {1, 0}, 2), SimError) << ev->name();
         // Ticks must never go backwards, for any entry point.
-        ev->insert({1, 1}, 5);
-        EXPECT_THROW(ev->touch({1, 0}, 4), SimError) << ev->name();
-        EXPECT_THROW(ev->insert({1, 2}, 4), SimError) << ev->name();
+        insertPage(*ev, {1, 1}, 5);
+        EXPECT_THROW(touchPage(*ev, {1, 0}, 4), SimError) << ev->name();
+        EXPECT_THROW(insertPage(*ev, {1, 2}, 4), SimError) << ev->name();
         EXPECT_FALSE(ev->contains({1, 2})) << ev->name();
-        ev->touch({1, 0}, 5);  // an equal tick is fine
+        touchPage(*ev, {1, 0}, 5);  // an equal tick is fine
         EXPECT_EQ(ev->size(), 2u) << ev->name();
     }
 }
@@ -284,11 +290,10 @@ TEST(Engine, EmitsPolicyEvictOnUvmOvercommit)
     trace::Tracer tracer(tcfg);
 
     PolicyConfig cfg;
-    PolicyEngine engine(cfg);
-    engine.setTracer(&tracer);
+    PolicyEngine engine(cfg, &tracer);
 
-    uvm::UvmSimulator sim(4 * mem::kPageSize);
-    sim.setPolicyEngine(&engine);
+    uvm::UvmSimulator sim(4 * mem::kPageSize, EvictionKind::Lru, 0,
+                          &engine);
     std::uint64_t h = sim.allocManaged(8 * mem::kPageSize);
     sim.gpuAccess(h, 0, 8 * mem::kPageSize);
 
@@ -315,8 +320,7 @@ TEST(Engine, MigrationProposalsNotTracedUntilApplied)
 
     PolicyConfig cfg;
     cfg.migration = MigrationKind::HotCold;
-    PolicyEngine engine(cfg);
-    engine.setTracer(&tracer);
+    PolicyEngine engine(cfg, &tracer);
 
     engine.noteResident({1, 0}, Tier::Slow);
     for (int i = 0; i < 5; ++i) {
@@ -391,11 +395,10 @@ TEST(Replay, RingDumpRoundTripsPolicyEvents)
     trace::Tracer tracer(tcfg);
 
     PolicyConfig cfg;
-    PolicyEngine engine(cfg);
-    engine.setTracer(&tracer);
+    PolicyEngine engine(cfg, &tracer);
 
-    uvm::UvmSimulator sim(4 * mem::kPageSize);
-    sim.setPolicyEngine(&engine);
+    uvm::UvmSimulator sim(4 * mem::kPageSize, EvictionKind::Lru, 0,
+                          &engine);
     std::uint64_t h = sim.allocManaged(16 * mem::kPageSize);
     sim.gpuAccess(h, 0, 16 * mem::kPageSize);
     ASSERT_EQ(engine.stats().evictions, 12u);

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "mem/geometry.hh"
 #include "uvm/uvm.hh"
 
@@ -124,6 +128,94 @@ TEST(Uvm, MigrationCostDominatedByOverheadForSparseAccess)
     SimTime raw_copy =
         static_cast<double>(64 * MiB) / costs.linkBandwidth;
     EXPECT_GT(t, 2.0 * raw_copy);
+}
+
+/** One access of the thrash stream. */
+struct StreamOp
+{
+    bool gpu;
+    std::uint64_t offset;
+    std::uint64_t bytes;
+};
+
+/**
+ * The shape of perfbench's uvm-thrash stream over a region of 1.5x
+ * @p device, in windows of 1/64 of it: a full sweep, two hot re-walks
+ * of the last half-device, eight CPU windows inside it and the same
+ * eight on the GPU again, then a second full sweep.
+ */
+std::vector<StreamOp>
+thrashStream(std::uint64_t seed, std::uint64_t device)
+{
+    constexpr std::uint64_t kWindowsPerDevice = 64;
+    constexpr std::uint64_t kRegionWindows = kWindowsPerDevice * 3 / 2;
+    constexpr std::uint64_t kHotWindows = kWindowsPerDevice / 2;
+    constexpr std::uint64_t kCpuWindows = 8;
+    SplitMix64 rng(seed);
+    const std::uint64_t window = device / kWindowsPerDevice;
+    const std::uint64_t rotate = rng.nextBelow(kRegionWindows);
+    const std::uint64_t hot = kRegionWindows - kHotWindows;
+    const std::uint64_t cpu =
+        hot + rng.nextBelow(kHotWindows - kCpuWindows + 1);
+
+    std::vector<StreamOp> ops;
+    auto access = [&](bool gpu, std::uint64_t w) {
+        ops.push_back(
+            {gpu, (rotate + w) % kRegionWindows * window, window});
+    };
+    auto sweep = [&] {
+        for (std::uint64_t w = 0; w < kRegionWindows; ++w)
+            access(true, w);
+    };
+    sweep();
+    for (unsigned pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t i = 0; i < kHotWindows; ++i)
+            access(true, hot + i);
+    }
+    for (std::uint64_t i = 0; i < kCpuWindows; ++i)
+        access(false, cpu + i);
+    for (std::uint64_t i = 0; i < kCpuWindows; ++i)
+        access(true, cpu + i);
+    sweep();
+    return ops;
+}
+
+TEST(Uvm, ThrashStreamCountersPinnedPerKind)
+{
+    // Every eviction kind through UvmSimulator on the thrash stream at
+    // 64 MiB of device memory (1 MiB windows). The counters were
+    // captured from the page-by-page simulator this run-granular one
+    // replaced; Random is seeded as perfbench seeds it.
+    struct Pinned
+    {
+        policy::EvictionKind kind;
+        std::uint64_t evictions, toDevice, toHost;
+    };
+    constexpr std::array<Pinned, 4> kPinned{{
+        {policy::EvictionKind::Lru, 32768, 51200, 34816},
+        {policy::EvictionKind::Lfu, 26624, 45056, 28672},
+        {policy::EvictionKind::Random, 25520, 43924, 27540},
+        {policy::EvictionKind::Predictive, 26624, 45056, 28672},
+    }};
+    constexpr std::uint64_t kSeed = 3;
+    constexpr std::uint64_t kDevice = 64 * MiB;
+    const std::vector<StreamOp> stream = thrashStream(kSeed, kDevice);
+    for (std::uint64_t k = 0; k < kPinned.size(); ++k) {
+        const Pinned &pin = kPinned[k];
+        UvmSimulator sim(kDevice, pin.kind, SplitMix64(kSeed + k).next());
+        std::uint64_t h = sim.allocManaged(kDevice + kDevice / 2);
+        for (const StreamOp &op : stream) {
+            if (op.gpu)
+                sim.gpuAccess(h, op.offset, op.bytes);
+            else
+                sim.cpuAccess(h, op.offset, op.bytes);
+        }
+        const char *name = policy::evictionKindName(pin.kind);
+        EXPECT_EQ(sim.evictions(), pin.evictions) << name;
+        EXPECT_EQ(sim.pagesMigratedToDevice(), pin.toDevice) << name;
+        EXPECT_EQ(sim.pagesMigratedToHost(), pin.toHost) << name;
+        EXPECT_EQ(sim.deviceResidentPages(), 16384u) << name;
+    }
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "audit/race.hh"
 
 #include <algorithm>
-#include <iterator>
 
 namespace upm::audit {
 
@@ -65,21 +64,6 @@ RaceDetector::internSite(const std::string &site)
     return it->second;
 }
 
-RaceDetector::RunMap::iterator
-RaceDetector::splitAt(std::uint64_t page)
-{
-    auto it = runs.lower_bound(page);
-    if (it == runs.begin())
-        return it;
-    auto prev = std::prev(it);
-    if (prev->second.end <= page)
-        return it;
-    // prev straddles page: its tail becomes a run of its own.
-    Run tail{prev->second.end, prev->second.state};
-    prev->second.end = page;
-    return runs.emplace_hint(it, page, std::move(tail));
-}
-
 void
 RaceDetector::accessRange(AgentId agent, std::uint64_t first,
                           std::uint64_t count, bool is_write,
@@ -92,22 +76,24 @@ RaceDetector::accessRange(AgentId agent, std::uint64_t first,
     const Epoch now{agent, clocks[agent][agent], internSite(site)};
     const std::uint64_t end = first + count;
 
-    splitAt(end);
-    auto it = splitAt(first);
+    // Untracked gaps first become runs with a fresh state, which has
+    // nothing to conflict with.
+    for (std::uint64_t cursor = first; cursor < end;) {
+        auto it = runs.firstEndingAfter(cursor);
+        std::uint64_t gap_end = end, next = end;
+        if (it != runs.end()) {
+            gap_end = std::min(end, it->first);
+            next = it->first + it->second.len;
+        }
+        if (cursor < gap_end)
+            runs.insert(cursor, gap_end - cursor, PageState{});
+        cursor = next;
+    }
 
     // Every page of a run shares its state, so the per-page rule runs
     // once per run; only the race reports fan out per page.
-    std::uint64_t cursor = first;
-    while (cursor < end) {
-        if (it == runs.end() || it->first > cursor) {
-            // Untracked gap: a run with a fresh state, which has
-            // nothing to conflict with.
-            std::uint64_t gap_end =
-                it == runs.end() ? end : std::min(end, it->first);
-            tracked += gap_end - cursor;
-            it = runs.emplace_hint(it, cursor, Run{gap_end, {}});
-        }
-        PageState &state = it->second.state;
+    runs.update(first, end, [&](std::uint64_t run_begin,
+                                std::uint64_t run_end, PageState &state) {
         const Epoch *conflict = nullptr;
         if (state.hasWrite && !happensBefore(state.lastWrite, agent))
             conflict = &state.lastWrite;
@@ -120,7 +106,7 @@ RaceDetector::accessRange(AgentId agent, std::uint64_t first,
             }
         }
         if (conflict != nullptr) {
-            for (std::uint64_t p = cursor; p < it->second.end; ++p) {
+            for (std::uint64_t p = run_begin; p < run_end; ++p) {
                 races.push_back(
                     {p, conflict->agent, sites[conflict->site], agent, site});
             }
@@ -139,27 +125,7 @@ RaceDetector::accessRange(AgentId agent, std::uint64_t first,
             else
                 state.reads.push_back(now);
         }
-        cursor = it->second.end;
-        ++it;
-    }
-
-    // Coalesce equal neighbours from the run before the window through
-    // the run starting at its end; runs elsewhere did not change.
-    it = runs.lower_bound(first);
-    if (it != runs.begin())
-        it = std::prev(it);
-    while (it != runs.end()) {
-        auto next = std::next(it);
-        if (next == runs.end() || next->first > end)
-            break;
-        if (it->second.end == next->first &&
-            it->second.state == next->second.state) {
-            it->second.end = next->second.end;
-            runs.erase(next);
-        } else {
-            it = next;
-        }
-    }
+    });
 }
 
 void
@@ -167,7 +133,6 @@ RaceDetector::reset()
 {
     clocks.clear();
     runs.clear();
-    tracked = 0;
     sites.clear();
     siteIds.clear();
 }

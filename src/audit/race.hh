@@ -12,12 +12,12 @@
  * footprints, memcpy source/destination, cpuStream/cpuFirstTouch
  * ranges) is checked against the last conflicting access to the page.
  *
- * This is FastTrack-lite at page-*run* granularity: the shadow is an
- * interval map of maximal runs of pages that share one state (the
- * last write epoch and the read epochs since that write). An access
- * splits the runs at its two ends, applies the per-page rule once per
- * run it covers (a gap becomes a run with a fresh state), and then
- * coalesces neighbours whose states became equal, so a kernel
+ * This is FastTrack-lite at page-*run* granularity: the shadow is a
+ * RunMap of maximal runs of pages that share one state (the last write
+ * epoch and the read epochs since that write). An access inserts each
+ * untracked gap as a run with a fresh state, then updates the window:
+ * the runs split at its two ends, the per-page rule applies once per
+ * run, and neighbours whose states became equal join, so a kernel
  * sweeping a whole buffer costs O(runs), not O(pages). Races are
  * still reported per page: a conflicting run fans out one report per
  * page, in ascending page order, exactly as a per-page shadow would.
@@ -28,10 +28,11 @@
 #define UPM_AUDIT_RACE_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "common/run_map.hh"
 
 namespace upm::audit {
 
@@ -87,10 +88,10 @@ class RaceDetector
     void reset();
 
     /** Pages currently tracked (test/introspection surface). */
-    std::uint64_t trackedPages() const { return tracked; }
+    std::uint64_t trackedPages() const { return runs.keyCount(); }
 
     /** Shadow runs currently stored (test/introspection surface). */
-    std::size_t runCount() const { return runs.size(); }
+    std::size_t runCount() const { return runs.runCount(); }
 
   private:
     /** An access epoch: who, at what point of their clock, and where
@@ -115,31 +116,17 @@ class RaceDetector
         bool operator==(const PageState &) const = default;
     };
 
-    /** Pages [key, end) all carry @ref state. */
-    struct Run
-    {
-        std::uint64_t end = 0;
-        PageState state;
-    };
-
-    using RunMap = std::map<std::uint64_t, Run>;
-
     /** Grow the clock matrix to cover @p agent. */
     void ensureAgent(AgentId agent);
     /** Does @p epoch happen-before agent @p a's current clock? */
     bool happensBefore(const Epoch &epoch, AgentId a) const;
     /** Id of @p site, interning it on first use. */
     std::uint32_t internSite(const std::string &site);
-    /** Split the run containing @p page (if any) so a run starts at
-     *  @p page; @return the first run starting at or after it. */
-    RunMap::iterator splitAt(std::uint64_t page);
 
     /** clocks[a][b]: the latest clock of b that a has acquired. */
     std::vector<std::vector<std::uint64_t>> clocks;
-    /** Disjoint, maximal-where-equal runs of tracked pages. */
-    RunMap runs;
-    /** Sum of run lengths. */
-    std::uint64_t tracked = 0;
+    /** Tracked pages in maximal runs of equal state. */
+    RunMap<PageState> runs;
     std::vector<std::string> sites;
     std::unordered_map<std::string, std::uint32_t> siteIds;
 };

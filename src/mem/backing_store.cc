@@ -1,9 +1,5 @@
 #include "mem/backing_store.hh"
 
-#include <cstring>
-
-#include "common/log.hh"
-
 namespace upm::mem {
 
 void
@@ -12,87 +8,42 @@ BackingStore::attach(VirtAddr base, std::uint64_t size)
     if (size == 0)
         panic("attach of empty backing region at 0x%llx",
               static_cast<unsigned long long>(base));
-    auto it = regions.lower_bound(base);
-    if (it != regions.end() && it->first < base + size)
-        panic("backing region overlap at 0x%llx",
-              static_cast<unsigned long long>(base));
-    if (it != regions.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second.size > base)
-            panic("backing region overlap at 0x%llx",
-                  static_cast<unsigned long long>(base));
-    }
-    Region region;
-    region.size = size;
-    regions.emplace(base, std::move(region));
+    regions.insert(base, size, Region{});
 }
 
 void
 BackingStore::detach(VirtAddr base)
 {
     auto it = regions.find(base);
-    if (it == regions.end())
+    if (it == regions.end() || it->first != base)
         panic("detach of unknown backing region 0x%llx",
               static_cast<unsigned long long>(base));
-    regions.erase(it);
-}
-
-std::map<VirtAddr, BackingStore::Region>::iterator
-BackingStore::find(VirtAddr addr)
-{
-    auto it = regions.upper_bound(addr);
-    if (it == regions.begin())
-        return regions.end();
-    --it;
-    if (addr >= it->first + it->second.size)
-        return regions.end();
-    return it;
-}
-
-std::map<VirtAddr, BackingStore::Region>::const_iterator
-BackingStore::find(VirtAddr addr) const
-{
-    auto it = regions.upper_bound(addr);
-    if (it == regions.begin())
-        return regions.end();
-    --it;
-    if (addr >= it->first + it->second.size)
-        return regions.end();
-    return it;
+    regions.erase(base, base + it->second.len);
 }
 
 std::uint8_t *
 BackingStore::hostPtr(VirtAddr addr, std::uint64_t size)
 {
-    auto it = find(addr);
+    auto it = regions.find(addr);
     if (it == regions.end())
         panic("access to unbacked simulated address 0x%llx",
               static_cast<unsigned long long>(addr));
     std::uint64_t offset = addr - it->first;
-    if (offset + size > it->second.size)
+    std::uint64_t region_size = it->second.len;
+    if (offset + size > region_size)
         panic("access of %llu bytes at 0x%llx overruns backing region",
               static_cast<unsigned long long>(size),
               static_cast<unsigned long long>(addr));
-    if (!it->second.data) {
-        it->second.data = std::make_unique<std::uint8_t[]>(it->second.size);
-        std::memset(it->second.data.get(), 0, it->second.size);
+    auto &data = it->second.value.data;
+    if (!data) {
+        // calloc leaves the zeroing to the OS's zero pages, so a
+        // region costs RSS only for the pages the workload touches.
+        data.reset(static_cast<std::uint8_t *>(std::calloc(region_size, 1)));
+        if (!data)
+            panic("cannot allocate %llu bytes of host backing",
+                  static_cast<unsigned long long>(region_size));
     }
-    return it->second.data.get() + offset;
-}
-
-bool
-BackingStore::contains(VirtAddr addr) const
-{
-    return find(addr) != regions.end();
-}
-
-std::uint64_t
-BackingStore::totalBytes() const
-{
-    std::uint64_t total = 0;
-    for (const auto &[base, region] : regions)
-        total += region.size;
-    return total;
+    return data.get() + offset;
 }
 
 } // namespace upm::mem

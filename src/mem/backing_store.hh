@@ -16,9 +16,11 @@
 #define UPM_MEM_BACKING_STORE_HH
 
 #include <cstdint>
-#include <map>
+#include <cstdlib>
 #include <memory>
-#include <vector>
+
+#include "common/log.hh"
+#include "common/run_map.hh"
 
 namespace upm::mem {
 
@@ -53,24 +55,39 @@ class BackingStore
     }
 
     /** @return true if @p addr falls inside a backed range. */
-    bool contains(VirtAddr addr) const;
+    bool
+    contains(VirtAddr addr) const
+    {
+        return regions.find(addr) != regions.end();
+    }
 
     /** Total bytes currently backed (for leak checks in tests). */
-    std::uint64_t totalBytes() const;
+    std::uint64_t totalBytes() const { return regions.keyCount(); }
 
   private:
-    struct Region
+    struct FreeDeleter
     {
-        std::uint64_t size;
-        /** Lazily allocated on first hostPtr() call. */
-        mutable std::unique_ptr<std::uint8_t[]> data;
+        void operator()(std::uint8_t *p) const { std::free(p); }
     };
 
-    /** Find the region containing addr, or end(). */
-    std::map<VirtAddr, Region>::iterator find(VirtAddr addr);
-    std::map<VirtAddr, Region>::const_iterator find(VirtAddr addr) const;
+    /** One simulated range's host buffer; its size is the run length. */
+    struct Region
+    {
+        /** Lazily allocated, zeroed, on first hostPtr() call. */
+        mutable std::unique_ptr<std::uint8_t[], FreeDeleter> data;
 
-    std::map<VirtAddr, Region> regions;
+        /** RunMap hook: regions are attached and detached whole. */
+        Region
+        splitOff(std::uint64_t) const
+        {
+            panic("backing region split");
+        }
+
+        /** RunMap hook: adjacent regions stay separate buffers. */
+        bool joins(std::uint64_t, const Region &) const { return false; }
+    };
+
+    RunMap<Region> regions;
 };
 
 } // namespace upm::mem

@@ -3,41 +3,9 @@
 #include <bit>
 #include <vector>
 
-#include "common/log.hh"
 #include "common/units.hh"
 
 namespace upm::vm {
-
-GpuPageTable::StampMap::const_iterator
-GpuPageTable::firstStampEndingAfter(Vpn vpn) const
-{
-    auto it = stamps.upper_bound(vpn);
-    if (it != stamps.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second.len > vpn)
-            return prev;
-    }
-    return it;
-}
-
-void
-GpuPageTable::eraseStamps(Vpn begin, Vpn end)
-{
-    auto it = firstStampEndingAfter(begin);
-    while (it != stamps.end() && it->first < end) {
-        Vpn stamp_begin = it->first;
-        Stamp stamp = it->second;
-        it = stamps.erase(it);
-        if (stamp_begin < begin)
-            stamps.emplace_hint(it, stamp_begin,
-                                Stamp{begin - stamp_begin, stamp.frag});
-        if (stamp_begin + stamp.len > end) {
-            stamps.emplace_hint(
-                it, end, Stamp{stamp_begin + stamp.len - end, stamp.frag});
-            return;
-        }
-    }
-}
 
 std::optional<GpuPte>
 GpuPageTable::lookup(Vpn vpn) const
@@ -45,16 +13,15 @@ GpuPageTable::lookup(Vpn vpn) const
     auto pte = ptes.lookup(vpn);
     if (!pte)
         return std::nullopt;
-    auto st = firstStampEndingAfter(vpn);
-    std::uint8_t frag =
-        st != stamps.end() && st->first <= vpn ? st->second.frag : 0;
+    auto st = stamps.find(vpn);
+    std::uint8_t frag = st != stamps.end() ? st->second.value : 0;
     return GpuPte{pte->frame, pte->flags, frag};
 }
 
 std::uint64_t
 GpuPageTable::removeRange(Vpn begin, Vpn end)
 {
-    eraseStamps(begin, end);
+    stamps.erase(begin, end);
     return ptes.removeRange(begin, end, [](const PteRun &) {});
 }
 
@@ -143,10 +110,9 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
         stampStretch(s_begin, s_end, s_frame);
 
     // Phase 2: the window's stamps are exactly the blocks.
-    eraseStamps(begin, end);
-    auto hint = stamps.lower_bound(end);
+    stamps.erase(begin, end);
     for (const Block &b : blocks)
-        stamps.emplace_hint(hint, b.begin, Stamp{b.len, b.frag});
+        stamps.insert(b.begin, b.len, b.frag);
 }
 
 } // namespace upm::vm

@@ -16,7 +16,7 @@
  * adds. Fragment values are *stamped by window* (each
  * recomputeFragments call only rewrites the pages inside its window),
  * so they cannot be derived from the translations alone. They are kept
- * beside them in a vpn-keyed map of stamp stretches that holds only
+ * beside them in a RunMap of equal-fragment stretches that holds only
  * nonzero stamps: a page without a stamp carries fragment 0, the value
  * fresh PTEs get, so scattered mirrors store no stamps at all.
  * Invariant: every stamped page is present; unmapping a page erases
@@ -28,7 +28,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 
 #include "vm/page_table.hh"
@@ -54,13 +53,6 @@ class GpuPageTable
     /** Largest fragment the PTE encoding supports (2^31 pages). */
     static constexpr unsigned kMaxFragment = 31;
 
-    /** Map @p vpn (no fragment yet). Panics if present. */
-    void
-    insert(Vpn vpn, FrameId frame, PteFlags flags = {})
-    {
-        ptes.insert(vpn, frame, flags);
-    }
-
     /** Map [vpn, vpn+len) to [frame, frame+len) with fragment 0. */
     void
     insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
@@ -78,9 +70,6 @@ class GpuPageTable
     }
 
     std::optional<GpuPte> lookup(Vpn vpn) const;
-
-    /** Unmap; @return true if it was mapped. */
-    bool remove(Vpn vpn) { return removeRange(vpn, vpn + 1) != 0; }
 
     /**
      * Unmap every present page in [begin, end) and erase their
@@ -115,7 +104,7 @@ class GpuPageTable
     void
     forEachFragmentRun(Vpn begin, Vpn end, Fn &&fn) const
     {
-        auto st = firstStampEndingAfter(begin);
+        auto st = stamps.firstEndingAfter(begin);
         ptes.forEachRun(begin, end, [&](const PteRun &run) {
             Vpn v = run.vpn;
             while (v < run.end()) {
@@ -131,30 +120,16 @@ class GpuPageTable
                 }
                 Vpn seg_end =
                     std::min(run.end(), st->first + st->second.len);
-                fn(v, seg_end - v, st->second.frag);
+                fn(v, seg_end - v, st->second.value);
                 v = seg_end;
             }
         });
     }
 
   private:
-    /** Pages [key, key+len) all carry the nonzero fragment @ref frag. */
-    struct Stamp
-    {
-        std::uint64_t len = 0;
-        std::uint8_t frag = 0;
-    };
-
-    using StampMap = std::map<Vpn, Stamp>;
-
-    /** First stamp whose stretch ends after @p vpn. */
-    StampMap::const_iterator firstStampEndingAfter(Vpn vpn) const;
-
-    /** Drop the stamps of [begin, end), splitting straddling ones. */
-    void eraseStamps(Vpn begin, Vpn end);
-
     SystemPageTable ptes;
-    StampMap stamps;
+    /** Nonzero fragments of stamped pages; a page without one reads 0. */
+    RunMap<std::uint8_t> stamps;
 };
 
 } // namespace upm::vm

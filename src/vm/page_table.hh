@@ -8,20 +8,21 @@
  * sorted map of [vpn, vpn+len) runs. A run is either *strided* (page
  * vpn+i -> frame+i, physically contiguous) or a *scatter* run carrying
  * an explicit per-page frame vector — one node for a million-page
- * interleaved pinned buffer instead of a million tree nodes. Runs
- * never overlap; strided runs are maximally merged against strided
- * neighbours, so a multi-GiB hipMalloc costs a handful of nodes and
- * range operations are O(log runs + touched runs).
+ * interleaved pinned buffer instead of a million tree nodes. The runs
+ * live in a RunMap: they never overlap, and strided runs are maximally
+ * merged against strided neighbours, so a multi-GiB hipMalloc costs a
+ * handful of nodes and range operations are O(log runs + touched
+ * runs).
  */
 
 #ifndef UPM_VM_PAGE_TABLE_HH
 #define UPM_VM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "common/run_map.hh"
 #include "mem/backing_store.hh"
 #include "mem/geometry.hh"
 
@@ -92,29 +93,26 @@ addrOf(Vpn vpn)
  * is ordered, which the HMM mirror and fragment computation rely on.
  *
  * Invariants: runs never overlap, and adjacent *strided* runs that are
- * virtually and physically contiguous with equal flags are merged on
- * insert. Scatter runs are kept as inserted (bulk faults and pinned
- * buffers arrive as one batch each), so the representation of a given
- * mapping may depend on insertion granularity — every consumer reads
- * per-page *values*, which do not.
+ * virtually and physically contiguous with equal flags are joined.
+ * Scatter runs are kept as inserted (bulk faults and pinned buffers
+ * arrive as one batch each), so the representation of a given mapping
+ * may depend on insertion granularity — every consumer reads per-page
+ * *values*, which do not.
  */
 class SystemPageTable
 {
   public:
-    /** Map @p vpn to @p frame. Panics if already present. */
-    void
-    insert(Vpn vpn, FrameId frame, PteFlags flags = {})
-    {
-        insertRange(vpn, 1, frame, flags);
-    }
-
     /**
      * Map [vpn, vpn+len) to frames [frame, frame+len), merging with
      * contiguous same-flag strided neighbours. Panics if any page is
      * present.
      */
-    void insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
-                     PteFlags flags = {});
+    void
+    insertRange(Vpn vpn, std::uint64_t len, FrameId frame,
+                PteFlags flags = {})
+    {
+        runs.insert(vpn, len, Run{frame, flags, {}});
+    }
 
     /**
      * Map page vpn+i to frames[i] for i in [0, n) as one run. A
@@ -133,19 +131,14 @@ class SystemPageTable
     std::optional<Pte>
     lookup(Vpn vpn) const
     {
-        auto it = findRun(vpn);
+        auto it = runs.find(vpn);
         if (it == runs.end())
             return std::nullopt;
-        return Pte{frameAt(it, vpn), it->second.flags};
+        const Run &run = it->second.value;
+        return Pte{run.frameAt(vpn - it->first), run.flags};
     }
 
-    /** @return the run containing @p vpn, if present. */
-    std::optional<PteRun> lookupRun(Vpn vpn) const;
-
-    bool present(Vpn vpn) const { return findRun(vpn) != runs.end(); }
-
-    /** Unmap @p vpn. @return the freed frame if it was mapped. */
-    std::optional<FrameId> remove(Vpn vpn);
+    bool present(Vpn vpn) const { return runs.find(vpn) != runs.end(); }
 
     /**
      * Unmap every present page in [begin, end), splitting runs at the
@@ -159,101 +152,37 @@ class SystemPageTable
     std::uint64_t
     removeRange(Vpn begin, Vpn end, Fn &&fn)
     {
-        std::uint64_t removed = 0;
-        if (begin >= end)
-            return removed;
-        auto it = runs.upper_bound(begin);
-        if (it != runs.begin()) {
-            --it;
-            if (begin >= it->first + it->second.len)
-                ++it;
-        }
-        while (it != runs.end() && it->first < end) {
-            Vpn run_vpn = it->first;
-            Run &run = it->second;
-            Vpn cut_begin = std::max(begin, run_vpn);
-            Vpn cut_end = std::min(end, run_vpn + run.len);
-            std::uint64_t cut_len = cut_end - cut_begin;
-            removed += cut_len;
-            fn(PteRun{cut_begin, cut_len, frameAt(it, cut_begin),
-                      run.flags,
-                      run.scatter.empty()
-                          ? nullptr
-                          : run.scatter.data() + (cut_begin - run_vpn)});
-
-            bool keep_head = cut_begin > run_vpn;
-            bool keep_tail = cut_end < run_vpn + run.len;
-            if (keep_tail) {
-                Run tail;
-                tail.len = run_vpn + run.len - cut_end;
-                tail.flags = run.flags;
-                if (run.scatter.empty()) {
-                    tail.frame = run.frame + (cut_end - run_vpn);
-                } else {
-                    tail.scatter.assign(
-                        run.scatter.begin() + (cut_end - run_vpn),
-                        run.scatter.end());
-                    tail.frame = tail.scatter.front();
-                }
-                if (keep_head) {
-                    run.len = cut_begin - run_vpn;
-                    if (!run.scatter.empty())
-                        run.scatter.resize(run.len);
-                    ++it;
-                } else {
-                    it = runs.erase(it);
-                }
-                it = runs.emplace_hint(it, cut_end, std::move(tail));
-                ++it;
-            } else if (keep_head) {
-                run.len = cut_begin - run_vpn;
-                if (!run.scatter.empty())
-                    run.scatter.resize(run.len);
-                ++it;
-            } else {
-                it = runs.erase(it);
-            }
-        }
-        presentPages -= removed;
-        return removed;
+        return runs.erase(begin, end,
+                          [&](Vpn b, Vpn e, std::uint64_t off,
+                              const Run &run) { fn(run.piece(b, e, off)); });
     }
-
-    /** Update flags of a present entry (pin/unpin). Panics if absent. */
-    void setFlags(Vpn vpn, PteFlags flags);
 
     /**
      * Update flags of every present page in [begin, end), splitting at
      * the boundaries and re-merging neighbours that become compatible.
      * @return pages updated.
      */
-    std::uint64_t setFlagsRange(Vpn begin, Vpn end, PteFlags flags);
+    std::uint64_t
+    setFlagsRange(Vpn begin, Vpn end, PteFlags flags)
+    {
+        return runs.update(begin, end,
+                           [&](Vpn, Vpn, Run &run) { run.flags = flags; });
+    }
 
     /** Number of present pages. */
-    std::uint64_t presentCount() const { return presentPages; }
+    std::uint64_t presentCount() const { return runs.keyCount(); }
 
     /** Number of stored runs (diagnostics / tests). */
-    std::uint64_t runCount() const { return runs.size(); }
+    std::uint64_t runCount() const { return runs.runCount(); }
 
     /** Present pages within [begin, end). O(log runs + runs hit). */
-    std::uint64_t presentInRange(Vpn begin, Vpn end) const;
-
-    /**
-     * Visit present entries in [begin, end) in vpn order.
-     * @param fn callable (Vpn, const Pte &).
-     */
-    template <typename Fn>
-    void
-    forRange(Vpn begin, Vpn end, Fn &&fn) const
+    std::uint64_t
+    presentInRange(Vpn begin, Vpn end) const
     {
-        forEachRun(begin, end, [&](const PteRun &run) {
-            Pte pte{run.frame, run.flags};
-            for (Vpn vpn = run.vpn; vpn < run.end(); ++vpn) {
-                pte.frame = run.scatter != nullptr
-                                ? run.scatter[vpn - run.vpn]
-                                : run.frame + (vpn - run.vpn);
-                fn(vpn, pte);
-            }
-        });
+        std::uint64_t n = 0;
+        runs.forEach(begin, end, [&](Vpn b, Vpn e, std::uint64_t,
+                                     const Run &) { n += e - b; });
+        return n;
     }
 
     /**
@@ -265,24 +194,10 @@ class SystemPageTable
     void
     forEachRun(Vpn begin, Vpn end, Fn &&fn) const
     {
-        if (begin >= end)
-            return;
-        auto it = runs.upper_bound(begin);
-        if (it != runs.begin()) {
-            --it;
-            if (begin >= it->first + it->second.len)
-                ++it;
-        }
-        for (; it != runs.end() && it->first < end; ++it) {
-            Vpn clip_begin = std::max(begin, it->first);
-            Vpn clip_end = std::min(end, it->first + it->second.len);
-            fn(PteRun{clip_begin, clip_end - clip_begin,
-                      frameAt(it, clip_begin), it->second.flags,
-                      it->second.scatter.empty()
-                          ? nullptr
-                          : it->second.scatter.data() +
-                                (clip_begin - it->first)});
-        }
+        runs.forEach(begin, end,
+                     [&](Vpn b, Vpn e, std::uint64_t off, const Run &run) {
+                         fn(run.piece(b, e, off));
+                     });
     }
 
     /**
@@ -294,47 +209,66 @@ class SystemPageTable
     forEachGap(Vpn begin, Vpn end, Fn &&fn) const
     {
         Vpn cursor = begin;
-        forEachRun(begin, end, [&](const PteRun &run) {
-            if (cursor < run.vpn)
-                fn(cursor, run.vpn);
-            cursor = run.end();
-        });
+        runs.forEach(begin, end,
+                     [&](Vpn b, Vpn e, std::uint64_t, const Run &) {
+                         if (cursor < b)
+                             fn(cursor, b);
+                         cursor = e;
+                     });
         if (cursor < end)
             fn(cursor, end);
     }
 
   private:
     /**
-     * Stored extent: [key, key+len). Strided (scatter empty, frame
-     * meaningful) or scatter (scatter.size() == len, frame ==
+     * Value of a stored run: strided (scatter empty, page i maps
+     * frame + i) or scatter (scatter[i] is page i's frame, frame ==
      * scatter[0]).
      */
     struct Run
     {
-        std::uint64_t len = 0;
         FrameId frame = 0;
         PteFlags flags;
         std::vector<FrameId> scatter;
+
+        FrameId
+        frameAt(std::uint64_t off) const
+        {
+            return scatter.empty() ? frame + off : scatter[off];
+        }
+
+        /** Pages [b, e) of this run, which starts @p off pages before b. */
+        PteRun
+        piece(Vpn b, Vpn e, std::uint64_t off) const
+        {
+            return PteRun{b, e - b, frameAt(off), flags,
+                          scatter.empty() ? nullptr : scatter.data() + off};
+        }
+
+        /** RunMap hook: a scatter run hands over its tail. */
+        Run
+        splitOff(std::uint64_t off)
+        {
+            if (scatter.empty())
+                return Run{frame + off, flags, {}};
+            Run tail{scatter[off], flags,
+                     std::vector<FrameId>(scatter.begin() + off,
+                                          scatter.end())};
+            scatter.resize(off);
+            return tail;
+        }
+
+        /** RunMap hook: strided runs join when frame-contiguous with
+         *  equal flags; scatter runs never join. */
+        bool
+        joins(std::uint64_t len, const Run &next) const
+        {
+            return scatter.empty() && next.scatter.empty() &&
+                   frame + len == next.frame && flags == next.flags;
+        }
     };
 
-    using RunMap = std::map<Vpn, Run>;
-
-    /** Iterator to the run containing @p vpn, or end(). One descent. */
-    RunMap::const_iterator findRun(Vpn vpn) const;
-
-    /** Frame of page @p vpn, which must lie inside @p it's run. */
-    template <typename It>
-    static FrameId
-    frameAt(It it, Vpn vpn)
-    {
-        const auto &run = it->second;
-        return run.scatter.empty()
-                   ? run.frame + (vpn - it->first)
-                   : run.scatter[vpn - it->first];
-    }
-
-    RunMap runs;
-    std::uint64_t presentPages = 0;
+    RunMap<Run> runs;
 };
 
 } // namespace upm::vm

@@ -105,8 +105,8 @@ TEST(AuditSeeded, MirrorDivergenceDetected)
     vm::Vpn vpn = vm::vpnOf(p);
     auto sys_pte = as.systemTable().lookup(vpn);
     ASSERT_TRUE(sys_pte.has_value());
-    as.gpuTable().remove(vpn);
-    as.gpuTable().insert(vpn, sys_pte->frame + 1, sys_pte->flags);
+    as.gpuTable().removeRange(vpn, vpn + 1);
+    as.gpuTable().insertRange(vpn, 1, sys_pte->frame + 1, sys_pte->flags);
 
     // The next mirror pass over the window must notice.
     as.mirror().mirrorRange(vpn, vpn + 1);
@@ -132,8 +132,7 @@ TEST(AuditSeeded, MirrorDivergenceReportedPerPageInVpnOrder)
     // at a shifted offset, and pages of the scattered run.
     auto corrupt = [&](vm::Vpn vpn, std::uint64_t len, vm::FrameId frame) {
         auto flags = as.systemTable().lookup(vpn)->flags;
-        for (vm::Vpn v = vpn; v < vpn + len; ++v)
-            as.gpuTable().remove(v);
+        as.gpuTable().removeRange(vpn, vpn + len);
         as.gpuTable().insertRange(vpn, len, frame, flags);
     };
     vm::Vpn d = vm::vpnOf(dev);
@@ -179,7 +178,7 @@ TEST(AuditSeeded, MirrorDivergenceReportedPerPageInVpnOrder)
     // one page inside the shifted stretch behind HMM's back, and every
     // GPU page must get its per-page verdict, in vpn order, before any
     // other finalize record.
-    as.systemTable().remove(d + 9);
+    as.systemTable().removeRange(d + 9, d + 10, [](const vm::PteRun &) {});
     struct Record
     {
         ViolationKind kind;
@@ -238,7 +237,8 @@ TEST(AuditSeeded, StaleMirrorDetectedAtFinalize)
     hip::DevPtr p = rt.hipMalloc(64 * KiB);
 
     // Drop a system PTE behind HMM's back: the GPU PTE is now stale.
-    as.systemTable().remove(vm::vpnOf(p));
+    as.systemTable().removeRange(vm::vpnOf(p), vm::vpnOf(p) + 1,
+                                 [](const vm::PteRun &) {});
     sys.finalizeAudit();
     EXPECT_EQ(sys.auditor()->countOf(ViolationKind::StaleMirror), 1u);
 }

@@ -1,18 +1,24 @@
 /**
  * @file
  * Unit tests for the common module: units, logging, RNGs, statistics,
- * the simulated clock, the scope guard, and the Status surface.
+ * the simulated clock, the scope guard, the Status surface, and a
+ * differential test of RunMap against a per-page model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/clock.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "common/run_map.hh"
 #include "common/scope_guard.hh"
 #include "common/stats.hh"
 #include "common/status.hh"
@@ -439,6 +445,230 @@ TEST(Status, StatusErrorIsASimError)
         EXPECT_NE(std::string(e.what()).find("OutOfMemory"),
                   std::string::npos);
     }
+}
+
+
+/** Behaves like a strided page run: page i of a run carries base + i. */
+struct StridedValue
+{
+    std::uint64_t base = 0;
+    unsigned tag = 0;
+
+    StridedValue
+    splitOff(std::uint64_t off) const
+    {
+        return {base + off, tag};
+    }
+
+    bool
+    joins(std::uint64_t len, const StridedValue &next) const
+    {
+        return base + len == next.base && tag == next.tag;
+    }
+};
+
+struct StridedTraits
+{
+    using Value = StridedValue;
+    using Page = std::pair<std::uint64_t, unsigned>;
+
+    /** Half the runs continue the identity stride, so joins happen. */
+    static Value
+    draw(SplitMix64 &rng, std::uint64_t start)
+    {
+        std::uint64_t base = rng.nextBelow(2) ? start : rng.nextBelow(512);
+        return {base, static_cast<unsigned>(rng.nextBelow(2))};
+    }
+
+    static Page page(const Value &v, std::uint64_t off)
+    {
+        return {v.base + off, v.tag};
+    }
+
+    static void retag(Value &v, unsigned tag) { v.tag = tag; }
+    static Page retagged(Page p, unsigned tag) { return {p.first, tag}; }
+
+    static bool
+    joins(std::uint64_t len, const Value &a, const Value &b)
+    {
+        return a.joins(len, b);
+    }
+};
+
+/** A plain value: copied on split, joined when equal. */
+struct EqualTraits
+{
+    using Value = unsigned;
+    using Page = unsigned;
+
+    static Value
+    draw(SplitMix64 &rng, std::uint64_t)
+    {
+        return static_cast<unsigned>(rng.nextBelow(3));
+    }
+
+    static Page page(const Value &v, std::uint64_t) { return v; }
+    static void retag(Value &v, unsigned tag) { v = tag; }
+    static Page retagged(Page, unsigned tag) { return tag; }
+
+    static bool
+    joins(std::uint64_t, const Value &a, const Value &b)
+    {
+        return a == b;
+    }
+};
+
+/**
+ * Random insert/erase/update/find/walk sequences on a RunMap<V> and on
+ * a per-page std::optional model. After every op the per-page values
+ * must agree, the runs must be disjoint and maximally joined, and the
+ * op's callbacks must have seen exactly the model's pages, in order.
+ */
+template <typename T>
+void
+runMapMatchesPerPageModel(unsigned seed)
+{
+    using Value = typename T::Value;
+    using Page = typename T::Page;
+    using Key = RunMap<Value>::Key;
+    constexpr Key kSpace = 256;
+    SplitMix64 rng(0x7a9e0000u + seed);
+    RunMap<Value> map;
+    std::vector<std::optional<Page>> model(kSpace);
+
+    auto presentIn = [&](Key b, Key e) {
+        std::vector<Key> keys;
+        for (Key k = b; k < e; ++k) {
+            if (model[k])
+                keys.push_back(k);
+        }
+        return keys;
+    };
+
+    for (int step = 0; step < 600; ++step) {
+        Key b = rng.nextBelow(kSpace);
+        Key e = std::min(kSpace, b + 1 + rng.nextBelow(16));
+        std::vector<Key> seen;
+        switch (rng.nextBelow(5)) {
+          case 0: {  // insert
+            Value v = T::draw(rng, b);
+            if (!presentIn(b, e).empty()) {
+                EXPECT_THROW(map.insert(b, e - b, v), SimError);
+                break;
+            }
+            map.insert(b, e - b, v);
+            for (Key k = b; k < e; ++k)
+                model[k] = T::page(v, k - b);
+            break;
+          }
+          case 1: {  // erase: pieces in key order, before restructuring
+            std::uint64_t removed = map.erase(
+                b, e, [&](Key pb, Key pe, std::uint64_t off, const Value &v) {
+                    for (Key k = pb; k < pe; ++k) {
+                        EXPECT_EQ(T::page(v, off + (k - pb)), model[k]);
+                        seen.push_back(k);
+                    }
+                });
+            EXPECT_EQ(seen, presentIn(b, e));
+            EXPECT_EQ(removed, seen.size());
+            for (Key k = b; k < e; ++k)
+                model[k].reset();
+            break;
+          }
+          case 2: {  // update: whole runs inside the window, in order
+            auto tag = static_cast<unsigned>(rng.nextBelow(2));
+            std::uint64_t updated =
+                map.update(b, e, [&](Key rb, Key re, Value &v) {
+                    EXPECT_LE(b, rb);
+                    EXPECT_LE(re, e);
+                    for (Key k = rb; k < re; ++k)
+                        seen.push_back(k);
+                    T::retag(v, tag);
+                });
+            EXPECT_EQ(seen, presentIn(b, e));
+            EXPECT_EQ(updated, seen.size());
+            for (Key k : seen)
+                model[k] = T::retagged(*model[k], tag);
+            break;
+          }
+          case 3: {  // find
+            auto it = map.find(b);
+            ASSERT_EQ(it != map.end(), model[b].has_value()) << b;
+            if (it != map.end()) {
+                EXPECT_LE(it->first, b);
+                EXPECT_EQ(T::page(it->second.value, b - it->first),
+                          *model[b]);
+            }
+            break;
+          }
+          default: {  // clipped walk
+            map.forEach(b, e, [&](Key pb, Key pe, std::uint64_t off,
+                                  const Value &v) {
+                EXPECT_LE(b, pb);
+                EXPECT_LE(pe, e);
+                for (Key k = pb; k < pe; ++k) {
+                    EXPECT_EQ(T::page(v, off + (k - pb)), model[k]);
+                    seen.push_back(k);
+                }
+            });
+            EXPECT_EQ(seen, presentIn(b, e));
+            break;
+          }
+        }
+
+        // Per-page values, disjointness and the maximal-join invariant:
+        // a whole-space walk visits the stored runs unclipped.
+        std::vector<std::optional<Page>> stored(kSpace);
+        Key prev_end = 0;
+        std::uint64_t prev_len = 0;
+        const Value *prev = nullptr;
+        map.forEach(0, kSpace, [&](Key rb, Key re, std::uint64_t off,
+                                   const Value &v) {
+            EXPECT_EQ(off, 0u);
+            ASSERT_GE(rb, prev_end) << "runs overlap";
+            EXPECT_FALSE(prev != nullptr && prev_end == rb &&
+                         T::joins(prev_len, *prev, v))
+                << "runs ending at " << prev_end
+                << " should have joined (step " << step << ")";
+            for (Key k = rb; k < re; ++k)
+                stored[k] = T::page(v, k - rb);
+            prev_end = re;
+            prev_len = re - rb;
+            prev = &v;
+        });
+        ASSERT_EQ(stored, model) << "step " << step;
+        EXPECT_EQ(map.keyCount(), presentIn(0, kSpace).size());
+    }
+}
+
+class RunMapDiff : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(RunMapDiff, StridedValueMatchesPerPageModel)
+{
+    runMapMatchesPerPageModel<StridedTraits>(GetParam());
+}
+
+TEST_P(RunMapDiff, EqualValueMatchesPerPageModel)
+{
+    runMapMatchesPerPageModel<EqualTraits>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunMapDiff, ::testing::Range(0u, 16u));
+
+TEST(RunMap, InsertJoinsBothNeighbours)
+{
+    RunMap<unsigned> map;
+    map.insert(0, 4, 7);
+    map.insert(8, 4, 7);
+    EXPECT_EQ(map.runCount(), 2u);
+    map.insert(4, 4, 7);
+    EXPECT_EQ(map.runCount(), 1u);
+    EXPECT_EQ(map.find(0)->second.len, 12u);
+    EXPECT_THROW(map.insert(11, 2, 7), SimError);
+    EXPECT_THROW(map.insert(0, 1, 8), SimError);
+    EXPECT_EQ(map.keyCount(), 12u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -45,11 +46,11 @@ TEST(SystemExtents, AdjacentInsertsMergeIntoOneRun)
     vm::SystemPageTable pt;
     pt.insertRange(100, 4, 40);
     EXPECT_EQ(pt.runCount(), 1u);
-    pt.insert(104, 44);            // contiguous above
+    pt.insertRange(104, 1, 44);    // contiguous above
     pt.insertRange(96, 4, 36);     // contiguous below
     EXPECT_EQ(pt.runCount(), 1u);
     EXPECT_EQ(pt.presentCount(), 9u);
-    auto run = pt.lookupRun(100);
+    auto run = test::runOf(pt, 100);
     ASSERT_TRUE(run.has_value());
     EXPECT_EQ(run->vpn, 96u);
     EXPECT_EQ(run->len, 9u);
@@ -59,8 +60,8 @@ TEST(SystemExtents, AdjacentInsertsMergeIntoOneRun)
 TEST(SystemExtents, DiscontiguousFramesDoNotMerge)
 {
     vm::SystemPageTable pt;
-    pt.insert(10, 100);
-    pt.insert(11, 200);  // virtually adjacent, physically not
+    pt.insertRange(10, 1, 100);
+    pt.insertRange(11, 1, 200);  // virtually adjacent, physically not
     EXPECT_EQ(pt.runCount(), 2u);
     EXPECT_EQ(pt.lookup(10)->frame, 100u);
     EXPECT_EQ(pt.lookup(11)->frame, 200u);
@@ -76,21 +77,24 @@ TEST(SystemExtents, FlagBoundaryPreventsMerge)
     // Aligning the flags re-merges through setFlagsRange.
     pt.setFlagsRange(4, 8, PteFlags{});
     EXPECT_EQ(pt.runCount(), 1u);
-    EXPECT_EQ(pt.lookupRun(7)->len, 8u);
+    EXPECT_EQ(test::runOf(pt, 7)->len, 8u);
 }
 
 TEST(SystemExtents, MidRunRemoveSplits)
 {
     vm::SystemPageTable pt;
     pt.insertRange(0, 8, 100);
-    auto freed = pt.remove(3);
-    ASSERT_TRUE(freed.has_value());
-    EXPECT_EQ(*freed, 103u);
+    std::vector<mem::FrameId> freed;
+    pt.removeRange(3, 4, [&](const vm::PteRun &cut) {
+        freed.push_back(cut.frame);
+    });
+    ASSERT_EQ(freed.size(), 1u);
+    EXPECT_EQ(freed[0], 103u);
     EXPECT_EQ(pt.runCount(), 2u);
     EXPECT_FALSE(pt.present(3));
-    EXPECT_EQ(pt.lookupRun(0)->len, 3u);
-    EXPECT_EQ(pt.lookupRun(4)->len, 4u);
-    EXPECT_EQ(pt.lookupRun(4)->frame, 104u);
+    EXPECT_EQ(test::runOf(pt, 0)->len, 3u);
+    EXPECT_EQ(test::runOf(pt, 4)->len, 4u);
+    EXPECT_EQ(test::runOf(pt, 4)->frame, 104u);
     EXPECT_EQ(pt.presentCount(), 7u);
 }
 
@@ -105,7 +109,7 @@ TEST(SystemExtents, MidRunSetFlagsSplitsAndRemerges)
     EXPECT_FALSE(pt.lookup(5)->flags.pinned);
     pt.setFlagsRange(2, 5, PteFlags{});
     EXPECT_EQ(pt.runCount(), 1u);
-    EXPECT_EQ(pt.lookupRun(0)->len, 8u);
+    EXPECT_EQ(test::runOf(pt, 0)->len, 8u);
 }
 
 TEST(SystemExtents, RemoveRangeReportsFreedSubRuns)
@@ -135,8 +139,8 @@ TEST(SystemExtents, InsertFramesDetectsStride)
     // merges with strided neighbours.
     pt.insertRange(4, 4, 104);
     EXPECT_EQ(pt.runCount(), 1u);
-    EXPECT_EQ(pt.lookupRun(0)->len, 8u);
-    EXPECT_EQ(pt.lookupRun(0)->scatter, nullptr);
+    EXPECT_EQ(test::runOf(pt, 0)->len, 8u);
+    EXPECT_EQ(test::runOf(pt, 0)->scatter, nullptr);
 }
 
 TEST(SystemExtents, ScatterRunSplitsOnRemove)
@@ -168,12 +172,35 @@ TEST(SystemExtents, ScatterRunSplitsOnRemove)
     EXPECT_EQ(pt.lookup(15)->frame, 2u);
 }
 
+TEST(SystemExtents, ScatterRunsNeverJoin)
+{
+    // Each scatter run's first frame continues its strided neighbour's
+    // stride, yet neither side may absorb the other: a strided run
+    // cannot describe the scatter pages, and a scatter vector cannot
+    // describe the strided ones.
+    vm::SystemPageTable pt;
+    pt.insertRange(0, 4, 100);
+    pt.insertFrames(4, std::vector<mem::FrameId>{104, 7, 9});
+    pt.insertFrames(10, std::vector<mem::FrameId>{50, 3});
+    pt.insertRange(12, 2, 52);
+    EXPECT_EQ(pt.runCount(), 4u);
+    EXPECT_EQ(pt.lookup(3)->frame, 103u);
+    EXPECT_EQ(pt.lookup(5)->frame, 7u);
+    EXPECT_EQ(pt.lookup(11)->frame, 3u);
+    EXPECT_EQ(pt.lookup(13)->frame, 53u);
+    // Re-joining after a flag update must not merge them either.
+    pt.setFlagsRange(0, 14, pinnedFlags());
+    EXPECT_EQ(pt.runCount(), 4u);
+    EXPECT_EQ(pt.lookup(6)->frame, 9u);
+    EXPECT_EQ(pt.lookup(12)->frame, 52u);
+}
+
 TEST(SystemExtents, OverlappingInsertPanics)
 {
     vm::SystemPageTable pt;
     pt.insertRange(4, 4, 0);
     EXPECT_THROW(pt.insertRange(0, 8, 100), SimError);
-    EXPECT_THROW(pt.insert(5, 100), SimError);
+    EXPECT_THROW(pt.insertRange(5, 1, 100), SimError);
 }
 
 TEST(SystemExtents, GapWalkCoversHolesExactly)
@@ -386,7 +413,10 @@ TEST_P(ExtentParity, SystemTableMatchesPerPageModel)
             break;
           }
           case 1: {  // single-page remove
-            auto got = pt.remove(vpn);
+            std::optional<mem::FrameId> got;
+            pt.removeRange(vpn, vpn + 1, [&](const vm::PteRun &cut) {
+                got = cut.frame;
+            });
             auto it = model.find(vpn);
             if (it == model.end()) {
                 EXPECT_FALSE(got.has_value());
@@ -440,7 +470,7 @@ TEST_P(ExtentParity, SystemTableMatchesPerPageModel)
 
     // Full-range parity: same entries, same order, same counters.
     std::vector<std::pair<Vpn, vm::Pte>> walked;
-    pt.forRange(0, kSpace, [&](Vpn vpn, const vm::Pte &pte) {
+    test::forRange(pt, 0, kSpace, [&](Vpn vpn, const vm::Pte &pte) {
         walked.emplace_back(vpn, pte);
     });
     ASSERT_EQ(walked.size(), model.size());

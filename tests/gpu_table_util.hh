@@ -1,14 +1,16 @@
 /**
  * @file
- * Per-page views of a vm::GpuPageTable for tests, built only on its
- * public lookup() and forEachFragmentRun(): a page-by-page walk, the
- * fragment block covering a page, and the fragment-size histogram.
+ * Per-page views of the page tables for tests, built only on their
+ * public walks: page-by-page walks of a vm::SystemPageTable and a
+ * vm::GpuPageTable, the stored run holding a page, the fragment block
+ * covering a page, and the fragment-size histogram.
  */
 
 #ifndef UPM_TESTS_GPU_TABLE_UTIL_HH
 #define UPM_TESTS_GPU_TABLE_UTIL_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/log.hh"
@@ -33,6 +35,31 @@ fragmentOf(const vm::GpuPageTable &pt, vm::Vpn vpn)
               static_cast<unsigned long long>(vpn));
     std::uint64_t span = 1ull << pte->fragment;
     return Fragment{vpn & ~(span - 1), span};
+}
+
+/** Visit present PTEs in [begin, end) in vpn order:
+ *  fn(Vpn, const vm::Pte &). */
+template <typename Fn>
+void
+forRange(const vm::SystemPageTable &pt, vm::Vpn begin, vm::Vpn end,
+         Fn &&fn)
+{
+    pt.forEachRun(begin, end, [&](const vm::PteRun &run) {
+        for (vm::Vpn vpn = run.vpn; vpn < run.end(); ++vpn)
+            fn(vpn, vm::Pte{run.frameOf(vpn), run.flags});
+    });
+}
+
+/** The whole stored run holding @p vpn, if it is present. */
+inline std::optional<vm::PteRun>
+runOf(const vm::SystemPageTable &pt, vm::Vpn vpn)
+{
+    std::optional<vm::PteRun> found;
+    pt.forEachRun(0, ~0ull, [&](const vm::PteRun &run) {
+        if (run.vpn <= vpn && vpn < run.end())
+            found = run;
+    });
+    return found;
 }
 
 /** Visit present PTEs in [begin, end) in vpn order:

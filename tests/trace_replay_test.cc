@@ -20,6 +20,7 @@
 #include "common/rng.hh"
 #include "core/system.hh"
 #include "exec/task_pool.hh"
+#include "gpu_table_util.hh"
 #include "trace/tracer.hh"
 #include "vm/page_table.hh"
 
@@ -81,7 +82,7 @@ std::vector<std::pair<vm::Vpn, mem::FrameId>>
 pagesOf(const vm::SystemPageTable &table)
 {
     std::vector<std::pair<vm::Vpn, mem::FrameId>> out;
-    table.forRange(0, ~0ull, [&](vm::Vpn vpn, const vm::Pte &pte) {
+    test::forRange(table, 0, ~0ull, [&](vm::Vpn vpn, const vm::Pte &pte) {
         out.emplace_back(vpn, pte.frame);
     });
     return out;

@@ -31,30 +31,35 @@ smallGeomConfig()
 TEST(SystemPageTable, InsertLookupRemove)
 {
     SystemPageTable pt;
-    pt.insert(10, 1234);
+    pt.insertRange(10, 1, 1234);
     EXPECT_TRUE(pt.present(10));
     auto pte = pt.lookup(10);
     ASSERT_TRUE(pte.has_value());
     EXPECT_EQ(pte->frame, 1234u);
-    EXPECT_EQ(pt.remove(10), std::optional<FrameId>(1234));
+    std::vector<FrameId> freed;
+    auto collect = [&](const PteRun &cut) { freed.push_back(cut.frame); };
+    EXPECT_EQ(pt.removeRange(10, 11, collect), 1u);
+    EXPECT_EQ(freed, std::vector<FrameId>{1234});
     EXPECT_FALSE(pt.present(10));
-    EXPECT_EQ(pt.remove(10), std::nullopt);
+    EXPECT_EQ(pt.removeRange(10, 11, collect), 0u);
+    EXPECT_EQ(freed.size(), 1u);
 }
 
 TEST(SystemPageTable, DoubleInsertPanics)
 {
     SystemPageTable pt;
-    pt.insert(10, 1);
-    EXPECT_THROW(pt.insert(10, 2), SimError);
+    pt.insertRange(10, 1, 1);
+    EXPECT_THROW(pt.insertRange(10, 1, 2), SimError);
 }
 
 TEST(SystemPageTable, RangeIterationIsOrderedAndBounded)
 {
     SystemPageTable pt;
     for (Vpn vpn : {5, 1, 9, 3, 7})
-        pt.insert(vpn, vpn * 10);
+        pt.insertRange(vpn, 1, vpn * 10);
     std::vector<Vpn> seen;
-    pt.forRange(2, 8, [&](Vpn vpn, const Pte &) { seen.push_back(vpn); });
+    test::forRange(pt, 2, 8,
+                   [&](Vpn vpn, const Pte &) { seen.push_back(vpn); });
     EXPECT_EQ(seen, (std::vector<Vpn>{3, 5, 7}));
     EXPECT_EQ(pt.presentInRange(0, 100), 5u);
 }
@@ -62,11 +67,12 @@ TEST(SystemPageTable, RangeIterationIsOrderedAndBounded)
 TEST(SystemPageTable, FlagsUpdate)
 {
     SystemPageTable pt;
-    pt.insert(4, 44);
+    pt.insertRange(4, 1, 44);
     PteFlags pinned{.writable = true, .pinned = true, .uncached = false};
-    pt.setFlags(4, pinned);
+    EXPECT_EQ(pt.setFlagsRange(4, 5, pinned), 1u);
     EXPECT_TRUE(pt.lookup(4)->flags.pinned);
-    EXPECT_THROW(pt.setFlags(5, pinned), SimError);
+    EXPECT_EQ(pt.setFlagsRange(5, 6, pinned), 0u);
+    EXPECT_FALSE(pt.present(5));
 }
 
 TEST(GpuPageTable, ContiguousRunGetsLargeFragments)
@@ -74,7 +80,7 @@ TEST(GpuPageTable, ContiguousRunGetsLargeFragments)
     GpuPageTable pt;
     // 64 pages, vpn and frame both aligned to 64.
     for (Vpn vpn = 0; vpn < 64; ++vpn)
-        pt.insert(64 + vpn, 128 + vpn);
+        pt.insertRange(64 + vpn, 1, 128 + vpn);
     pt.recomputeFragments(64, 128);
     auto frag = test::fragmentOf(pt, 64);
     EXPECT_EQ(frag.span, 64u);
@@ -85,7 +91,7 @@ TEST(GpuPageTable, ScatteredFramesGetUnitFragments)
 {
     GpuPageTable pt;
     for (Vpn vpn = 0; vpn < 32; ++vpn)
-        pt.insert(vpn, vpn * 7 + 3);  // physically discontiguous
+        pt.insertRange(vpn, 1, vpn * 7 + 3);  // physically discontiguous
     pt.recomputeFragments(0, 32);
     for (Vpn vpn = 0; vpn < 32; ++vpn)
         EXPECT_EQ(test::fragmentOf(pt, vpn).span, 1u) << vpn;
@@ -97,7 +103,7 @@ TEST(GpuPageTable, MisalignedRunSplitsGreedily)
     // Run of 6 pages starting at vpn 2 / frame 2: blocks 2,4+4?? ->
     // greedy: [2,4) (align 2), [4,8) (align 4).
     for (Vpn vpn = 2; vpn < 8; ++vpn)
-        pt.insert(vpn, vpn);
+        pt.insertRange(vpn, 1, vpn);
     pt.recomputeFragments(0, 16);
     EXPECT_EQ(test::fragmentOf(pt, 2).span, 2u);
     EXPECT_EQ(test::fragmentOf(pt, 4).span, 4u);
@@ -108,7 +114,7 @@ TEST(GpuPageTable, FlagBoundarySplitsRun)
     GpuPageTable pt;
     PteFlags pinned{.writable = true, .pinned = true, .uncached = false};
     for (Vpn vpn = 0; vpn < 8; ++vpn)
-        pt.insert(vpn, vpn, vpn < 4 ? PteFlags{} : pinned);
+        pt.insertRange(vpn, 1, vpn, vpn < 4 ? PteFlags{} : pinned);
     pt.recomputeFragments(0, 8);
     EXPECT_EQ(test::fragmentOf(pt, 0).span, 4u);
     EXPECT_EQ(test::fragmentOf(pt, 4).span, 4u);
@@ -121,7 +127,7 @@ TEST(GpuPageTable, PhysicalMisalignmentLimitsFragment)
     GpuPageTable pt;
     // vpn aligned, frames offset by 1: alignment limited by frames.
     for (Vpn vpn = 0; vpn < 16; ++vpn)
-        pt.insert(vpn, vpn + 1);
+        pt.insertRange(vpn, 1, vpn + 1);
     pt.recomputeFragments(0, 16);
     // frame 1 has tz 0 -> first block span 1.
     EXPECT_EQ(test::fragmentOf(pt, 0).span, 1u);
@@ -141,7 +147,7 @@ TEST_P(FragmentProperty, FragmentsAreAlignedCoveringBlocks)
     Vpn vpn = 0;
     FrameId frame = rng.nextBelow(1000);
     for (int i = 0; i < 500; ++i) {
-        pt.insert(vpn, frame);
+        pt.insertRange(vpn, 1, frame);
         // Random mix of contiguous extension and jumps.
         if (rng.nextBelow(4) == 0) {
             vpn += 1 + rng.nextBelow(5);
@@ -529,7 +535,7 @@ TEST(VmFault, MajorFaultMapsOneRunPerGap)
     }
     SystemPageTable &table = ref.as.systemTable();
     for (std::size_t i = 0; i < holes.size(); ++i)
-        table.insert(holes[i], frame_list[i]);
+        table.insertRange(holes[i], 1, frame_list[i]);
 
     for (Vpn vpn = first; vpn < first + pages; ++vpn) {
         auto got = sp.as.systemTable().lookup(vpn);

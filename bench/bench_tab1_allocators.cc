@@ -6,7 +6,10 @@
  * The capability matrix is printed from the allocator traits and then
  * *verified behaviorally*: each allocator is exercised with a CPU
  * first touch and a GPU kernel (with and without XNACK) against the
- * simulated VM, and the observed behaviour must match the table.
+ * simulated VM, and the observed behaviour must match the table. Any
+ * MISMATCH makes the bench exit 1. `--json` writes one point per row:
+ * the expected and observed traits plus the allocation and free call
+ * times at 4 MiB.
  */
 
 #include <cstdio>
@@ -53,8 +56,12 @@ observe(AK kind, bool xnack)
     return observed;
 }
 
-void
-row(const char *name, AK kind, bool xnack)
+/**
+ * Print and report one row. @return true when the observed traits
+ * match Table 1.
+ */
+bool
+row(bench::JsonReporter &report, const char *name, AK kind, bool xnack)
 {
     auto expected = alloc::traitsOf(kind, xnack);
     auto observed = observe(kind, xnack);
@@ -66,6 +73,24 @@ row(const char *name, AK kind, bool xnack)
                 expected.cpuAccess ? "yes" : "no",
                 expected.onDemand ? "on-demand" : "up-front",
                 match ? "verified" : "MISMATCH");
+
+    core::System sys;
+    sys.runtime().setXnack(xnack);
+    alloc::Allocation allocation = sys.allocators().allocate(kind, 4 * MiB);
+    SimTime alloc_ns = allocation.allocTime;
+    SimTime free_ns = sys.allocators().deallocate(allocation);
+    auto flag = [](bool b) { return static_cast<std::uint64_t>(b); };
+    report.point()
+        .param("allocator", std::string(name))
+        .metric("expected_gpu", flag(expected.gpuAccess))
+        .metric("expected_cpu", flag(expected.cpuAccess))
+        .metric("expected_on_demand", flag(expected.onDemand))
+        .metric("observed_gpu", flag(observed.gpuAccess))
+        .metric("observed_cpu", flag(observed.cpuAccess))
+        .metric("observed_on_demand", flag(observed.onDemand))
+        .metric("alloc_ns", alloc_ns)
+        .metric("free_ns", free_ns);
+    return match;
 }
 
 } // namespace
@@ -78,13 +103,26 @@ main(int argc, char **argv)
     bench::banner("Table 1", "Memory allocators on MI300A");
     std::printf("| %-28s | %-10s | %-10s | %-9s |\n", "Allocator",
                 "GPU access", "CPU access", "Physical");
-    row("malloc", AK::Malloc, false);
-    row("malloc (XNACK=1)", AK::Malloc, true);
-    row("malloc + hipHostRegister", AK::MallocRegistered, false);
-    row("hipMalloc", AK::HipMalloc, false);
-    row("hipHostMalloc", AK::HipHostMalloc, false);
-    row("hipMallocManaged", AK::HipMallocManaged, false);
-    row("hipMallocManaged (XNACK=1)", AK::HipMallocManaged, true);
+    static const struct
+    {
+        const char *name;
+        AK kind;
+        bool xnack;
+    } rows[] = {
+        {"malloc", AK::Malloc, false},
+        {"malloc (XNACK=1)", AK::Malloc, true},
+        {"malloc + hipHostRegister", AK::MallocRegistered, false},
+        {"hipMalloc", AK::HipMalloc, false},
+        {"hipHostMalloc", AK::HipHostMalloc, false},
+        {"hipMallocManaged", AK::HipMallocManaged, false},
+        {"hipMallocManaged (XNACK=1)", AK::HipMallocManaged, true},
+        {"__managed__", AK::ManagedStatic, false},
+    };
+    bench::JsonReporter report("tab1_allocators", opt.jsonPath);
+    unsigned mismatches = 0;
+    for (const auto &r : rows)
+        mismatches += row(report, r.name, r.kind, r.xnack) ? 0 : 1;
+    report.write();
     bench::captureTrace(opt, {}, [](core::System &sys) {
         auto &rt = sys.runtime();
         rt.setXnack(true);
@@ -97,5 +135,9 @@ main(int argc, char **argv)
         rt.deviceSynchronize();
         rt.freeChecked(p);
     });
+    if (mismatches > 0) {
+        std::printf("%u row(s) do not match Table 1\n", mismatches);
+        return 1;
+    }
     return 0;
 }

@@ -1,13 +1,12 @@
 /**
  * @file
- * Allocator taxonomy (paper Table 1) and shared cost model.
+ * Allocator taxonomy (paper Table 1): the configurations, their
+ * capability matrix, and the Allocation record a call returns.
  *
- * Every allocator is an mmap with a policy plus a timing model. The
- * timing constants are calibrated against the paper's Fig. 6 (and the
- * deallocation discussion in Section 5.1); the per-page terms reflect
- * the real mechanisms -- GPU page-table population for hipMalloc,
- * pinning + dual-table population for hipHostMalloc/hipMallocManaged,
- * pure VMA bookkeeping for malloc.
+ * Every configuration is an mmap with a VMA policy plus a cost curve;
+ * alloc/registry.cc holds them as rows of one table, calibrated
+ * against the paper's Fig. 6 and the deallocation discussion in
+ * Section 5.1.
  */
 
 #ifndef UPM_ALLOC_ALLOCATION_HH
@@ -55,50 +54,6 @@ struct AllocTraits
  * only with XNACK) and hipMallocManaged (on-demand only with XNACK).
  */
 AllocTraits traitsOf(AllocatorKind kind, bool xnack);
-
-/** Calibrated allocation/deallocation timing constants (ns / per page). */
-struct AllocCosts
-{
-    // malloc: arena pop for small sizes; mmap path above the threshold.
-    SimTime mallocSmall = 14.0;
-    std::uint64_t mallocMmapThreshold = 128 * KiB;
-    SimTime mallocMmapBase = 1500.0;
-    SimTime mallocMmapPerPage = 0.0172;
-    SimTime freeSmall = 10.0;
-    SimTime freeMmapBase = 30.0;
-    SimTime freeMmapPerPage = 0.13;
-
-    // hipMalloc: ioctl + contiguous carve + GPU PT populate. Constant
-    // up to its 16 KiB minimum granularity (4 pages).
-    SimTime hipMallocBase = 10.0 * microseconds;
-    std::uint64_t hipMallocMinPages = 4;
-    SimTime hipMallocPerPage = 141.0;
-    SimTime hipFreeBase = 5.0 * microseconds;
-    std::uint64_t hipFreeCheapPages = 512;  //!< fast until 2 MiB
-    SimTime hipFreePerPage = 3100.0;
-
-    // hipHostMalloc: pin + CPU PT + GPU PT populate.
-    SimTime hostMallocBase = 15.0 * microseconds;
-    SimTime hostMallocPerPage = 763.0;
-    SimTime hostFreeBase = 220.0 * microseconds;
-    SimTime hostFreePerPage = 255.0;
-
-    // hipMallocManaged without XNACK (heaviest up-front path).
-    SimTime managedBase = 34.0 * microseconds;
-    SimTime managedPerPage = 1526.0;
-    SimTime managedFreeBase = 220.0 * microseconds;
-    SimTime managedFreePerPage = 255.0;
-
-    // hipMallocManaged with XNACK: HIP bookkeeping only; the paper
-    // notes its time is constant regardless of size.
-    SimTime managedXnackAlloc = 25.0 * microseconds;
-    SimTime managedXnackFree = 10.0 * microseconds;
-
-    // hipHostRegister (pin an existing malloc region).
-    SimTime registerBase = 20.0 * microseconds;
-    SimTime registerPerPage = 300.0;
-    SimTime unregisterPerPage = 150.0;
-};
 
 /** One live allocation (or the structured reason there isn't one). */
 struct Allocation

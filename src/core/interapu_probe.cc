@@ -17,7 +17,6 @@ InterApuPairResult
 InterApuProbe::measurePair(unsigned access_socket, unsigned home_socket)
 {
     vm::AddressSpace &as = sys.addressSpace();
-    alloc::AllocatorRegistry &reg = sys.allocators();
 
     // Snapshot the policy state so a probe sweep leaves the system the
     // way it found it.
@@ -25,7 +24,7 @@ InterApuProbe::measurePair(unsigned access_socket, unsigned home_socket)
     unsigned prev_home = as.defaultHomeSocket();
     unsigned prev_socket = as.currentSocket();
 
-    reg.setSocketPlacement(vm::SocketPolicy::Home, home_socket);
+    as.setDefaultSocketPolicy(vm::SocketPolicy::Home, home_socket);
     as.setCurrentSocket(access_socket);
     hip::DevPtr ptr = populateRegion();
 
@@ -53,7 +52,7 @@ InterApuProbe::measurePair(unsigned access_socket, unsigned home_socket)
         vm::FaultType::GpuMajor, cfg.faultBatchPages, 1, result.hops);
 
     sys.runtime().freeChecked(ptr);
-    reg.setSocketPlacement(prev_policy, prev_home);
+    as.setDefaultSocketPolicy(prev_policy, prev_home);
     as.setCurrentSocket(prev_socket);
     return result;
 }
@@ -63,7 +62,6 @@ InterApuProbe::measurePlacement(vm::SocketPolicy policy,
                                 unsigned access_socket)
 {
     vm::AddressSpace &as = sys.addressSpace();
-    alloc::AllocatorRegistry &reg = sys.allocators();
 
     vm::SocketPolicy prev_policy = as.defaultSocketPolicy();
     unsigned prev_home = as.defaultHomeSocket();
@@ -71,7 +69,7 @@ InterApuProbe::measurePlacement(vm::SocketPolicy policy,
 
     // Home-style policies anchor at socket 0 so the remote mix a
     // non-zero access socket sees is the interesting one.
-    reg.setSocketPlacement(policy, 0);
+    as.setDefaultSocketPolicy(policy, 0);
     as.setCurrentSocket(access_socket);
     hip::DevPtr ptr = populateRegion();
 
@@ -86,7 +84,7 @@ InterApuProbe::measurePlacement(vm::SocketPolicy policy,
     result.gpuLatency = perf.gpuChaseLatency(profile);
 
     sys.runtime().freeChecked(ptr);
-    reg.setSocketPlacement(prev_policy, prev_home);
+    as.setDefaultSocketPolicy(prev_policy, prev_home);
     as.setCurrentSocket(prev_socket);
     return result;
 }

@@ -25,7 +25,7 @@ Process::Process(System &system, std::uint64_t pid, vm::VirtAddr va_base,
     : sys(system), id(pid),
       as(system.nodeMemory(), backingStore, system.hooks()),
       faults(system.config().faults, faultSeedFor(pid), system.hooks()),
-      registry(as, {}, system.hooks()),
+      registry(as, system.hooks()),
       rt(as, registry, faults, calendar, system.config(),
          system.geometry(), system.hooks())
 {

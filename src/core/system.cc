@@ -69,7 +69,7 @@ System::System(const SystemConfig &config)
       socketCaches(multiSocketCaches(socketList)),
       as(node, backingStore, hooks()),
       faults(cfg.faults, vm::FaultHandler::kDefaultSeed, hooks()),
-      registry(as, {}, hooks()),
+      registry(as, hooks()),
       rt(as, registry, faults, calendar, cfg, geom, hooks()),
       numaMeminfo(node.shard(0)), processRss(as)
 {

@@ -174,15 +174,4 @@ EventCalendar::stats(EngineId engine) const
     return engineStats[static_cast<unsigned>(engine)];
 }
 
-void
-EventCalendar::clear()
-{
-    MutexLock lock(mtx);
-    for (auto &q : queues)
-        q.clear();
-    seqOf.fill(0);
-    engineStats.fill(EngineStats{});
-    completedNs = 0.0;
-}
-
 } // namespace upm::sched

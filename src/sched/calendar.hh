@@ -83,9 +83,6 @@ class EventCalendar
 
     EngineStats stats(EngineId engine) const;
 
-    /** Drop pending events and reset stats and sequence counters. */
-    void clear();
-
   private:
     /** One scheduled event on an engine queue. */
     struct Event

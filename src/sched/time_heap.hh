@@ -73,13 +73,6 @@ class TimeHeap
         return e;
     }
 
-    void
-    clear()
-    {
-        heap.clear();
-        nextOrder = 0;
-    }
-
   private:
     /** `a` sorts after `b`: the greater-than comparator a min-heap
      *  over std::push_heap/pop_heap needs. */

@@ -1,7 +1,5 @@
 #include "trace/metrics.hh"
 
-#include <algorithm>
-
 namespace upm::trace {
 
 void
@@ -40,7 +38,6 @@ MetricsRegistry::resetAll()
 {
     MutexLock lock(mtx);
     counters.clear();
-    histograms.clear();
 }
 
 std::vector<std::string>
@@ -52,72 +49,6 @@ MetricsRegistry::names() const
     for (const auto &[name, value] : counters)
         out.push_back(name);
     return out;
-}
-
-void
-MetricsRegistry::observe(const std::string &name, double sample,
-                         const std::vector<double> &bounds)
-{
-    MutexLock lock(mtx);
-    auto [it, inserted] = histograms.try_emplace(name);
-    Histogram &h = it->second;
-    if (inserted) {
-        h.bounds = bounds;
-        h.counts.assign(bounds.size() + 1, 0);
-    }
-    auto bucket = std::upper_bound(h.bounds.begin(), h.bounds.end(),
-                                   sample) -
-                  h.bounds.begin();
-    ++h.counts[static_cast<std::size_t>(bucket)];
-    if (h.total == 0) {
-        h.minSample = sample;
-        h.maxSample = sample;
-    } else {
-        h.minSample = std::min(h.minSample, sample);
-        h.maxSample = std::max(h.maxSample, sample);
-    }
-    ++h.total;
-    h.sum += sample;
-}
-
-HistogramSnapshot
-MetricsRegistry::histogram(const std::string &name) const
-{
-    MutexLock lock(mtx);
-    HistogramSnapshot snap;
-    auto it = histograms.find(name);
-    if (it == histograms.end())
-        return snap;
-    const Histogram &h = it->second;
-    snap.bounds = h.bounds;
-    snap.counts = h.counts;
-    snap.total = h.total;
-    snap.sum = h.sum;
-    snap.min = h.minSample;
-    snap.max = h.maxSample;
-    return snap;
-}
-
-std::vector<std::string>
-MetricsRegistry::histogramNames() const
-{
-    MutexLock lock(mtx);
-    std::vector<std::string> out;
-    out.reserve(histograms.size());
-    for (const auto &[name, h] : histograms)
-        out.push_back(name);
-    return out;
-}
-
-const std::vector<double> &
-MetricsRegistry::defaultBounds()
-{
-    // Log-spaced 1-2-5 ladder: 10ns .. 100ms.
-    static const std::vector<double> bounds = {
-        1e1, 2e1, 5e1, 1e2, 2e2, 5e2, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4,
-        1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8,
-    };
-    return bounds;
 }
 
 } // namespace upm::trace

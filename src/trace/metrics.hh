@@ -1,14 +1,13 @@
 /**
  * @file
- * MetricsRegistry: named counters and histograms, owned per-System.
+ * MetricsRegistry: named counters, owned per-System.
  *
  * Supersedes the ad-hoc `upm::prof` counter registry: same counter
- * API (so the rocprofv3/perf adapter sessions work unchanged) plus
- * fixed-bucket histograms for latency-style distributions, with every
- * operation guarded by a mutex. Each System owns exactly one registry,
- * so sweep workers touching their own Systems never contend -- the
- * lock exists for tools (UPMTrace exporters, audit sweeps) that read a
- * registry while a workload is still driving it.
+ * API (so the rocprofv3/perf adapter sessions work unchanged), with
+ * every operation guarded by a mutex. Each System owns exactly one
+ * registry, so sweep workers touching their own Systems never contend
+ * -- the lock exists for tools (UPMTrace exporters, audit sweeps) that
+ * read a registry while a workload is still driving it.
  */
 
 #ifndef UPM_TRACE_METRICS_HH
@@ -24,18 +23,7 @@
 
 namespace upm::trace {
 
-/** Snapshot of one histogram's state. */
-struct HistogramSnapshot
-{
-    std::vector<double> bounds;        //!< upper bounds, ascending
-    std::vector<std::uint64_t> counts; //!< bounds.size()+1 buckets
-    std::uint64_t total = 0;
-    double sum = 0.0;
-    double min = 0.0;  //!< 0 when total == 0
-    double max = 0.0;  //!< 0 when total == 0
-};
-
-/** Thread-safe named counters + histograms. */
+/** Thread-safe named counters. */
 class MetricsRegistry
 {
   public:
@@ -43,8 +31,6 @@ class MetricsRegistry
 
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    // -- counters (API-compatible with the old prof registry) --
 
     /** Add @p delta to counter @p name (created at zero on demand). */
     void add(const std::string &name, std::uint64_t delta = 1);
@@ -58,46 +44,15 @@ class MetricsRegistry
     /** Reset one counter to zero. */
     void reset(const std::string &name);
 
-    /** Reset all counters and histograms. */
+    /** Reset all counters. */
     void resetAll();
 
     /** All counter names in sorted order. */
     std::vector<std::string> names() const;
 
-    // -- histograms --
-
-    /**
-     * Record @p sample into histogram @p name. On first use the
-     * histogram is created with @p bounds (ascending upper bounds;
-     * samples above the last bound land in the overflow bucket). The
-     * bounds of an existing histogram are never changed.
-     */
-    void observe(const std::string &name, double sample,
-                 const std::vector<double> &bounds = defaultBounds());
-
-    /** Snapshot a histogram; absent names yield an empty snapshot. */
-    HistogramSnapshot histogram(const std::string &name) const;
-
-    /** All histogram names in sorted order. */
-    std::vector<std::string> histogramNames() const;
-
-    /** Log-spaced latency bounds (ns), 10ns .. 100ms. */
-    static const std::vector<double> &defaultBounds();
-
   private:
-    struct Histogram
-    {
-        std::vector<double> bounds;
-        std::vector<std::uint64_t> counts;
-        std::uint64_t total = 0;
-        double sum = 0.0;
-        double minSample = 0.0;
-        double maxSample = 0.0;
-    };
-
     mutable Mutex mtx;
     std::map<std::string, std::uint64_t> counters UPM_GUARDED_BY(mtx);
-    std::map<std::string, Histogram> histograms UPM_GUARDED_BY(mtx);
 };
 
 } // namespace upm::trace

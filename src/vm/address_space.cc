@@ -428,20 +428,6 @@ AddressSpace::replicate(Vma &vma, std::uint64_t n)
     return true;
 }
 
-std::uint64_t
-AddressSpace::populateRange(VirtAddr base, std::uint64_t size)
-{
-    auto result = tryPopulateRange(base, size);
-    if (!result) {
-        const Vma *vma = findVma(base);
-        throw StatusError(result.status,
-                          strprintf("populating '%s'",
-                                    vma != nullptr ? vma->name.c_str()
-                                                   : "<unmapped>"));
-    }
-    return result.pages;
-}
-
 Status
 AddressSpace::pinAndMapGpu(VirtAddr base)
 {
@@ -462,12 +448,6 @@ AddressSpace::pinAndMapGpu(VirtAddr base)
     sysTable.setFlagsRange(vma.beginVpn(), vma.endVpn(), flagsFor(vma));
     hmm.mirrorRange(vma.beginVpn(), vma.endVpn());
     return Status::Success;
-}
-
-void
-AddressSpace::resolveCpuFault(Vpn vpn)
-{
-    resolveCpuFaultRange(vpn, vpn + 1);
 }
 
 PopulateResult
@@ -661,16 +641,6 @@ AddressSpace::gpuPresent(VirtAddr addr) const
     return gpuPt.translations().present(vpnOf(addr));
 }
 
-mem::PhysAddr
-AddressSpace::translate(VirtAddr addr) const
-{
-    auto pte = sysTable.lookup(vpnOf(addr));
-    if (!pte)
-        panic("translate of unmapped address 0x%llx",
-              static_cast<unsigned long long>(addr));
-    return (pte->frame << mem::kPageShift) | (addr & (mem::kPageSize - 1));
-}
-
 std::vector<FrameId>
 AddressSpace::framesOf(VirtAddr base, std::uint64_t size) const
 {
@@ -687,12 +657,6 @@ AddressSpace::framesOf(VirtAddr base, std::uint64_t size) const
                                 out.push_back(run.frame + i);
                         });
     return out;
-}
-
-std::vector<std::uint64_t>
-AddressSpace::stackLoadOf(VirtAddr base, std::uint64_t size) const
-{
-    return node.geometry().stackLoad(framesOf(base, size));
 }
 
 void

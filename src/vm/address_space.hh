@@ -165,7 +165,7 @@ class AddressSpace
     /**
      * Create a VMA of @p size bytes (rounded up to pages) and attach
      * host backing. Up-front policies are NOT populated here; the
-     * allocator layer calls populateRange so it can charge time.
+     * allocator layer calls tryPopulateRange so it can charge time.
      *
      * Recoverable failures: Status::InvalidValue for a zero-length or
      * overlapping request, Status::OutOfMemory when the simulated VA
@@ -212,10 +212,6 @@ class AddressSpace
      */
     PopulateResult tryPopulateRange(VirtAddr base, std::uint64_t size);
 
-    /** Convenience form of tryPopulateRange(); throws StatusError.
-     *  @return pages newly populated. */
-    std::uint64_t populateRange(VirtAddr base, std::uint64_t size);
-
     /**
      * hipHostRegister semantics: fault in any missing pages through
      * the normal CPU path (keeping the region's scattered placement),
@@ -225,15 +221,11 @@ class AddressSpace
      */
     Status pinAndMapGpu(VirtAddr base);
 
-    /** Resolve a CPU first-touch fault on @p vpn (one scattered
-     *  page); throws StatusError on segfault / protection / OOM. */
-    void resolveCpuFault(Vpn vpn);
-
     /**
      * Resolve CPU first-touch faults for every missing page in
-     * [first, last) in one batch: equivalent to calling
-     * resolveCpuFault per page (the scattered pool hands out the same
-     * frame sequence) without the per-page table walks.
+     * [first, last) in one batch: equivalent to resolving one page
+     * at a time (the scattered pool hands out the same frame
+     * sequence) without the per-page table walks.
      *
      * Recoverable failures: Status::AccessFault for an unmapped or
      * CPU-inaccessible vpn (a real segfault), Status::OutOfMemory on
@@ -258,15 +250,8 @@ class AddressSpace
     /** @return true if the GPU can access @p addr without a fault. */
     bool gpuPresent(VirtAddr addr) const;
 
-    /** Translate via the system table; panics if unmapped. */
-    mem::PhysAddr translate(VirtAddr addr) const;
-
     /** Physical frames currently backing [base, base+size). */
     std::vector<FrameId> framesOf(VirtAddr base, std::uint64_t size) const;
-
-    /** Pages-per-stack histogram for [base, base+size). */
-    std::vector<std::uint64_t> stackLoadOf(VirtAddr base,
-                                           std::uint64_t size) const;
 
     SystemPageTable &systemTable() { return sysTable; }
     const SystemPageTable &systemTable() const { return sysTable; }

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "alloc/registry.hh"
 #include "common/log.hh"
+#include "core/system.hh"
 #include "gpu_table_util.hh"
 
 namespace upm::alloc {
@@ -218,6 +221,190 @@ TEST_F(AllocTest, OutOfMemoryIsUserError)
     EXPECT_EQ(node.freeFrames(), free_before);
 }
 
+/** Sizes at and around every cost knee: the 16 KiB hipMalloc floor,
+ *  the 128 KiB malloc mmap threshold and the 2 MiB hipFree knee. */
+constexpr std::uint64_t kPinSizes[] = {
+    1,         16 * KiB, 20 * KiB,         128 * KiB - 1,
+    128 * KiB, 2 * MiB,  2 * MiB + 4 * KiB, 64 * MiB,
+};
+
+/** One configuration at one XNACK mode, over kPinSizes. */
+struct RowPin
+{
+    AllocatorKind kind;
+    bool xnack;
+    const char *vmaName;
+    /** cpuAccess, gpuMapped, onDemand, pinned, uncachedGpu, placement,
+     *  socketPolicy, homeSocket. */
+    vm::VmaPolicy policy;
+    SimTime alloc[std::size(kPinSizes)];
+    SimTime free[std::size(kPinSizes)];
+    std::uint64_t populated[std::size(kPinSizes)];
+};
+
+using K = AllocatorKind;
+using P = vm::Placement;
+constexpr auto kHome = vm::SocketPolicy::Home;
+
+const RowPin kRowPins[] = {
+    {K::Malloc, false, "malloc",
+     {true, false, true, false, false, P::Scattered, kHome, 0},
+     {14, 14, 14, 14, 1500.5504, 1508.8064, 1508.8236, 1781.8048},
+     {10, 10, 10, 10, 34.16, 96.56, 96.69, 2159.92},
+     {0, 0, 0, 0, 0, 0, 0, 0}},
+    {K::MallocRegistered, false, "malloc",
+     {true, true, false, true, false, P::Scattered, kHome, 0},
+     {20314, 21214, 21514, 29614, 31100.5504, 175108.8064, 175408.8236,
+      4936981.8048},
+     {160, 610, 760, 4810, 4834.16, 76896.56, 77046.69, 2459759.92},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::HipMalloc, false, "hipMalloc",
+     {true, true, false, true, false, P::Contiguous, kHome, 0},
+     {10000, 10000, 10141, 13948, 13948, 81628, 81769, 2319580},
+     {5000, 5000, 5000, 5000, 5000, 5000, 8100, 49208200},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::HipHostMalloc, false, "hipHostMalloc",
+     {true, true, false, true, false, P::Interleaved, kHome, 0},
+     {15000, 15000, 15763, 36364, 36364, 402604, 403367, 12512940},
+     {220255, 221020, 221275, 228160, 228160, 350560, 350815, 4397920},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::HipMallocManaged, false, "hipMallocManaged",
+     {true, true, false, true, false, P::Interleaved, kHome, 0},
+     {34000, 34000, 35526, 76728, 76728, 809208, 810734, 25029880},
+     {220255, 221020, 221275, 228160, 228160, 350560, 350815, 4397920},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::ManagedStatic, false, "__managed__",
+     {true, true, false, true, true, P::Interleaved, kHome, 0},
+     {35526, 40104, 41630, 82832, 82832, 815312, 816838, 25035984},
+     {220000, 220000, 220000, 220000, 220000, 220000, 220000, 220000},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::Malloc, true, "malloc",
+     {true, false, true, false, false, P::Scattered, kHome, 0},
+     {14, 14, 14, 14, 1500.5504, 1508.8064, 1508.8236, 1781.8048},
+     {10, 10, 10, 10, 34.16, 96.56, 96.69, 2159.92},
+     {0, 0, 0, 0, 0, 0, 0, 0}},
+    {K::MallocRegistered, true, "malloc",
+     {true, true, false, true, false, P::Scattered, kHome, 0},
+     {20314, 21214, 21514, 29614, 31100.5504, 175108.8064, 175408.8236,
+      4936981.8048},
+     {160, 610, 760, 4810, 4834.16, 76896.56, 77046.69, 2459759.92},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::HipMalloc, true, "hipMalloc",
+     {true, true, false, true, false, P::Contiguous, kHome, 0},
+     {10000, 10000, 10141, 13948, 13948, 81628, 81769, 2319580},
+     {5000, 5000, 5000, 5000, 5000, 5000, 8100, 49208200},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::HipHostMalloc, true, "hipHostMalloc",
+     {true, true, false, true, false, P::Interleaved, kHome, 0},
+     {15000, 15000, 15763, 36364, 36364, 402604, 403367, 12512940},
+     {220255, 221020, 221275, 228160, 228160, 350560, 350815, 4397920},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+    {K::HipMallocManaged, true, "hipMallocManaged",
+     {true, false, true, false, false, P::Scattered, kHome, 0},
+     {25000, 25000, 25000, 25000, 25000, 25000, 25000, 25000},
+     {10000, 10000, 10000, 10000, 10000, 10000, 10000, 10000},
+     {0, 0, 0, 0, 0, 0, 0, 0}},
+    {K::ManagedStatic, true, "__managed__",
+     {true, true, false, true, true, P::Interleaved, kHome, 0},
+     {35526, 40104, 41630, 82832, 82832, 815312, 816838, 25035984},
+     {220000, 220000, 220000, 220000, 220000, 220000, 220000, 220000},
+     {1, 4, 5, 32, 32, 512, 513, 16384}},
+};
+
+void
+expectPolicy(const vm::VmaPolicy &got, const vm::VmaPolicy &want)
+{
+    EXPECT_EQ(got.cpuAccess, want.cpuAccess);
+    EXPECT_EQ(got.gpuMapped, want.gpuMapped);
+    EXPECT_EQ(got.onDemand, want.onDemand);
+    EXPECT_EQ(got.pinned, want.pinned);
+    EXPECT_EQ(got.uncachedGpu, want.uncachedGpu);
+    EXPECT_EQ(got.placement, want.placement);
+    EXPECT_EQ(got.socketPolicy, want.socketPolicy);
+    EXPECT_EQ(got.homeSocket, want.homeSocket);
+}
+
+/** Exact call times, VMA name, VMA policy and populated pages of every
+ *  configuration; any change to a row or the cost formula shows here. */
+TEST_F(AllocTest, EveryRowPinned)
+{
+    for (const RowPin &pin : kRowPins) {
+        as.setXnack(pin.xnack);
+        for (std::size_t i = 0; i < std::size(kPinSizes); ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << allocatorName(pin.kind) << " xnack="
+                         << pin.xnack << " size=" << kPinSizes[i]);
+            auto a = registry.allocate(pin.kind, kPinSizes[i]);
+            ASSERT_TRUE(a);
+            const vm::Vma *vma = vmaOf(a);
+            ASSERT_NE(vma, nullptr);
+            EXPECT_EQ(a.allocTime, pin.alloc[i]);
+            EXPECT_EQ(vma->name, pin.vmaName);
+            expectPolicy(vma->policy, pin.policy);
+            EXPECT_EQ(as.framesOf(a.addr, a.size).size(),
+                      pin.populated[i]);
+            EXPECT_EQ(registry.deallocate(a), pin.free[i]);
+        }
+    }
+    EXPECT_EQ(node.freeFrames(), node.totalFrames());
+}
+
+/** hipHostRegister on on-demand managed memory: the allocation is
+ *  re-kinded MallocRegistered, so its free charges unregister plus a
+ *  malloc free at that size, not the managed XNACK free. */
+TEST_F(AllocTest, RegisteredManagedMemoryFreesAsRegisteredMalloc)
+{
+    core::System sys;
+    auto &rt = sys.runtime();
+    rt.setXnack(true);
+    hip::DevPtr p = rt.hipMallocManaged(2 * MiB + 4 * KiB);
+    ASSERT_EQ(rt.hipHostRegister(p), hip::hipSuccess);
+    EXPECT_EQ(rt.allocationOf(p).kind, AllocatorKind::MallocRegistered);
+    rt.freeChecked(p);
+
+    as.setXnack(true);
+    auto a = registry.allocate(AllocatorKind::HipMallocManaged,
+                               2 * MiB + 4 * KiB);
+    EXPECT_EQ(a.allocTime, 25000.0);
+    SimTime register_time = 0.0;
+    ASSERT_EQ(registry.hostRegister(a, register_time), Status::Success);
+    EXPECT_EQ(register_time, 173900.0);
+    a.kind = AllocatorKind::MallocRegistered;
+    const vm::Vma *vma = vmaOf(a);
+    ASSERT_NE(vma, nullptr);
+    EXPECT_EQ(vma->name, "hipMallocManaged");
+    expectPolicy(vma->policy, {true, true, false, true, false,
+                               P::Scattered, kHome, 0});
+    EXPECT_EQ(as.framesOf(a.addr, a.size).size(), 513u);
+    EXPECT_EQ(registry.deallocate(a), 77046.69);
+    EXPECT_EQ(node.freeFrames(), node.totalFrames());
+}
+
+/** A managed allocation frees by the VMA it got, not by the XNACK mode
+ *  at free time. */
+TEST_F(AllocTest, ManagedFreeFollowsTheVmaNotTheCurrentMode)
+{
+    as.setXnack(true);
+    auto on_demand = registry.allocate(AllocatorKind::HipMallocManaged,
+                                       2 * MiB + 4 * KiB);
+    as.setXnack(false);
+    auto up_front = registry.allocate(AllocatorKind::HipMallocManaged,
+                                      2 * MiB + 4 * KiB);
+    EXPECT_EQ(registry.deallocate(on_demand), 10000.0);
+    as.setXnack(true);
+    EXPECT_EQ(registry.deallocate(up_front), 350815.0);
+}
+
+/** A registered malloc charges the malloc cost plus the register cost.
+ *  At 55 pages, adding them in any other grouping rounds differently. */
+TEST_F(AllocTest, RegisteredCostIsMallocPlusRegister)
+{
+    auto a = registry.allocate(AllocatorKind::MallocRegistered,
+                               55 * mem::kPageSize);
+    EXPECT_EQ(a.allocTime, 38000.945999999996);
+    EXPECT_EQ(registry.deallocate(a), 8287.15);
+}
+
 /** Parameterized round-trip across every allocator kind. */
 class AllocRoundTrip : public ::testing::TestWithParam<AllocatorKind>
 {
@@ -239,8 +426,9 @@ TEST_P(AllocRoundTrip, AllocateFreeRestoresFrames)
     EXPECT_TRUE(static_cast<bool>(a));
     // CPU touch works for every allocator (Table 1: all CPU-accessible).
     vm::Vpn first = vm::vpnOf(a.addr);
-    if (!as.cpuPresent(a.addr))
-        as.resolveCpuFault(first);
+    if (!as.cpuPresent(a.addr)) {
+        EXPECT_TRUE(as.tryResolveCpuFaultRange(first, first + 1));
+    }
     EXPECT_TRUE(as.cpuPresent(a.addr));
     registry.deallocate(a);
     EXPECT_FALSE(static_cast<bool>(a));

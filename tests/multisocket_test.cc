@@ -154,7 +154,7 @@ TEST(MultiSocket, RemoteHomePlacementStampsOwningSocket)
     cfg.trace.enabled = true;
     System sys(cfg);
     ASSERT_NE(sys.fabric(), nullptr);
-    sys.allocators().setSocketPlacement(vm::SocketPolicy::Home, 1);
+    sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::Home, 1);
 
     hip::DevPtr p =
         sys.runtime().allocate(alloc::AllocatorKind::HipHostMalloc,
@@ -227,8 +227,8 @@ TEST(MultiSocket, PeakBytesCountEveryShard)
         SystemConfig cfg = smallConfig(sockets);
         cfg.geometry.capacityBytes = 512 * MiB;
         System sys(cfg);
-        sys.allocators().setSocketPlacement(vm::SocketPolicy::Home,
-                                            sockets - 1);
+        sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::Home,
+                                                  sockets - 1);
         hip::DevPtr p = sys.runtime().hipMalloc(256 * MiB);
         peak[sockets - 1] = sys.runtime().peakBytesUsed();
         sys.runtime().freeChecked(p);
@@ -247,7 +247,7 @@ TEST(MultiSocket, PerSocketMeminfoSeesOnlyItsShard)
     EXPECT_EQ(sys.meminfo(1).socket(), 1u);
     EXPECT_EQ(free0, free1);
 
-    sys.allocators().setSocketPlacement(vm::SocketPolicy::Home, 1);
+    sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::Home, 1);
     hip::DevPtr p =
         sys.runtime().allocate(alloc::AllocatorKind::HipHostMalloc,
                                16 * MiB);
@@ -274,7 +274,7 @@ TEST(MultiSocket, FourSocketOversubscriptionStaysAuditClean)
     SystemConfig cfg = smallConfig(4);
     cfg.audit.enabled = true;
     System sys(cfg);
-    sys.allocators().setSocketPlacement(vm::SocketPolicy::Interleave);
+    sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::Interleave);
 
     std::uint64_t bytes = 2 * cfg.geometry.capacityBytes / 3;
     std::vector<hip::DevPtr> ptrs;
@@ -307,7 +307,7 @@ TEST(MultiSocket, ReplicateReadOnlyFramesAreNotLeaks)
     SystemConfig cfg = smallConfig(2);
     cfg.audit.enabled = true;
     System sys(cfg);
-    sys.allocators().setSocketPlacement(vm::SocketPolicy::ReplicateRO);
+    sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::ReplicateRO);
 
     hip::DevPtr p =
         sys.runtime().allocate(alloc::AllocatorKind::HipHostMalloc,
@@ -385,7 +385,7 @@ TEST(MultiSocket, InterleaveExploitsPerSocketInfinityCaches)
 
     auto hit_fraction = [&](vm::SocketPolicy policy) {
         System sys(cfg);
-        sys.allocators().setSocketPlacement(policy, 0);
+        sys.addressSpace().setDefaultSocketPolicy(policy, 0);
         hip::DevPtr p = sys.runtime().allocate(
             alloc::AllocatorKind::HipHostMalloc, 512 * MiB);
         auto profile = sys.runtime().perf().profileRegion(
@@ -404,10 +404,10 @@ TEST(MultiSocket, PerSocketCacheLatencyFavorsInterleave)
     cfg.geometry.capacityBytes = 1 * GiB;
     System sys(cfg);
 
-    sys.allocators().setSocketPlacement(vm::SocketPolicy::Interleave);
+    sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::Interleave);
     hip::DevPtr inter = sys.runtime().allocate(
         alloc::AllocatorKind::HipHostMalloc, 512 * MiB);
-    sys.allocators().setSocketPlacement(vm::SocketPolicy::Home, 0);
+    sys.addressSpace().setDefaultSocketPolicy(vm::SocketPolicy::Home, 0);
     hip::DevPtr home = sys.runtime().allocate(
         alloc::AllocatorKind::HipHostMalloc, 512 * MiB);
 

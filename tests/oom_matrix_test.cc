@@ -61,12 +61,21 @@ TEST_P(OomMatrix, ExhaustionIsStructuredAndLeakFree)
     std::uint64_t total_frames = sys.frames().freeFrames();
     std::uint64_t oversize = 2 * sys.geometry().capacity();
 
+    auto vma_count = [&] {
+        std::size_t n = 0;
+        sys.addressSpace().forEachVma([&](const vm::Vma &) { ++n; });
+        return n;
+    };
+    std::size_t vmas_before = vma_count();
+
     hip::DevPtr p = 0;
     hip::hipError_t err = rt.tryAllocate(c.kind, oversize, p);
     if (c.upFront) {
         EXPECT_EQ(err, hip::hipErrorOutOfMemory) << c.label;
         EXPECT_EQ(p, 0u) << c.label;
         EXPECT_EQ(rt.hipGetLastError(), hip::hipErrorOutOfMemory);
+        // The failed allocation was unmapped, not just left unpopulated.
+        EXPECT_EQ(vma_count(), vmas_before) << c.label;
     } else {
         // On-demand: the oversized reservation itself succeeds (it is
         // VA only), and capacity exhaustion surfaces at first touch.

@@ -20,6 +20,14 @@
 namespace upm::vm {
 namespace {
 
+/** CPU first touch of the one page @p vpn. */
+void
+cpuFault(AddressSpace &as, Vpn vpn)
+{
+    EXPECT_EQ(as.tryResolveCpuFaultRange(vpn, vpn + 1).status,
+              Status::Success);
+}
+
 mem::MemGeometryConfig
 smallGeomConfig()
 {
@@ -226,7 +234,7 @@ TEST_F(AddressSpaceTest, OnDemandHasNoFramesUntilFault)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
     EXPECT_TRUE(as.framesOf(base, 64 * KiB).empty());
-    as.resolveCpuFault(vpnOf(base));
+    cpuFault(as, vpnOf(base));
     EXPECT_EQ(as.framesOf(base, 64 * KiB).size(), 1u);
     EXPECT_EQ(as.cpuFaults(), 1u);
 }
@@ -234,14 +242,14 @@ TEST_F(AddressSpaceTest, OnDemandHasNoFramesUntilFault)
 TEST_F(AddressSpaceTest, CpuFaultIsIdempotent)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
-    as.resolveCpuFault(vpnOf(base));
-    as.resolveCpuFault(vpnOf(base));
+    cpuFault(as, vpnOf(base));
+    cpuFault(as, vpnOf(base));
     EXPECT_EQ(as.cpuFaults(), 1u);
 }
 
 TEST_F(AddressSpaceTest, CpuFaultOutsideVmaIsSegfault)
 {
-    EXPECT_THROW(as.resolveCpuFault(1), SimError);
+    EXPECT_EQ(as.tryResolveCpuFaultRange(1, 2).status, Status::AccessFault);
 }
 
 TEST_F(AddressSpaceTest, PopulateContiguousMapsBothTables)
@@ -252,7 +260,9 @@ TEST_F(AddressSpaceTest, PopulateContiguousMapsBothTables)
     policy.pinned = true;
     policy.placement = Placement::Contiguous;
     VirtAddr base = as.mmapAnon(1 * MiB, policy, "hip");
-    EXPECT_EQ(as.populateRange(base, 1 * MiB), 256u);
+    auto populated = as.tryPopulateRange(base, 1 * MiB);
+    ASSERT_TRUE(populated);
+    EXPECT_EQ(populated.pages, 256u);
     EXPECT_TRUE(as.cpuPresent(base));
     EXPECT_TRUE(as.gpuPresent(base));
     // Contiguous placement earns a large fragment.
@@ -281,7 +291,7 @@ TEST_F(AddressSpaceTest, GpuMinorFaultMirrorsExistingPages)
     VirtAddr base = mapOnDemand(64 * KiB);
     as.setXnack(true);
     for (Vpn vpn = vpnOf(base); vpn < vpnOf(base) + 16; ++vpn)
-        as.resolveCpuFault(vpn);
+        cpuFault(as, vpn);
     EXPECT_EQ(as.resolveGpuFault(vpnOf(base), 16), GpuFaultKind::Minor);
     EXPECT_EQ(as.gpuMinorFaults(), 16u);
     EXPECT_EQ(as.gpuMajorFaults(), 0u);
@@ -312,7 +322,7 @@ TEST_F(AddressSpaceTest, GpuMajorPlacementIsBalancedButFragmentFree)
 TEST_F(AddressSpaceTest, PinAndMapGpuKeepsScatteredPlacement)
 {
     VirtAddr base = mapOnDemand(1 * MiB);
-    as.resolveCpuFault(vpnOf(base));  // partial CPU history
+    cpuFault(as, vpnOf(base));  // partial CPU history
     EXPECT_EQ(as.pinAndMapGpu(base), Status::Success);
     const Vma *vma = as.findVma(base);
     ASSERT_NE(vma, nullptr);
@@ -332,7 +342,7 @@ TEST_F(AddressSpaceTest, MunmapFreesEverything)
     policy.gpuMapped = true;
     policy.placement = Placement::Contiguous;
     VirtAddr base = as.mmapAnon(2 * MiB, policy, "tmp");
-    as.populateRange(base, 2 * MiB);
+    ASSERT_TRUE(as.tryPopulateRange(base, 2 * MiB));
     std::uint64_t free_before = node.freeFrames();
     EXPECT_EQ(as.munmap(base), Status::Success);
     EXPECT_EQ(node.freeFrames(), free_before + 512);
@@ -344,17 +354,20 @@ TEST_F(AddressSpaceTest, MunmapFreesEverything)
 TEST_F(AddressSpaceTest, TranslatePreservesOffset)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
-    as.resolveCpuFault(vpnOf(base));
-    mem::PhysAddr pa = as.translate(base + 123);
-    EXPECT_EQ(pa & (mem::kPageSize - 1), 123u);
-    EXPECT_THROW(as.translate(base + 5 * mem::kPageSize), SimError);
+    cpuFault(as, vpnOf(base));
+    // Any offset in the faulted page reaches its frame; the pages past
+    // it have no translation.
+    auto pte = as.systemTable().lookup(vpnOf(base + 123));
+    ASSERT_TRUE(pte);
+    EXPECT_EQ(pte->frame, as.framesOf(base, mem::kPageSize).at(0));
+    EXPECT_FALSE(as.systemTable().lookup(vpnOf(base + 5 * mem::kPageSize)));
 }
 
 TEST_F(AddressSpaceTest, ScatteredFractionTracksPlacementMix)
 {
     VirtAddr base = mapOnDemand(64 * KiB);
     as.setXnack(true);
-    as.resolveCpuFault(vpnOf(base));          // 1 scattered
+    cpuFault(as, vpnOf(base));                // 1 scattered
     as.resolveGpuFault(vpnOf(base) + 1, 15);  // 15 batch-placed
     const Vma *vma = as.findVma(base);
     EXPECT_NEAR(vma->scatteredFraction(), 1.0 / 16.0, 1e-9);
@@ -370,7 +383,7 @@ TEST(HmmMirror, PropagatesOnlyPresentAndCountsWork)
     policy.onDemand = true;
     VirtAddr base = as.mmapAnon(64 * KiB, policy, "hmm");
     for (int i = 0; i < 8; i += 2)
-        as.resolveCpuFault(vpnOf(base) + i);
+        cpuFault(as, vpnOf(base) + i);
 
     Vpn begin = vpnOf(base);
     EXPECT_EQ(as.mirror().mirrorRange(begin, begin + 8), 4u);
@@ -507,7 +520,7 @@ TEST(VmFault, MajorFaultMapsOneRunPerGap)
         first = vpnOf(s->mapOnDemand(pages));
         s->as.setXnack(true);
         for (Vpn at : {3, 10, 11, 12, 40, 100, 101, 200, 511})
-            s->as.resolveCpuFault(first + at);
+            cpuFault(s->as, first + at);
     }
     std::uint64_t runs_before = sp.as.systemTable().runCount();
     ASSERT_EQ(sp.as.resolveGpuFault(first, pages), GpuFaultKind::Major);

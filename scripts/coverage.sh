@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Line-coverage gate for the trace subsystem, the VM layer, the
-# event-core scheduler and the policy engine.
+# event-core scheduler, the policy engine and physical memory.
 #
 # Builds the test suite with gcc's --coverage instrumentation in a
 # dedicated build dir, runs it once, then summarizes per-file line
-# coverage for src/trace, src/vm, src/sched and src/policy with gcov and
-# enforces the checked-in floor in scripts/coverage_baseline.txt.
+# coverage for src/trace, src/vm, src/sched, src/policy and src/mem with
+# gcov and enforces the checked-in floor in scripts/coverage_baseline.txt.
 #
 #   scripts/coverage.sh [build-dir]          # gate against baseline
 #   UPM_BLESS_COVERAGE=1 scripts/coverage.sh # rewrite the baseline

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Summarize and gate gcov line coverage for src/trace, src/vm,
-src/sched and src/policy.
+src/sched, src/policy and src/mem.
 
 Invoked by scripts/coverage.sh after an instrumented test run:
 
@@ -21,7 +21,7 @@ import re
 import subprocess
 import sys
 
-GATED_DIRS = ("src/trace", "src/vm", "src/sched", "src/policy")
+GATED_DIRS = ("src/trace", "src/vm", "src/sched", "src/policy", "src/mem")
 TOLERANCE = 0.01  # percent; gcov prints two decimals
 BLESS_MARGIN = 2.0  # points of slack recorded below measured coverage
 

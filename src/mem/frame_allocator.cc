@@ -532,15 +532,12 @@ FrameAllocator::emitFrameAllocs(const std::vector<FrameId> &out,
 {
     if (tr == nullptr)
         return;
-    std::size_t i = start;
-    while (i < out.size()) {
-        std::size_t j = i + 1;
-        while (j < out.size() && out[j] == out[j - 1] + 1)
-            ++j;
-        tr->emitAt(socketId, trace::EventKind::FrameAlloc, out[i],
-                   j - i, path);
-        i = j;
-    }
+    const FrameId *batch = out.data() + start;
+    forEachFrameStretch(batch, out.size() - start,
+                        [&](std::uint64_t i, std::uint64_t len) {
+        tr->emitAt(socketId, trace::EventKind::FrameAlloc, batch[i], len,
+                   path);
+    });
 }
 
 std::vector<bool>
@@ -672,16 +669,12 @@ appendFrameStretches(const FrameId *frames, std::uint64_t n,
     }
     std::vector<FrameId> sorted(frames, frames + n);
     std::sort(sorted.begin(), sorted.end());
-    std::size_t i = 0;
-    while (i < sorted.size()) {
-        std::size_t j = i + 1;
-        while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1)
-            ++j;
-        if (j < sorted.size() && sorted[j] == sorted[j - 1])
-            duplicateFrame(sorted[j]);
-        out.push_back({sorted[i], j - i});
-        i = j;
-    }
+    forEachFrameStretch(sorted.data(), n, [&](std::uint64_t i,
+                                              std::uint64_t len) {
+        if (i + len < n && sorted[i + len] == sorted[i + len - 1])
+            duplicateFrame(sorted[i + len]);
+        out.push_back({sorted[i], len});
+    });
 }
 
 void

@@ -19,15 +19,10 @@ MemGeometry::MemGeometry(const MemGeometryConfig &config) : cfg(config)
 unsigned
 MemGeometry::stackOfFrame(FrameId frame) const
 {
-    return static_cast<unsigned>(frame % cfg.numStacks);
-}
-
-unsigned
-MemGeometry::channelOf(PhysAddr addr) const
-{
-    FrameId frame = addr >> kPageShift;
-    std::uint64_t offset = addr & (kPageSize - 1);
-    return channelOfFrame(frame, offset);
+    // A power-of-two stack count (the MI300A's eight) takes no division.
+    FrameId stacks = cfg.numStacks;
+    return static_cast<unsigned>(
+        (stacks & (stacks - 1)) == 0 ? frame & (stacks - 1) : frame % stacks);
 }
 
 unsigned
@@ -43,15 +38,15 @@ std::vector<std::uint64_t>
 MemGeometry::stackLoad(const std::vector<FrameId> &frame_list) const
 {
     std::vector<std::uint64_t> load(cfg.numStacks, 0);
-    std::size_t i = 0;
-    while (i < frame_list.size()) {
-        std::size_t j = i + 1;
-        while (j < frame_list.size() &&
-               frame_list[j] == frame_list[j - 1] + 1)
-            ++j;
-        addRunLoad(frame_list[i], j - i, load);
-        i = j;
-    }
+    forEachFrameStretch(
+        frame_list.data(), frame_list.size(),
+        [&](std::uint64_t i, std::uint64_t len) {
+            addRunLoad(frame_list[i], len, load);
+        },
+        [&](std::uint64_t i, std::uint64_t count) {
+            for (std::uint64_t k = i; k < i + count; ++k)
+                ++load[stackOfFrame(frame_list[k])];
+        });
     return load;
 }
 
@@ -61,18 +56,12 @@ MemGeometry::addRunLoad(FrameId first, std::uint64_t len,
 {
     for (std::uint64_t &stack_load : load)
         stack_load += len / cfg.numStacks;
-    auto stack = static_cast<unsigned>(first % cfg.numStacks);
+    auto stack = stackOfFrame(first);
     for (std::uint64_t r = len % cfg.numStacks; r != 0; --r) {
         ++load[stack];
         if (++stack == cfg.numStacks)
             stack = 0;
     }
-}
-
-double
-MemGeometry::stackBalance(const std::vector<FrameId> &frame_list) const
-{
-    return balanceOfLoad(stackLoad(frame_list));
 }
 
 double

@@ -30,6 +30,54 @@ using FrameId = std::uint64_t;
 inline constexpr unsigned kPageShift = 12;
 inline constexpr std::uint64_t kPageSize = 1ull << kPageShift;
 
+/** End of the maximal stretch of consecutive frames from frames[i]. */
+inline std::uint64_t
+frameStretchEnd(const FrameId *frames, std::uint64_t i, std::uint64_t n)
+{
+    std::uint64_t j = i + 1;
+    while (j < n && frames[j] == frames[j - 1] + 1)
+        ++j;
+    return j;
+}
+
+/**
+ * Visit the maximal stretches of consecutive frames of frames[0, n) in
+ * order: run(i, len) for each of two or more frames, and singles(i,
+ * count) for each block of lone frames, found by one tight loop.
+ */
+template <typename RunFn, typename SinglesFn>
+void
+forEachFrameStretch(const FrameId *frames, std::uint64_t n, RunFn &&run,
+                    SinglesFn &&singles)
+{
+    std::uint64_t i = 0;
+    while (i < n) {
+        std::uint64_t j = i;
+        while (j + 1 < n && frames[j + 1] != frames[j] + 1)
+            ++j;
+        if (j + 1 == n) {
+            singles(i, n - i);
+            return;
+        }
+        if (j > i)
+            singles(i, j - i);
+        i = frameStretchEnd(frames, j, n);
+        run(j, i - j);
+    }
+}
+
+/** forEachFrameStretch() with every stretch, one frame or more, to fn. */
+template <typename Fn>
+void
+forEachFrameStretch(const FrameId *frames, std::uint64_t n, Fn &&fn)
+{
+    forEachFrameStretch(frames, n, fn,
+                        [&](std::uint64_t i, std::uint64_t count) {
+                            for (std::uint64_t k = i; k < i + count; ++k)
+                                fn(k, 1);
+                        });
+}
+
 /** Geometry parameters; defaults model one MI300A at reduced capacity. */
 struct MemGeometryConfig
 {
@@ -74,16 +122,14 @@ class MemGeometry
         return from + (stack + cfg.numStacks - from_stack) % cfg.numStacks;
     }
 
-    /** Channel servicing @p addr. */
-    unsigned channelOf(PhysAddr addr) const;
-
     /** Channel of a (frame, sub-page offset) pair. */
     unsigned channelOfFrame(FrameId frame, std::uint64_t offset) const;
 
     /**
      * Histogram of frames per stack for a frame set; used by probes to
-     * quantify placement bias. Each stretch of consecutive frames is
-     * counted whole (addRunLoad), not frame by frame.
+     * quantify placement bias. Each stretch of two or more consecutive
+     * frames is counted whole (addRunLoad), a lone frame with one
+     * increment.
      */
     std::vector<std::uint64_t>
     stackLoad(const std::vector<FrameId> &frame_list) const;
@@ -97,12 +143,10 @@ class MemGeometry
                     std::vector<std::uint64_t> &load) const;
 
     /**
-     * Placement-balance metric in (0, 1]: ratio of the mean per-stack
-     * load to the max per-stack load. 1.0 == perfectly even.
+     * Placement-balance metric in (0, 1] of a stackLoad() histogram:
+     * ratio of the mean per-stack load to the max per-stack load.
+     * 1.0 == perfectly even.
      */
-    double stackBalance(const std::vector<FrameId> &frame_list) const;
-
-    /** stackBalance() of a histogram stackLoad() already computed. */
     double balanceOfLoad(const std::vector<std::uint64_t> &load) const;
 
   private:

@@ -241,15 +241,10 @@ AddressSpace::emitListExtents(Vpn vpn, const FrameId *frames,
 {
     if (tr == nullptr)
         return;
-    std::uint64_t i = 0;
-    while (i < n) {
-        std::uint64_t j = i + 1;
-        while (j < n && frames[j] == frames[j - 1] + 1)
-            ++j;
-        tr->emit(trace::EventKind::ExtentMap, vpn + i, j - i,
-                 frames[i], 1);
-        i = j;
-    }
+    mem::forEachFrameStretch(frames, n, [&](std::uint64_t i,
+                                            std::uint64_t len) {
+        tr->emit(trace::EventKind::ExtentMap, vpn + i, len, frames[i], 1);
+    });
 }
 
 void
@@ -627,18 +622,6 @@ AddressSpace::resolveGpuFault(Vpn first, std::uint64_t count)
                        vma->policy.socketPolicy));
     }
     return emit_fault(GpuFaultKind::Major);
-}
-
-bool
-AddressSpace::cpuPresent(VirtAddr addr) const
-{
-    return sysTable.present(vpnOf(addr));
-}
-
-bool
-AddressSpace::gpuPresent(VirtAddr addr) const
-{
-    return gpuPt.translations().present(vpnOf(addr));
 }
 
 std::vector<FrameId>

@@ -245,11 +245,6 @@ class AddressSpace
      */
     GpuFaultKind resolveGpuFault(Vpn first, std::uint64_t count);
 
-    /** @return true if the CPU can access @p addr without a fault. */
-    bool cpuPresent(VirtAddr addr) const;
-    /** @return true if the GPU can access @p addr without a fault. */
-    bool gpuPresent(VirtAddr addr) const;
-
     /** Physical frames currently backing [base, base+size). */
     std::vector<FrameId> framesOf(VirtAddr base, std::uint64_t size) const;
 
@@ -275,9 +270,6 @@ class AddressSpace
      * mmap; panics otherwise.
      */
     void setVaWindow(VirtAddr base, VirtAddr end);
-
-    /** Exclusive end of the VA window (for capacity queries). */
-    VirtAddr vaWindowEnd() const { return vaEnd; }
 
     /**
      * Graceful-degradation lever: free every ReplicateRO VMA's

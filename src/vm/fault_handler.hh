@@ -159,9 +159,8 @@ class FaultHandler
 
     const FaultCosts &costs() const { return cost; }
 
-    /** Totals over every service() call since construction / reset. */
+    /** Totals over every service() call since construction. */
     const ServiceTally &tally() const { return serviceTally; }
-    void resetTally() { serviceTally = {}; }
 
   private:
     SimTime lognormal(SimTime median, double sigma);

@@ -71,43 +71,45 @@ GpuPageTable::recomputeFragments(Vpn begin, Vpn end)
         }
     };
 
-    bool open = false;
+    // The open stretch [s_begin, s_end) from frame s_frame. It starts
+    // empty, and an empty stretch stamps nothing.
     Vpn s_begin = 0, s_end = 0;
     FrameId s_frame = 0;
     PteFlags s_flags;
-    ptes.forEachRun(begin, end, [&](const PteRun &part) {
-        Vpn p = part.vpn;
-        while (p < part.end()) {
-            // Maximal internally frame-contiguous piece of the part.
-            FrameId f0 = part.frameOf(p);
-            Vpn piece_end;
-            if (part.scatter == nullptr) {
-                piece_end = part.end();
-            } else {
-                piece_end = p + 1;
-                while (piece_end < part.end() &&
-                       part.scatter[piece_end - part.vpn] ==
-                           f0 + (piece_end - p))
-                    ++piece_end;
-            }
-            if (open && p == s_end &&
-                f0 == s_frame + (s_end - s_begin) &&
-                part.flags == s_flags) {
-                s_end = piece_end;
-            } else {
-                if (open)
-                    stampStretch(s_begin, s_end, s_frame);
-                s_begin = p;
-                s_end = piece_end;
-                s_frame = f0;
-                s_flags = part.flags;
-                open = true;
-            }
-            p = piece_end;
+    // Extend the open stretch with the frame-contiguous piece
+    // [p, piece_end) from frame f0, or stamp it and open the piece.
+    auto addPiece = [&](Vpn p, Vpn piece_end, FrameId f0,
+                        const PteFlags &flags) {
+        if (p != s_end || f0 != s_frame + (s_end - s_begin) ||
+            flags != s_flags) {
+            stampStretch(s_begin, s_end, s_frame);
+            s_begin = p;
+            s_frame = f0;
+            s_flags = flags;
         }
+        s_end = piece_end;
+    };
+    ptes.forEachRun(begin, end, [&](const PteRun &part) {
+        if (part.scatter == nullptr) {
+            addPiece(part.vpn, part.end(), part.frame, part.flags);
+            return;
+        }
+        auto page = [&](std::uint64_t i, std::uint64_t len) {
+            addPiece(part.vpn + i, part.vpn + i + len, part.scatter[i],
+                     part.flags);
+        };
+        // Lone pages stamp nothing. Only a part's first page may extend
+        // the open stretch and only its last may be extended by the
+        // next part, so of a block of them just the ends matter.
+        mem::forEachFrameStretch(
+            part.scatter, part.len, page,
+            [&](std::uint64_t i, std::uint64_t count) {
+                page(i, 1);
+                if (count > 1)
+                    page(i + count - 1, 1);
+            });
     });
-    if (open)
-        stampStretch(s_begin, s_end, s_frame);
+    stampStretch(s_begin, s_end, s_frame);
 
     // Phase 2: the window's stamps are exactly the blocks.
     stamps.erase(begin, end);

@@ -16,10 +16,7 @@ SystemPageTable::insertFrames(Vpn vpn, std::vector<FrameId> &&frames,
     std::uint64_t n = frames.size();
     if (n == 0)
         return;
-    bool strided = true;
-    for (std::uint64_t i = 1; strided && i < n; ++i)
-        strided = frames[i] == frames[0] + i;
-    if (strided) {
+    if (mem::frameStretchEnd(frames.data(), 0, n) == n) {
         insertRange(vpn, n, frames[0], flags);
         return;
     }

@@ -96,7 +96,7 @@ TEST_F(AllocTest, HipMallocIsUpFrontContiguousPinned)
     EXPECT_TRUE(vma->policy.gpuMapped);
     EXPECT_EQ(vma->policy.placement, vm::Placement::Contiguous);
     EXPECT_EQ(as.framesOf(a.addr, a.size).size(), 256u);
-    EXPECT_TRUE(as.gpuPresent(a.addr));
+    EXPECT_TRUE(test::gpuPresent(as, a.addr));
     // Physically contiguous -> one big fragment.
     EXPECT_GE(test::fragmentOf(as.gpuTable(), vm::vpnOf(a.addr)).span, 256u);
     registry.deallocate(a);
@@ -107,7 +107,7 @@ TEST_F(AllocTest, HipHostMallocIsBalancedButFragmentFree)
     auto a = registry.allocate(AllocatorKind::HipHostMalloc, 1 * MiB);
     auto frame_list = as.framesOf(a.addr, a.size);
     EXPECT_EQ(frame_list.size(), 256u);
-    EXPECT_GT(geom.stackBalance(frame_list), 0.95);
+    EXPECT_GT(geom.balanceOfLoad(geom.stackLoad(frame_list)), 0.95);
     EXPECT_LE(test::fragmentOf(as.gpuTable(), vm::vpnOf(a.addr)).span, 4u);
     registry.deallocate(a);
 }
@@ -117,7 +117,7 @@ TEST_F(AllocTest, ManagedFollowsXnack)
     auto up_front =
         registry.allocate(AllocatorKind::HipMallocManaged, 1 * MiB);
     EXPECT_FALSE(vmaOf(up_front)->policy.onDemand);
-    EXPECT_TRUE(as.gpuPresent(up_front.addr));
+    EXPECT_TRUE(test::gpuPresent(as, up_front.addr));
     registry.deallocate(up_front);
 
     as.setXnack(true);
@@ -426,10 +426,10 @@ TEST_P(AllocRoundTrip, AllocateFreeRestoresFrames)
     EXPECT_TRUE(static_cast<bool>(a));
     // CPU touch works for every allocator (Table 1: all CPU-accessible).
     vm::Vpn first = vm::vpnOf(a.addr);
-    if (!as.cpuPresent(a.addr)) {
+    if (!test::cpuPresent(as, a.addr)) {
         EXPECT_TRUE(as.tryResolveCpuFaultRange(first, first + 1));
     }
-    EXPECT_TRUE(as.cpuPresent(a.addr));
+    EXPECT_TRUE(test::cpuPresent(as, a.addr));
     registry.deallocate(a);
     EXPECT_FALSE(static_cast<bool>(a));
     EXPECT_EQ(node.freeFrames(), node.totalFrames());

@@ -12,6 +12,8 @@
 #include "core/latency_probe.hh"
 #include "core/system.hh"
 
+#include "gpu_table_util.hh"
+
 namespace upm {
 namespace {
 
@@ -57,7 +59,7 @@ TEST(EdgeCases, PartialPageFirstTouchMapsThePage)
     hip::DevPtr p = rt.hostMalloc(64 * KiB);
     rt.cpuFirstTouch(p + 100, 1);  // touch one byte mid-page
     EXPECT_EQ(rt.addressSpace().cpuFaults(), 1u);
-    EXPECT_TRUE(rt.addressSpace().cpuPresent(p));
+    EXPECT_TRUE(test::cpuPresent(rt.addressSpace(), p));
     EXPECT_EQ(rt.hipFree(p), hip::hipSuccess);
 }
 
@@ -131,7 +133,7 @@ TEST(EdgeCases, SystemSurvivesGpuViolation)
     k.buffers.push_back({p, 1 * MiB, 1 * MiB});
     EXPECT_THROW(rt.launchKernel(k, nullptr), SimError);
     // The failed launch must not leave partial GPU mappings behind.
-    EXPECT_FALSE(rt.addressSpace().gpuPresent(p));
+    EXPECT_FALSE(test::gpuPresent(rt.addressSpace(), p));
     rt.setXnack(true);
     EXPECT_NO_THROW(rt.launchKernel(k, nullptr));
     EXPECT_EQ(rt.hipFree(p), hip::hipSuccess);

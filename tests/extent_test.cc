@@ -141,6 +141,12 @@ TEST(SystemExtents, InsertFramesDetectsStride)
     EXPECT_EQ(pt.runCount(), 1u);
     EXPECT_EQ(test::runOf(pt, 0)->len, 8u);
     EXPECT_EQ(test::runOf(pt, 0)->scatter, nullptr);
+    // An empty batch maps nothing; one that breaks stride only at its
+    // last frame stays a scatter run.
+    pt.insertFrames(20, std::vector<mem::FrameId>{});
+    EXPECT_EQ(pt.runCount(), 1u);
+    pt.insertFrames(20, std::vector<mem::FrameId>{200, 201, 203});
+    EXPECT_NE(test::runOf(pt, 20)->scatter, nullptr);
 }
 
 TEST(SystemExtents, ScatterRunSplitsOnRemove)
@@ -533,14 +539,34 @@ TEST_P(ExtentParity, GpuTableMatchesPerPageModel)
         len = std::min<std::uint64_t>(len, kSpace - vpn);
         switch (op) {
           case 4: {  // insertFrames (scatter batch) into free space
-            bool overlaps = false;
-            for (Vpn v = vpn; v < vpn + len; ++v)
-                overlaps = overlaps || present.count(v) != 0;
-            if (overlaps)
+            // A batch drawn on a mapped page starts right after it,
+            // and every batch stops at the next mapped page, so
+            // batches often abut mappings on both sides.
+            while (vpn < kSpace && present.count(vpn) != 0)
+                ++vpn;
+            auto next = present.lower_bound(vpn);
+            len = std::min(len,
+                           (next == present.end() ? kSpace : *next) - vpn);
+            if (len == 0)
                 break;
+            // Runs of consecutive frames among lone ones. The first
+            // frame may continue the page before the batch and the
+            // last may be continued by the page after it, so stretches
+            // cross scatter parts at both ends.
+            const auto &pages = ref.all();
+            auto before = vpn > 0 ? pages.find(vpn - 1) : pages.end();
+            auto after = pages.find(vpn + len);
             std::vector<mem::FrameId> frames;
-            for (std::uint64_t i = 0; i < len; ++i)
-                frames.push_back(rng.nextBelow(1u << 12));
+            if (before != pages.end() && rng.nextBelow(2) == 0)
+                frames.push_back(before->second.frame + 1);
+            while (frames.size() < len) {
+                bool extend = !frames.empty() && rng.nextBelow(2) == 0;
+                frames.push_back(extend ? frames.back() + 1
+                                        : rng.nextBelow(1u << 12));
+            }
+            if (after != pages.end() && after->second.frame > 0 &&
+                rng.nextBelow(2) == 0)
+                frames.back() = after->second.frame - 1;
             PteFlags flags =
                 rng.nextBelow(4) == 0 ? pinnedFlags() : PteFlags{};
             pt.insertFrames(vpn, frames.data(), frames.size(), flags);

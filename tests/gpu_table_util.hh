@@ -3,7 +3,8 @@
  * Per-page views of the page tables for tests, built only on their
  * public walks: page-by-page walks of a vm::SystemPageTable and a
  * vm::GpuPageTable, the stored run holding a page, the fragment block
- * covering a page, and the fragment-size histogram.
+ * covering a page, the fragment-size histogram, and whether the CPU or
+ * the GPU reaches an address of a vm::AddressSpace without a fault.
  */
 
 #ifndef UPM_TESTS_GPU_TABLE_UTIL_HH
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "vm/address_space.hh"
 #include "vm/gpu_page_table.hh"
 
 namespace upm::test {
@@ -24,6 +26,20 @@ struct Fragment
     vm::Vpn base = 0;
     std::uint64_t span = 1;  //!< pages
 };
+
+/** True if the CPU reaches @p addr of @p as without a fault. */
+inline bool
+cpuPresent(const vm::AddressSpace &as, mem::VirtAddr addr)
+{
+    return as.systemTable().present(vm::vpnOf(addr));
+}
+
+/** True if the GPU reaches @p addr of @p as without a fault. */
+inline bool
+gpuPresent(const vm::AddressSpace &as, mem::VirtAddr addr)
+{
+    return as.gpuTable().translations().present(vm::vpnOf(addr));
+}
 
 /** Fragment containing @p vpn. Panics if @p vpn is not mapped. */
 inline Fragment

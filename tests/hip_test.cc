@@ -11,6 +11,8 @@
 #include "common/log.hh"
 #include "core/system.hh"
 
+#include "gpu_table_util.hh"
+
 namespace upm::hip {
 namespace {
 
@@ -264,7 +266,7 @@ TEST_F(HipTest, HostRegisterUpgradesAllocation)
     EXPECT_EQ(rt.hipHostRegister(p), hipSuccess);
     EXPECT_EQ(rt.allocationOf(p).kind,
               alloc::AllocatorKind::MallocRegistered);
-    EXPECT_TRUE(rt.addressSpace().gpuPresent(p));
+    EXPECT_TRUE(test::gpuPresent(rt.addressSpace(), p));
     // Now GPU-accessible without XNACK.
     rt.setXnack(false);
     KernelDesc k;

@@ -70,7 +70,7 @@ TEST(Geometry, ChannelSpreadWithinStack)
     // Within one page, the 16 channels of its stack each serve 256 B.
     std::set<unsigned> channels;
     for (std::uint64_t off = 0; off < kPageSize; off += 256)
-        channels.insert(geom.channelOf(off));
+        channels.insert(geom.channelOfFrame(0, off));
     EXPECT_EQ(channels.size(), 16u);
     // All channels of stack 0: ids 0..15.
     EXPECT_LE(*channels.rbegin(), 15u);
@@ -82,7 +82,7 @@ TEST(Geometry, ContiguousRangeIsBalanced)
     std::vector<FrameId> frames;
     for (FrameId f = 100; f < 100 + 800; ++f)
         frames.push_back(f);
-    EXPECT_DOUBLE_EQ(geom.stackBalance(frames), 1.0);
+    EXPECT_DOUBLE_EQ(geom.balanceOfLoad(geom.stackLoad(frames)), 1.0);
 }
 
 TEST(Geometry, SkewedRangeHasLowBalance)
@@ -91,13 +91,14 @@ TEST(Geometry, SkewedRangeHasLowBalance)
     std::vector<FrameId> frames;
     for (FrameId f = 0; f < 800; f += 8)  // all on stack 0
         frames.push_back(f);
-    EXPECT_NEAR(geom.stackBalance(frames), 1.0 / 8.0, 1e-9);
+    EXPECT_NEAR(geom.balanceOfLoad(geom.stackLoad(frames)), 1.0 / 8.0,
+                1e-9);
 }
 
 TEST(Geometry, EmptyFrameListIsBalanced)
 {
     MemGeometry geom = smallGeometry();
-    EXPECT_DOUBLE_EQ(geom.stackBalance({}), 1.0);
+    EXPECT_DOUBLE_EQ(geom.balanceOfLoad(geom.stackLoad({})), 1.0);
 }
 
 /** Per-frame reference histogram, the definition stackLoad() must
@@ -142,8 +143,85 @@ TEST(Geometry, StackLoadMatchesPerFrameHistogram)
                               ? 1.0
                               : static_cast<double>(frames.size()) /
                                     stacks / static_cast<double>(max_load);
-            EXPECT_EQ(geom.stackBalance(frames), want);
             EXPECT_EQ(geom.balanceOfLoad(load), want);
+
+            // No two adjacent frames, so every frame is a lone one:
+            // stride-numStacks progressions (the interleaved pool's
+            // shape; stride 2 at one stack) or random gaps of two or
+            // more.
+            std::vector<FrameId> lone;
+            FrameId f = rng.nextBelow(64);
+            for (int k = 0; k < 1000; ++k) {
+                lone.push_back(f);
+                f += trial % 2 == 0 ? std::max(2u, stacks)
+                                    : 2 + rng.nextBelow(2 * stacks);
+            }
+            ASSERT_EQ(geom.stackLoad(lone), perFrameLoad(geom, lone))
+                << stacks << " stacks, lone trial " << trial;
+
+            // Lone frames alternating with pairs, led by either.
+            std::vector<FrameId> mixed;
+            f = rng.nextBelow(64);
+            for (int k = 0; k < 300; ++k) {
+                bool pair = (k + trial) % 2 == 0;
+                mixed.push_back(f);
+                if (pair)
+                    mixed.push_back(f + 1);
+                f += (pair ? 3 : 2) + rng.nextBelow(stacks);
+            }
+            ASSERT_EQ(geom.stackLoad(mixed), perFrameLoad(geom, mixed))
+                << stacks << " stacks, mixed trial " << trial;
+        }
+    }
+}
+
+TEST(Geometry, FrameStretchesAreMaximalAndInOrder)
+{
+    SplitMix64 rng(0x5713e7c4u);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<FrameId> frames;
+        std::size_t n = rng.nextBelow(40);
+        for (std::size_t i = 0; i < n; ++i) {
+            bool extend = !frames.empty() && rng.nextBelow(3) == 0;
+            frames.push_back(extend ? frames.back() + 1 : rng.nextBelow(64));
+        }
+        // The per-frame split: every maximal stretch as (first, len).
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> want, got;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i > 0 && frames[i] == frames[i - 1] + 1)
+                ++want.back().second;
+            else
+                want.emplace_back(i, 1);
+        }
+        std::uint64_t next = 0;
+        bool last_singles = false;
+        forEachFrameStretch(
+            frames.data(), n,
+            [&](std::uint64_t i, std::uint64_t len) {
+                EXPECT_EQ(i, next);
+                EXPECT_GE(len, 2u);
+                got.emplace_back(i, len);
+                next = i + len;
+                last_singles = false;
+            },
+            [&](std::uint64_t i, std::uint64_t count) {
+                EXPECT_EQ(i, next);
+                EXPECT_GE(count, 1u);
+                EXPECT_FALSE(last_singles) << "singles blocks not joined";
+                for (std::uint64_t k = i; k < i + count; ++k)
+                    got.emplace_back(k, 1);
+                next = i + count;
+                last_singles = true;
+            });
+        EXPECT_EQ(got, want) << "trial " << trial;
+        got.clear();
+        forEachFrameStretch(frames.data(), n,
+                            [&](std::uint64_t i, std::uint64_t len) {
+                                got.emplace_back(i, len);
+                            });
+        EXPECT_EQ(got, want) << "trial " << trial;
+        if (n != 0) {
+            EXPECT_EQ(frameStretchEnd(frames.data(), 0, n), want[0].second);
         }
     }
 }
@@ -229,14 +307,14 @@ TEST_F(FrameAllocatorTest, ScatteredConsecutiveFramesClusterPerStack)
     ASSERT_TRUE(alloc.allocScattered(64, frames));
     // The on-demand pool hands out stack-grouped frames: a small
     // allocation is strongly biased toward few stacks.
-    EXPECT_LT(geom.stackBalance(frames), 0.5);
+    EXPECT_LT(geom.balanceOfLoad(geom.stackLoad(frames)), 0.5);
 }
 
 TEST_F(FrameAllocatorTest, InterleavedFramesAreStackBalanced)
 {
     std::vector<FrameId> frames;
     ASSERT_TRUE(alloc.allocInterleaved(256, frames));
-    EXPECT_GT(geom.stackBalance(frames), 0.95);
+    EXPECT_GT(geom.balanceOfLoad(geom.stackLoad(frames)), 0.95);
 }
 
 TEST_F(FrameAllocatorTest, InterleavedFramesAreDiscontiguous)

@@ -263,8 +263,8 @@ TEST_F(AddressSpaceTest, PopulateContiguousMapsBothTables)
     auto populated = as.tryPopulateRange(base, 1 * MiB);
     ASSERT_TRUE(populated);
     EXPECT_EQ(populated.pages, 256u);
-    EXPECT_TRUE(as.cpuPresent(base));
-    EXPECT_TRUE(as.gpuPresent(base));
+    EXPECT_TRUE(test::cpuPresent(as, base));
+    EXPECT_TRUE(test::gpuPresent(as, base));
     // Contiguous placement earns a large fragment.
     EXPECT_GE(test::fragmentOf(as.gpuTable(), vpnOf(base)).span, 256u);
 }
@@ -282,8 +282,8 @@ TEST_F(AddressSpaceTest, GpuMajorFaultAllocatesAndMirrors)
     as.setXnack(true);
     EXPECT_EQ(as.resolveGpuFault(vpnOf(base), 16), GpuFaultKind::Major);
     EXPECT_EQ(as.gpuMajorFaults(), 16u);
-    EXPECT_TRUE(as.gpuPresent(base));
-    EXPECT_TRUE(as.cpuPresent(base));
+    EXPECT_TRUE(test::gpuPresent(as, base));
+    EXPECT_TRUE(test::cpuPresent(as, base));
 }
 
 TEST_F(AddressSpaceTest, GpuMinorFaultMirrorsExistingPages)
@@ -311,7 +311,7 @@ TEST_F(AddressSpaceTest, GpuMajorPlacementIsBalancedButFragmentFree)
     as.setXnack(true);
     as.resolveGpuFault(vpnOf(base), 1024);
     auto frame_list = as.framesOf(base, 4 * MiB);
-    EXPECT_GT(geom.stackBalance(frame_list), 0.9);
+    EXPECT_GT(geom.balanceOfLoad(geom.stackLoad(frame_list)), 0.9);
     // Virtually-random arrival order prevents large fragments.
     auto hist = test::fragmentHistogram(as.gpuTable(), vpnOf(base),
                                         vpnOf(base) + 1024);
@@ -329,7 +329,7 @@ TEST_F(AddressSpaceTest, PinAndMapGpuKeepsScatteredPlacement)
     EXPECT_TRUE(vma->policy.pinned);
     EXPECT_TRUE(vma->policy.gpuMapped);
     EXPECT_FALSE(vma->policy.onDemand);
-    EXPECT_TRUE(as.gpuPresent(base));
+    EXPECT_TRUE(test::gpuPresent(as, base));
     EXPECT_GT(vma->scatteredFraction(), 0.99);
     // Pages are pinned in the system table too.
     EXPECT_TRUE(as.systemTable().lookup(vpnOf(base))->flags.pinned);
@@ -347,7 +347,7 @@ TEST_F(AddressSpaceTest, MunmapFreesEverything)
     EXPECT_EQ(as.munmap(base), Status::Success);
     EXPECT_EQ(node.freeFrames(), free_before + 512);
     EXPECT_EQ(as.findVma(base), nullptr);
-    EXPECT_FALSE(as.gpuPresent(base));
+    EXPECT_FALSE(test::gpuPresent(as, base));
     EXPECT_EQ(as.munmap(base), Status::NotFound);
 }
 
@@ -390,8 +390,8 @@ TEST(HmmMirror, PropagatesOnlyPresentAndCountsWork)
     EXPECT_EQ(as.mirror().mirrorRange(begin, begin + 8), 0u);  // idempotent
     EXPECT_EQ(as.mirror().propagated(), 4u);
     EXPECT_EQ(as.mirror().invalidateRange(begin, begin + 8), 4u);
-    EXPECT_FALSE(as.gpuPresent(base));
-    EXPECT_TRUE(as.cpuPresent(base));  // system table untouched
+    EXPECT_FALSE(test::gpuPresent(as, base));
+    EXPECT_TRUE(test::cpuPresent(as, base));  // system table untouched
 }
 
 /** A one-socket address space on its own node, optionally traced. */

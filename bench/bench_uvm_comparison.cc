@@ -11,7 +11,9 @@
  *   3. MI300A UPM, unified model (this repo's subject);
  * and demonstrates the one capability UVM keeps over UPM: device
  * memory overcommit (UVM thrashes but completes; UPM runs out of
- * physical memory).
+ * physical memory). `--json` writes one point per update fraction
+ * (the three loop times and the UVM migration counters) and one for
+ * the overcommit run.
  */
 
 #include <cstdio>
@@ -43,12 +45,11 @@ discreteExplicit(double update_fraction)
     return t;
 }
 
-/** Discrete-GPU UVM: the same loop through fault-driven migration. */
+/** Discrete-GPU UVM: the same loop through fault-driven migration on
+ *  @p sim. */
 SimTime
-discreteUvm(double update_fraction, std::uint64_t device_bytes,
-            uvm::UvmSimulator *out_sim = nullptr)
+discreteUvm(double update_fraction, uvm::UvmSimulator &sim)
 {
-    uvm::UvmSimulator sim(device_bytes);
     std::uint64_t h = sim.allocManaged(kArray);
     std::uint64_t updated =
         static_cast<std::uint64_t>(kArray * update_fraction);
@@ -57,9 +58,16 @@ discreteUvm(double update_fraction, std::uint64_t device_bytes,
         t += sim.cpuAccess(h, 0, updated);
         t += sim.gpuAccess(h, 0, kArray);
     }
-    if (out_sim != nullptr)
-        *out_sim = std::move(sim);
     return t;
+}
+
+/** The UVM migration counters of @p sim as metrics of @p point. */
+void
+uvmCounters(bench::JsonReporter::Point &point, const uvm::UvmSimulator &sim)
+{
+    point.metric("uvm_pages_to_device", sim.pagesMigratedToDevice())
+        .metric("uvm_pages_to_host", sim.pagesMigratedToHost())
+        .metric("uvm_evictions", sim.evictions());
 }
 
 /** MI300A UPM: one unified allocation, no migration at all. */
@@ -92,18 +100,28 @@ main(int argc, char **argv)
     bench::banner("Sections 1/2.1 (motivation)",
                   "UVM (discrete) vs explicit (discrete) vs UPM");
 
+    bench::JsonReporter report("uvm_comparison", opt.jsonPath);
     std::printf("%-22s %12s %12s %12s %10s\n", "CPU update/iter",
                 "explicit", "UVM", "UPM", "UVM/expl");
     for (double frac : {1.0, 0.1}) {
+        const char *name = frac == 1.0 ? "full array" : "10% of array";
+        uvm::UvmSimulator sim(8 * GiB);
         SimTime e = discreteExplicit(frac);
-        SimTime v = discreteUvm(frac, 8 * GiB);
+        SimTime v = discreteUvm(frac, sim);
         SimTime u = upmUnified(frac);
-        std::printf("%-22s %10.1fms %10.1fms %10.1fms %9.1fx\n",
-                    frac == 1.0 ? "full array" : "10% of array",
+        std::printf("%-22s %10.1fms %10.1fms %10.1fms %9.1fx\n", name,
                     e / 1e6, v / 1e6, u / 1e6, v / e);
+        auto &point = report.point()
+                          .param("update", std::string(name))
+                          .metric("explicit_ns", e)
+                          .metric("uvm_ns", v)
+                          .metric("upm_ns", u);
+        uvmCounters(point, sim);
     }
 
     std::printf("\nOvercommit (working set 1.5x device memory):\n");
+    auto &overcommit =
+        report.point().param("update", std::string("overcommit"));
     {
         // UVM: works, but every pass re-migrates evicted pages.
         uvm::UvmSimulator sim(kArray * 2 / 3);
@@ -115,19 +133,25 @@ main(int argc, char **argv)
                     "(thrashing: every pass refaults)\n",
                     t / 1e6,
                     static_cast<unsigned long long>(sim.evictions()));
+        overcommit.metric("uvm_ns", t);
+        uvmCounters(overcommit, sim);
     }
     {
         // UPM: one physical memory; exceeding it is fatal.
         core::System sys;
+        bool oom = false;
         try {
             sys.runtime().hipMalloc(
                 sys.meminfo().totalBytes() + 1 * GiB);
             std::printf("  UPM: unexpectedly succeeded\n");
         } catch (const SimError &) {
+            oom = true;
             std::printf("  UPM: out of physical memory (no overcommit "
                         "-- the paper's Section 2.1 caveat)\n");
         }
+        overcommit.metric("upm_oom", oom ? 1.0 : 0.0);
     }
+    report.write();
     bench::captureTrace(opt, {}, [](core::System &sys) {
         auto &rt = sys.runtime();
         hip::DevPtr u = rt.hipMalloc(16 * MiB);

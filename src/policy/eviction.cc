@@ -77,6 +77,19 @@ lastOf(const StampRun &run)
             run.head.seq + run.n - 1};
 }
 
+/** Append the victims [first, first + n) to @p victims, extending the
+ *  last run when they continue it. */
+void
+appendVictims(std::vector<PageRun> &victims, PageKey first, std::uint64_t n)
+{
+    if (!victims.empty() && victims.back().space == first.space &&
+        victims.back().first + victims.back().n == first.page) {
+        victims.back().n += n;
+        return;
+    }
+    victims.push_back({first.space, first.page, n});
+}
+
 /** Hand each maximal stretch of valid entries of @p run to @p out, in
  *  order, as a run of its own. */
 template <typename Valid, typename Out>
@@ -110,93 +123,6 @@ EvictionPolicy::advanceTo(std::uint64_t tick)
               static_cast<unsigned long long>(tick),
               static_cast<unsigned long long>(lastTick));
     lastTick = tick;
-}
-
-// ----------------------------------------------------------- PageSlab
-
-template <typename Node>
-typename PageSlab<Node>::Space *
-PageSlab<Node>::spaceOf(std::uint64_t id) const
-{
-    if (cached != nullptr && cachedId == id)
-        return cached;
-    auto it = spaces.find(id);
-    if (it == spaces.end())
-        return nullptr;
-    cachedId = id;
-    // The map owns its values; the cache only hands them back.
-    cached = const_cast<Space *>(&it->second);
-    return cached;
-}
-
-template <typename Node>
-const Node *
-PageSlab<Node>::find(PageKey key) const
-{
-    const Space *space = spaceOf(key.space);
-    if (space == nullptr)
-        return nullptr;
-    std::uint64_t index = key.page / kChunkPages;
-    if (index >= space->chunks.size() || !space->chunks[index])
-        return nullptr;
-    const Chunk &chunk = *space->chunks[index];
-    std::uint64_t slot = key.page % kChunkPages;
-    if ((chunk.live[slot / 64] >> (slot % 64) & 1) == 0)
-        return nullptr;
-    return &chunk.nodes[slot];
-}
-
-template <typename Node>
-Node *
-PageSlab<Node>::add(PageKey key)
-{
-    Space *space = spaceOf(key.space);
-    if (space == nullptr) {
-        space = &spaces[key.space];
-        cachedId = key.space;
-        cached = space;
-    }
-    std::uint64_t index = key.page / kChunkPages;
-    if (index >= space->chunks.size())
-        space->chunks.resize(index + 1);
-    if (!space->chunks[index])
-        space->chunks[index] = std::make_unique<Chunk>();
-    Chunk &chunk = *space->chunks[index];
-    std::uint64_t slot = key.page % kChunkPages;
-    std::uint64_t bit = 1ull << (slot % 64);
-    if (chunk.live[slot / 64] & bit)
-        return nullptr;
-    chunk.live[slot / 64] |= bit;
-    ++chunk.count;
-    ++space->count;
-    ++tracked;
-    return &chunk.nodes[slot];
-}
-
-template <typename Node>
-bool
-PageSlab<Node>::drop(PageKey key)
-{
-    Space *space = spaceOf(key.space);
-    if (space == nullptr)
-        return false;
-    std::uint64_t index = key.page / kChunkPages;
-    if (index >= space->chunks.size() || !space->chunks[index])
-        return false;
-    Chunk &chunk = *space->chunks[index];
-    std::uint64_t slot = key.page % kChunkPages;
-    std::uint64_t bit = 1ull << (slot % 64);
-    if ((chunk.live[slot / 64] & bit) == 0)
-        return false;
-    chunk.live[slot / 64] &= ~bit;
-    --tracked;
-    if (--chunk.count == 0)
-        space->chunks[index].reset();
-    if (--space->count == 0) {
-        spaces.erase(key.space);
-        cached = nullptr;
-    }
-    return true;
 }
 
 // --------------------------------------------------------- StampQueue
@@ -247,6 +173,36 @@ StampQueue::pop()
 }
 
 template <typename Valid>
+StampRun
+StampQueue::popRun(Valid valid, const StampEntry &limit, std::uint64_t max)
+{
+    const StampEntry *least = front(valid);
+    if (least == nullptr || !(*least < limit))
+        return {{}, 0};
+    if (spillFront) {
+        StampRun one{*least, 1};
+        pop();
+        return one;
+    }
+    // A valid stretch of the head run needs no cap at @p limit or at
+    // the spill top: an entry that sorts between two of its entries
+    // names one of its pages, whose entry there is then stale.
+    StampRun &head = fifo.front();
+    const std::uint64_t cap = std::min(max, head.n);
+    StampRun out{head.head, 1};
+    while (out.n < cap && valid({out.head.stamp,
+                                 {out.head.key.space,
+                                  out.head.key.page + out.n},
+                                 out.head.seq + out.n}))
+        ++out.n;
+    // An entry valid() rejected is dropped with the stretch.
+    head.advance(out.n < cap ? out.n + 1 : out.n);
+    if (head.n == 0)
+        fifo.pop_front();
+    return out;
+}
+
+template <typename Valid>
 void
 StampQueue::compact(Valid valid)
 {
@@ -263,23 +219,84 @@ StampQueue::compact(Valid valid)
 // ------------------------------------------------------- LazyEviction
 
 template <typename Node>
-Node &
-LazyEviction<Node>::claim(PageKey key)
+void
+LazyEviction<Node>::admitRun(std::uint64_t space, std::uint64_t first,
+                             std::uint64_t n, std::uint64_t tick,
+                             std::uint64_t room,
+                             std::vector<PageRun> &victims)
 {
-    Node *node = pages.add(key);
-    if (node == nullptr)
-        panic("%s insert of an already-tracked page", name());
-    return *node;
+    advanceTo(tick);
+    victims.clear();
+    // Victims below every page of the run do not depend on how they
+    // interleave with its inserts: take them in stretches.
+    std::uint64_t due = n > room ? n - room : 0;
+    const StampEntry limit{tick, {space, first}, 0};
+    auto valid = [this](const StampEntry &e) { return current(e); };
+    for (StampQueue *least = leastQueue(); least != nullptr && due > 0;) {
+        const StampRun run = least->popRun(valid, limit, due);
+        if (run.n == 0)
+            break;
+        pages.dropRun(run.head.key, run.n);
+        appendVictims(victims, run.head.key, run.n);
+        due -= run.n;
+    }
+    admit(space, first, n - due, tick);
+    // The run may evict its own pages from here on: page by page.
+    for (std::uint64_t i = n - due; i < n; ++i) {
+        appendVictims(victims, evictOne(), 1);
+        admit(space, first + i, 1, tick);
+    }
 }
 
 template <typename Node>
-Node &
-LazyEviction<Node>::tracked(PageKey key, const char *op)
+void
+LazyEviction<Node>::admit(std::uint64_t space, std::uint64_t first,
+                          std::uint64_t n, std::uint64_t tick)
 {
-    Node *node = pages.find(key);
-    if (node == nullptr)
-        panic("%s %s of an untracked page", name(), op);
-    return *node;
+    const std::uint64_t seq = nextSeq;
+    const std::uint64_t added =
+        pages.addRun({space, first}, n, [&](Node &node, std::uint64_t i) {
+            node.admit(tick);
+            node.seq = seq + i;
+        });
+    nextSeq += added;
+    if (added > 0)
+        admitQueue().push({{tick, {space, first}, seq}, added});
+    if (added < n)
+        panic("%s insert of an already-tracked page", name());
+}
+
+template <typename Node>
+template <typename Update, typename Push>
+void
+LazyEviction<Node>::touchStretches(std::uint64_t space, std::uint64_t first,
+                                   std::uint64_t n, std::uint64_t tick,
+                                   Update update, Push push)
+{
+    StampRun run{{tick, {space, first}, nextSeq}, 0};
+    std::uint64_t rank = 0;
+    auto flush = [&] {
+        if (run.n == 0)
+            return;
+        push(run, rank);
+        retire(run.n);
+    };
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Node *node = pages.find({space, first + i});
+        if (node == nullptr) {
+            flush();
+            panic("%s touch of an untracked page", name());
+        }
+        const std::uint64_t r = update(*node);
+        if (run.n > 0 && r != rank) {
+            flush();
+            run = {{tick, {space, first + i}, nextSeq}, 0};
+        }
+        rank = r;
+        node->seq = nextSeq++;
+        ++run.n;
+    }
+    flush();
 }
 
 template <typename Node>
@@ -304,9 +321,9 @@ LazyEviction<Node>::take(const StampEntry &entry)
 
 template <typename Node>
 void
-LazyEviction<Node>::retire()
+LazyEviction<Node>::retire(std::uint64_t n)
 {
-    ++stale;
+    stale += n;
     if (stale > kMinStale && 2 * stale > pages.size())
         compact();
 }
@@ -316,11 +333,10 @@ void
 LazyEviction<Node>::removeRun(std::uint64_t space, std::uint64_t first,
                               std::uint64_t n)
 {
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (!pages.drop({space, first + i}))
-            panic("%s remove of an untracked page", name());
-        retire();
-    }
+    const std::uint64_t dropped = pages.dropRun({space, first}, n);
+    retire(dropped);
+    if (dropped < n)
+        panic("%s remove of an untracked page", name());
 }
 
 template <typename Node>
@@ -341,26 +357,9 @@ LruEviction::touchRun(std::uint64_t space, std::uint64_t first,
                       std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        PageKey key{space, first + i};
-        order.push({{tick, key, reissue(tracked(key, "touch"))}, 1});
-        retire();
-    }
-}
-
-void
-LruEviction::admitRun(std::uint64_t space, std::uint64_t first,
-                      std::uint64_t n, std::uint64_t tick,
-                      std::uint64_t room, std::vector<PageKey> &victims)
-{
-    advanceTo(tick);
-    victims.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i >= room)
-            victims.push_back(evictOne());
-        PageKey key{space, first + i};
-        order.push({{tick, key, reissue(claim(key))}, 1});
-    }
+    touchStretches(
+        space, first, n, tick, [](LruNode &) { return 0; },
+        [this](const StampRun &run, std::uint64_t) { order.push(run); });
 }
 
 PageKey
@@ -388,43 +387,26 @@ LfuEviction::touchRun(std::uint64_t space, std::uint64_t first,
                       std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    // One level lookup per segment of equal frequency. The level holds
-    // valid entries from the segment's first push on, so a compaction
-    // inside the segment cannot erase it.
-    StampQueue *level = nullptr;
-    std::uint64_t segmentFreq = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        PageKey key{space, first + i};
-        LfuNode &node = tracked(key, "touch");
-        if (level == nullptr || node.freq != segmentFreq) {
-            segmentFreq = node.freq;
-            level = &levels[segmentFreq + 1];
-        }
-        ++node.freq;
-        level->push({{tick, key, reissue(node)}, 1});
-        retire();
-    }
+    // One level lookup per segment of equal frequency.
+    touchStretches(
+        space, first, n, tick, [](LfuNode &node) { return ++node.freq; },
+        [this](const StampRun &run, std::uint64_t freq) {
+            levels[freq].push(run);
+        });
 }
 
-void
-LfuEviction::admitRun(std::uint64_t space, std::uint64_t first,
-                      std::uint64_t n, std::uint64_t tick,
-                      std::uint64_t room, std::vector<PageKey> &victims)
+StampQueue &
+LfuEviction::admitQueue()
 {
-    advanceTo(tick);
-    victims.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i >= room)
-            victims.push_back(evictOne());
-        PageKey key{space, first + i};
-        LfuNode &node = claim(key);
-        node.freq = 1;
-        // Level 1 is the lowest there can be: begin() or a new head.
-        auto level = levels.begin();
-        if (level == levels.end() || level->first != 1)
-            level = levels.emplace_hint(level, 1, StampQueue());
-        level->second.push({{tick, key, reissue(node)}, 1});
-    }
+    return levels.try_emplace(levels.begin(), 1)->second;
+}
+
+StampQueue *
+LfuEviction::leastQueue()
+{
+    auto lowest = levels.begin();
+    return lowest != levels.end() && lowest->first == 1 ? &lowest->second
+                                                        : nullptr;
 }
 
 PageKey
@@ -469,26 +451,52 @@ RandomEviction::touchRun(std::uint64_t space, std::uint64_t first,
 void
 RandomEviction::admitRun(std::uint64_t space, std::uint64_t first,
                          std::uint64_t n, std::uint64_t tick,
-                         std::uint64_t room, std::vector<PageKey> &victims)
+                         std::uint64_t room, std::vector<PageRun> &victims)
 {
     advanceTo(tick);
     victims.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i >= room) {
-            if (slots.empty())
-                panic("random eviction with no resident pages");
-            std::uint64_t slot = rng.nextBelow(slots.size());
-            victims.push_back(slots[slot]);
-            pages.drop(slots[slot]);
-            swapRemove(slot);
-        }
-        PageKey key{space, first + i};
-        Node *node = pages.add(key);
-        if (node == nullptr)
-            panic("random-eviction insert of an already-tracked page");
-        node->slot = slots.size();
-        slots.push_back(key);
+    const std::uint64_t free = std::min(room, n);
+    insert(space, first, free);
+    for (std::uint64_t i = free; i < n; ++i) {
+        if (slots.empty())
+            panic("random eviction with no resident pages");
+        const std::uint64_t slot = nextSlot();
+        appendVictims(victims, slots[slot], 1);
+        pages.drop(slots[slot]);
+        swapRemove(slot);
+        insert(space, first + i, 1);
     }
+}
+
+void
+RandomEviction::insert(std::uint64_t space, std::uint64_t first,
+                       std::uint64_t n)
+{
+    const std::uint64_t base = slots.size();
+    const std::uint64_t added = pages.addRun(
+        {space, first}, n,
+        [&](Node &node, std::uint64_t i) { node.slot = base + i; });
+    for (std::uint64_t i = 0; i < added; ++i)
+        slots.push_back({space, first + i});
+    if (added < n)
+        panic("random-eviction insert of an already-tracked page");
+}
+
+std::uint64_t
+RandomEviction::nextSlot()
+{
+    // A run of victims keeps the size, so each draw divides once.
+    const std::uint64_t size = slots.size();
+    const std::uint64_t slot = ahead[at].slotAmong(size);
+    Draw &drawn = ahead[at];
+    drawn.raw = rng.next();
+    drawn.size = size;
+    drawn.slot = drawn.raw % size;
+    __builtin_prefetch(&slots[drawn.slot]);
+    pages.prefetch(
+        slots[ahead[(at + kDrawAhead / 2) % kDrawAhead].slotAmong(size)]);
+    at = (at + 1) % kDrawAhead;
+    return slot;
 }
 
 void
@@ -534,19 +542,17 @@ PredictiveEviction::predictedNext(const PredictiveNode &node)
 }
 
 void
-PredictiveEviction::enqueue(PageKey key, PredictiveNode &node)
+PredictiveEviction::enqueue(const StampRun &run, std::uint64_t rank)
 {
-    StampEntry entry{node.stamp, key, reissue(node)};
-    std::uint64_t rank = ~predictedNext(node);
     if (rank == 0) {
-        fresh.push({entry, 1});
+        fresh.push(run);
     } else if (open.run.n > 0 && open.rank == rank &&
-               open.run.continuedBy(entry)) {
-        ++open.run.n;
+               open.run.continuedBy(run.head)) {
+        open.run.n += run.n;
     } else {
         if (open.run.n > 0)
             heapPush(reused, open);
-        open = {rank, {entry, 1}};
+        open = {rank, run};
     }
 }
 
@@ -555,36 +561,19 @@ PredictiveEviction::touchRun(std::uint64_t space, std::uint64_t first,
                              std::uint64_t n, std::uint64_t tick)
 {
     advanceTo(tick);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        PageKey key{space, first + i};
-        PredictiveNode &node = tracked(key, "touch");
-        std::uint64_t gap = tick - node.stamp;
-        node.ewmaGap = node.ewmaGap == kNeverReused
-                           ? gap
-                           : (3 * node.ewmaGap + gap) / 4;
-        node.stamp = tick;
-        enqueue(key, node);
-        retire();
-    }
-}
-
-void
-PredictiveEviction::admitRun(std::uint64_t space, std::uint64_t first,
-                             std::uint64_t n, std::uint64_t tick,
-                             std::uint64_t room,
-                             std::vector<PageKey> &victims)
-{
-    advanceTo(tick);
-    victims.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i >= room)
-            victims.push_back(evictOne());
-        PageKey key{space, first + i};
-        PredictiveNode &node = claim(key);
-        node.stamp = tick;
-        node.ewmaGap = kNeverReused;
-        enqueue(key, node);
-    }
+    touchStretches(
+        space, first, n, tick,
+        [tick](PredictiveNode &node) {
+            std::uint64_t gap = tick - node.stamp;
+            node.ewmaGap = node.ewmaGap == kNeverReused
+                               ? gap
+                               : (3 * node.ewmaGap + gap) / 4;
+            node.stamp = tick;
+            return ~predictedNext(node);
+        },
+        [this](const StampRun &run, std::uint64_t rank) {
+            enqueue(run, rank);
+        });
 }
 
 PredictiveEviction::RankedRun *

@@ -15,10 +15,12 @@
  *    a tick older than the last one it saw);
  *  - admitRun(space, first, n, tick, room, victims) inserts the n
  *    pages in ascending order and, before inserting page i >= room,
- *    evicts one victim: victims[j] is chosen just before page
+ *    evicts one victim: the j-th victim is chosen just before page
  *    room + j goes in, so a run can evict pages it admitted earlier.
- *    Every call means exactly the per-page sequence it stands for,
- *    and a single page is a run of length 1;
+ *    The victims come back as PageRuns, in that order, each maximal
+ *    stretch of consecutive pages of one space as one run. Every call
+ *    means exactly the per-page sequence it stands for, and a single
+ *    page is a run of length 1;
  *  - every policy breaks ties by the lowest PageKey, so the victim
  *    sequence is a pure function of the access stream (and, for
  *    Random, the seed) -- never of container representation.
@@ -38,12 +40,15 @@
  *    validity sequence -- whatever the kind needs) in fixed 512-page
  *    chunks per space, created when a chunk's first page is tracked
  *    and freed with its last one. Tracking a page never allocates
- *    per page and never copies existing state;
+ *    per page and never copies existing state; a run is tracked or
+ *    dropped with one bitmap update per word and one count update
+ *    per chunk;
  *  - ordering entries (stamp, key, seq), stored as runs: a StampRun
  *    (stamp, key, seq, n) stands for the n entries
  *    (stamp, key + i, seq + i). Sequence numbers are handed out in
  *    call order, so the pages of one run call get consecutive ones
- *    and one run entry covers a whole stretch. Entries are never
+ *    and one run entry covers a whole stretch: an admitted run, or a
+ *    touched stretch of equal rank, is one push. Entries are never
  *    erased in place: a touch or remove gives the page a new sequence
  *    number (or untracks it), which turns its old entry stale; stale
  *    entries are skipped when they reach a run's head and dropped in
@@ -65,6 +70,24 @@
  * key) order. The FIFO is a run-length encoding of the per-page entry
  * sequence, so it pops the same victims that sequence would.
  *
+ * Victims in runs. Every page an admit inserts sorts at or above
+ * (tick, {space, first}) in the queue it enters, and for LRU, LFU and
+ * Predictive that queue holds the least entries (LFU's level 1, the
+ * lowest there can be; Predictive's never-reused pages, which rank
+ * ahead of all others). So while that queue's least valid entry sorts
+ * strictly below (tick, {space, first}), the victims do not depend on
+ * how they interleave with the run's inserts: admitRun pops them as
+ * the maximal valid stretch at the head of the FIFO, capped by the
+ * victims still due, and drops the stretch from the slab in one step.
+ * The stretch needs no cap at that bound or at the spill heap's top:
+ * an entry that sorts between two of its entries names one of its
+ * pages, so the stretch's own entry for that page is stale and ends
+ * it (the run's page first is untracked, and each page has one valid
+ * entry). The pages those
+ * victims were due for then go in as one run. From the first victim
+ * that does not sort below the bound on, the run may evict its own
+ * pages, and the rest of the call goes page by page.
+ *
  *  - LRU: one StampQueue.
  *  - LFU: one StampQueue per frequency, in a map keyed by the
  *    frequencies tracked pages have (never one entry per page). A
@@ -80,27 +103,45 @@
  *    rank, keyed by each run's head. A run's head is its least entry
  *    and popping it advances the head, so the heap pops the per-page
  *    heap's sequence. Runs grow in one open run kept outside the heap
- *    (so it can grow in place); the open run is pushed when an entry
+ *    (so it can grow in place); the open run is pushed when a stretch
  *    does not extend it, and the victim is the smaller of the open
- *    run's head and the heap's top.
- *  - Random: the swap-remove vector, with the slot index in the slab;
- *    admitRun draws and inserts in one loop.
+ *    run's head and the heap's top. An admit takes at most one victim
+ *    from the heap: the page it then inserts is never-reused and
+ *    outranks every heap entry.
+ *  - Random: the swap-remove slot vector, with the slot index in the
+ *    slab. The victims are uniform draws over a vector of up to a
+ *    million keys and a slab of as many pages, so each one misses the
+ *    cache twice. The policy therefore draws ahead: it keeps the next
+ *    kDrawAhead raw SplitMix64 values in a ring and uses them in the
+ *    order drawn, each as raw % slots.size() at use time -- the very
+ *    sequence of next() % bound that per-draw nextBelow gives. When a
+ *    value enters the ring, the slot it would pick at the current
+ *    size is prefetched; half a ring ahead, so are the slab lines
+ *    that dropping the key in that slot writes. Each ring entry keeps
+ *    the slot it picked and the size it picked it at, so a run of
+ *    victims, which keeps the size, divides once per draw. A size
+ *    change inside the window only makes a prefetch miss; the draw
+ *    itself always uses the size at use.
  *
- * Lazy entries are bounded: whenever an entry goes stale and the
- * stale entries then exceed half the live pages (and a floor of 64),
- * every structure is compacted, order kept. So the entries stay within
- * 1.5x the live pages plus the floor, and a compaction's O(live +
- * stale) cost is under three times the stale entries it drops:
- * amortised O(1) per touched or removed page. A run call counts and
- * checks page by page, so a panic on a bad page leaves the pages
- * before it applied and consistent. Sequence numbers and slots are
- * 64-bit.
+ * Lazy entries are bounded: whenever entries go stale and the stale
+ * entries then exceed half the live pages (and a floor of 64), every
+ * structure is compacted, order kept. So the entries stay within 1.5x
+ * the live pages plus the floor plus one call's run, and a
+ * compaction's O(live + stale) cost is under three times the stale
+ * entries it drops: amortised O(1) per touched or removed page.
+ * Compaction keeps the order, so when it runs never changes a victim.
+ * A run call checks page by page: a panic on a bad page leaves the
+ * pages before it applied and the policy consistent (an admit may
+ * have taken victims due after the bad page). Sequence numbers and
+ * slots are 64-bit.
  */
 
 #ifndef UPM_POLICY_EVICTION_HH
 #define UPM_POLICY_EVICTION_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -114,6 +155,14 @@
 #include "policy/policy.hh"
 
 namespace upm::policy {
+
+/** The pages [first, first + n) of one space. */
+struct PageRun
+{
+    std::uint64_t space = 0;
+    std::uint64_t first = 0;
+    std::uint64_t n = 0;
+};
 
 /**
  * Victim selection interface. Implementations are single-threaded
@@ -134,13 +183,14 @@ class EvictionPolicy
      * The pages of the run, none of them tracked, become resident at
      * @p tick, in ascending page order. Before page i goes in, for
      * every i >= @p room, one victim is picked, untracked and appended
-     * to @p victims (cleared first). Panics when a victim is due and
+     * to @p victims (cleared first), extending the last victim run
+     * when it is that run's next page. Panics when a victim is due and
      * no page is tracked.
      */
     virtual void admitRun(std::uint64_t space, std::uint64_t first,
                           std::uint64_t n, std::uint64_t tick,
                           std::uint64_t room,
-                          std::vector<PageKey> &victims) = 0;
+                          std::vector<PageRun> &victims) = 0;
 
     /** The tracked pages of the run left residency for a non-eviction
      *  reason (free, explicit migration); drop them. */
@@ -169,7 +219,8 @@ class EvictionPolicy
  * Per-page state of one policy: per space, a directory of fixed-size
  * chunks indexed by page / kChunkPages. A chunk is created when its
  * first page is tracked and freed when its last page leaves; a space
- * is dropped with its last page.
+ * is dropped with its last page. The run calls update the live bitmap
+ * one word at a time and the counts once per chunk.
  */
 template <typename Node>
 class PageSlab
@@ -185,9 +236,29 @@ class PageSlab
     }
     /** Start tracking @p key and return its node for the caller to
      *  fill; nullptr when @p key is already tracked. */
-    Node *add(PageKey key);
+    Node *
+    add(PageKey key)
+    {
+        Node *node = nullptr;
+        addRun(key, 1, [&](Node &added, std::uint64_t) { node = &added; });
+        return node;
+    }
     /** Stop tracking @p key; false when it was not tracked. */
-    bool drop(PageKey key);
+    bool drop(PageKey key) { return dropRun(key, 1) == 1; }
+    /**
+     * Start tracking the pages [first.page, first.page + n) of
+     * first.space in ascending order, stopping at the first one that
+     * is already tracked, and call @p fill(node, i) on the node of
+     * each page first.page + i it tracks. Returns how many it tracked.
+     */
+    template <typename Fill>
+    std::uint64_t addRun(PageKey first, std::uint64_t n, Fill fill);
+    /** Stop tracking the pages of the run in ascending order, stopping
+     *  at the first one that is not tracked; returns how many it
+     *  dropped. */
+    std::uint64_t dropRun(PageKey first, std::uint64_t n);
+    /** Hint the cache lines that add or drop of @p key writes. */
+    void prefetch(PageKey key) const;
     std::uint64_t size() const { return tracked; }
 
   private:
@@ -203,7 +274,15 @@ class PageSlab
         std::uint64_t count = 0;
     };
 
+    /** The bits [bit, bit + len) of a word; bit + len <= 64. */
+    static std::uint64_t
+    bitRange(std::uint64_t bit, std::uint64_t len)
+    {
+        return (len >= 64 ? ~0ull : (1ull << len) - 1) << bit;
+    }
+
     Space *spaceOf(std::uint64_t id) const;
+    const Chunk *chunkOf(PageKey key) const;
 
     std::unordered_map<std::uint64_t, Space> spaces;
     /** One-entry lookup cache: a run of operations almost always
@@ -212,6 +291,142 @@ class PageSlab
     mutable Space *cached = nullptr;
     std::uint64_t tracked = 0;
 };
+
+template <typename Node>
+typename PageSlab<Node>::Space *
+PageSlab<Node>::spaceOf(std::uint64_t id) const
+{
+    if (cached != nullptr && cachedId == id)
+        return cached;
+    auto it = spaces.find(id);
+    if (it == spaces.end())
+        return nullptr;
+    cachedId = id;
+    // The map owns its values; the cache only hands them back.
+    cached = const_cast<Space *>(&it->second);
+    return cached;
+}
+
+template <typename Node>
+const typename PageSlab<Node>::Chunk *
+PageSlab<Node>::chunkOf(PageKey key) const
+{
+    const Space *space = spaceOf(key.space);
+    if (space == nullptr)
+        return nullptr;
+    std::uint64_t index = key.page / kChunkPages;
+    return index < space->chunks.size() ? space->chunks[index].get()
+                                        : nullptr;
+}
+
+template <typename Node>
+const Node *
+PageSlab<Node>::find(PageKey key) const
+{
+    const Chunk *chunk = chunkOf(key);
+    if (chunk == nullptr)
+        return nullptr;
+    std::uint64_t slot = key.page % kChunkPages;
+    if ((chunk->live[slot / 64] >> (slot % 64) & 1) == 0)
+        return nullptr;
+    return &chunk->nodes[slot];
+}
+
+template <typename Node>
+void
+PageSlab<Node>::prefetch(PageKey key) const
+{
+    if (const Chunk *chunk = chunkOf(key)) {
+        __builtin_prefetch(&chunk->live[key.page % kChunkPages / 64], 1);
+        __builtin_prefetch(&chunk->count, 1);
+    }
+}
+
+template <typename Node>
+template <typename Fill>
+std::uint64_t
+PageSlab<Node>::addRun(PageKey first, std::uint64_t n, Fill fill)
+{
+    if (n == 0)
+        return 0;
+    Space *space = spaceOf(first.space);
+    if (space == nullptr) {
+        space = &spaces[first.space];
+        cachedId = first.space;
+        cached = space;
+    }
+    const std::uint64_t end = first.page + n;
+    if ((end - 1) / kChunkPages >= space->chunks.size())
+        space->chunks.resize((end - 1) / kChunkPages + 1);
+    std::uint64_t page = first.page;
+    bool blocked = false;
+    while (page < end && !blocked) {
+        std::unique_ptr<Chunk> &owned = space->chunks[page / kChunkPages];
+        if (!owned)
+            owned = std::make_unique<Chunk>();
+        Chunk &chunk = *owned;
+        const std::uint64_t start = page;
+        const std::uint64_t chunkEnd =
+            std::min(end, (page / kChunkPages + 1) * kChunkPages);
+        while (page < chunkEnd && !blocked) {
+            const std::uint64_t slot = page % kChunkPages;
+            std::uint64_t &word = chunk.live[slot / 64];
+            std::uint64_t len = std::min(64 - slot % 64, chunkEnd - page);
+            if (std::uint64_t taken = word & bitRange(slot % 64, len)) {
+                len = std::countr_zero(taken) - slot % 64;
+                blocked = true;
+            }
+            word |= bitRange(slot % 64, len);
+            for (; len > 0; --len, ++page)
+                fill(chunk.nodes[page % kChunkPages], page - first.page);
+        }
+        chunk.count += page - start;
+        space->count += page - start;
+        tracked += page - start;
+    }
+    return page - first.page;
+}
+
+template <typename Node>
+std::uint64_t
+PageSlab<Node>::dropRun(PageKey first, std::uint64_t n)
+{
+    Space *space = spaceOf(first.space);
+    if (space == nullptr)
+        return 0;
+    const std::uint64_t end = first.page + n;
+    std::uint64_t page = first.page;
+    bool blocked = false;
+    while (page < end && !blocked) {
+        const std::uint64_t index = page / kChunkPages;
+        if (index >= space->chunks.size() || !space->chunks[index])
+            break;
+        Chunk &chunk = *space->chunks[index];
+        const std::uint64_t start = page;
+        const std::uint64_t chunkEnd =
+            std::min(end, (index + 1) * kChunkPages);
+        while (page < chunkEnd && !blocked) {
+            const std::uint64_t slot = page % kChunkPages;
+            std::uint64_t &word = chunk.live[slot / 64];
+            std::uint64_t len = std::min(64 - slot % 64, chunkEnd - page);
+            if (std::uint64_t missing = ~word & bitRange(slot % 64, len)) {
+                len = std::countr_zero(missing) - slot % 64;
+                blocked = true;
+            }
+            word &= ~bitRange(slot % 64, len);
+            page += len;
+        }
+        tracked -= page - start;
+        if ((chunk.count -= page - start) == 0)
+            space->chunks[index].reset();
+        if ((space->count -= page - start) == 0) {
+            spaces.erase(first.space);
+            cached = nullptr;
+            break;
+        }
+    }
+    return page - first.page;
+}
 
 /** One ordering entry. It speaks for its page while the page's node
  *  still carries @c seq; after that it is stale. */
@@ -243,13 +458,13 @@ struct StampRun
         return e.stamp == head.stamp && e.key.space == head.key.space &&
                e.key.page == head.key.page + n && e.seq == head.seq + n;
     }
-    /** Drop the head; the next entry becomes the head. */
+    /** Drop the first @p k entries; the next one becomes the head. */
     void
-    advance()
+    advance(std::uint64_t k = 1)
     {
-        ++head.key.page;
-        ++head.seq;
-        --n;
+        head.key.page += k;
+        head.seq += k;
+        n -= k;
     }
 };
 
@@ -272,6 +487,15 @@ class StampQueue
     const StampEntry *front(Valid valid);
     /** Remove the entry the last front() returned. */
     void pop();
+    /**
+     * When the least valid entry sorts strictly below @p limit, pop it
+     * and the valid entries that follow it in its run, at most @p max
+     * in all, and return them; n == 0 otherwise. Every popped entry
+     * sorts below @p limit and below every entry left.
+     */
+    template <typename Valid>
+    StampRun popRun(Valid valid, const StampEntry &limit,
+                    std::uint64_t max);
     /** Drop every stale entry, keeping the order. */
     template <typename Valid>
     void compact(Valid valid);
@@ -285,41 +509,63 @@ class StampQueue
 
 /**
  * What the lazily ordered kinds (LRU, LFU, Predictive) share: the page
- * slab, the validity sequence, and the stale-entry count that triggers
- * compaction. @p Node must carry a @c seq.
+ * slab, the validity sequence, the stale-entry count that triggers
+ * compaction, and the admit path (see "Victims in runs" in the file
+ * comment). @p Node must carry a @c seq and an admit(tick) that sets
+ * the state of a newly admitted page.
  */
 template <typename Node>
 class LazyEviction : public EvictionPolicy
 {
   public:
+    void admitRun(std::uint64_t space, std::uint64_t first,
+                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
+                  std::vector<PageRun> &victims) final;
     void removeRun(std::uint64_t space, std::uint64_t first,
-                   std::uint64_t n) override;
-    std::uint64_t size() const override { return pages.size(); }
-    bool contains(PageKey key) const override;
+                   std::uint64_t n) final;
+    std::uint64_t size() const final { return pages.size(); }
+    bool contains(PageKey key) const final;
 
   protected:
-    /** Start tracking @p key; panics when it already is. */
-    Node &claim(PageKey key);
-    /** The node of tracked @p key; panics naming @p op otherwise. */
-    Node &tracked(PageKey key, const char *op);
-    /** Give @p node a fresh sequence number, turning its previous
-     *  entry stale, and return it. */
-    std::uint64_t reissue(Node &node) { return node.seq = nextSeq++; }
+    /**
+     * Give the tracked pages of the run new, consecutive sequence
+     * numbers at @p tick. @p update(node) updates each page's state
+     * and returns its rank; each maximal stretch of equal rank goes to
+     * @p push(run, rank) as one StampRun. Panics on an untracked page,
+     * after pushing the pages before it.
+     */
+    template <typename Update, typename Push>
+    void touchStretches(std::uint64_t space, std::uint64_t first,
+                        std::uint64_t n, std::uint64_t tick, Update update,
+                        Push push);
     /** True while @p entry speaks for its page. Asked once per entry
      *  inspected; a false answer means the entry is being dropped. */
     bool current(const StampEntry &entry);
     /** Untrack the page of the valid entry @p entry, popped by the
      *  caller, and return its key. */
     PageKey take(const StampEntry &entry);
-    /** Count one entry gone stale; compact once the budget is spent
-     *  (see the file comment). */
-    void retire();
-    /** Drop every stale entry from every ordering structure. */
-    virtual void compact() = 0;
 
     PageSlab<Node> pages;
 
   private:
+    /** The queue admitted pages enter. */
+    virtual StampQueue &admitQueue() = 0;
+    /** admitQueue() when it holds the least entries of all; nullptr
+     *  when it does not exist yet (LFU without a level 1). */
+    virtual StampQueue *leastQueue() = 0;
+    /** Pick, untrack and return the least page; panics when none is
+     *  tracked. */
+    virtual PageKey evictOne() = 0;
+    /** Drop every stale entry from every ordering structure. */
+    virtual void compact() = 0;
+    /** Track the run's pages at @p tick and push them as one run;
+     *  panics on an already-tracked page, after the pages before it. */
+    void admit(std::uint64_t space, std::uint64_t first, std::uint64_t n,
+               std::uint64_t tick);
+    /** Count @p n entries gone stale; compact once the budget is spent
+     *  (see the file comment). */
+    void retire(std::uint64_t n);
+
     std::uint64_t nextSeq = 0;
     std::uint64_t stale = 0;
 };
@@ -328,21 +574,34 @@ class LazyEviction : public EvictionPolicy
 struct LruNode
 {
     std::uint64_t seq = 0;
+
+    void admit(std::uint64_t) {}
 };
 
 struct LfuNode
 {
     std::uint64_t freq = 0;
     std::uint64_t seq = 0;
+
+    void admit(std::uint64_t) { freq = 1; }
 };
 
 struct PredictiveNode
 {
+    /** Predicted-next-touch sentinel for pages never re-accessed. */
+    static constexpr std::uint64_t kNeverReused = ~0ull;
+
     std::uint64_t stamp = 0;
-    /** EWMA inter-access gap; PredictiveEviction::kNeverReused until
-     *  the first re-touch. */
+    /** EWMA inter-access gap; kNeverReused until the first re-touch. */
     std::uint64_t ewmaGap = 0;
     std::uint64_t seq = 0;
+
+    void
+    admit(std::uint64_t tick)
+    {
+        stamp = tick;
+        ewmaGap = kNeverReused;
+    }
 };
 
 /**
@@ -356,13 +615,12 @@ class LruEviction : public LazyEviction<LruNode>
   public:
     void touchRun(std::uint64_t space, std::uint64_t first,
                   std::uint64_t n, std::uint64_t tick) override;
-    void admitRun(std::uint64_t space, std::uint64_t first,
-                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
-                  std::vector<PageKey> &victims) override;
     EvictionKind kind() const override { return EvictionKind::Lru; }
 
   private:
-    PageKey evictOne();
+    StampQueue &admitQueue() override { return order; }
+    StampQueue *leastQueue() override { return &order; }
+    PageKey evictOne() override;
     void compact() override;
 
     StampQueue order;
@@ -377,13 +635,13 @@ class LfuEviction : public LazyEviction<LfuNode>
   public:
     void touchRun(std::uint64_t space, std::uint64_t first,
                   std::uint64_t n, std::uint64_t tick) override;
-    void admitRun(std::uint64_t space, std::uint64_t first,
-                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
-                  std::vector<PageKey> &victims) override;
     EvictionKind kind() const override { return EvictionKind::Lfu; }
 
   private:
-    PageKey evictOne();
+    /** Level 1, the lowest there can be: begin() or a new head. */
+    StampQueue &admitQueue() override;
+    StampQueue *leastQueue() override;
+    PageKey evictOne() override;
     void compact() override;
 
     /** Frequency -> that level's queue; begin() is the lowest. */
@@ -396,18 +654,26 @@ class LfuEviction : public LazyEviction<LfuNode>
  * eviction structure). The vector's order -- and therefore the victim
  * sequence -- is a pure function of the admit/remove stream and the
  * seed, never of container internals; two policies built with the
- * same seed and fed the same stream pick the same victims.
+ * same seed and fed the same stream pick the same victims. The draws
+ * run kDrawAhead values ahead of their use (see the file comment).
  */
 class RandomEviction : public EvictionPolicy
 {
   public:
-    explicit RandomEviction(std::uint64_t seed) : rng(seed) {}
+    /** Raw draws kept ahead of their use. */
+    static constexpr std::uint64_t kDrawAhead = 16;
+
+    explicit RandomEviction(std::uint64_t seed) : rng(seed)
+    {
+        for (Draw &draw : ahead)
+            draw.raw = rng.next();
+    }
 
     void touchRun(std::uint64_t space, std::uint64_t first,
                   std::uint64_t n, std::uint64_t tick) override;
     void admitRun(std::uint64_t space, std::uint64_t first,
                   std::uint64_t n, std::uint64_t tick, std::uint64_t room,
-                  std::vector<PageKey> &victims) override;
+                  std::vector<PageRun> &victims) override;
     void removeRun(std::uint64_t space, std::uint64_t first,
                    std::uint64_t n) override;
     std::uint64_t size() const override { return pages.size(); }
@@ -419,10 +685,35 @@ class RandomEviction : public EvictionPolicy
     {
         std::uint64_t slot = 0;  //!< index into slots
     };
+    /** Track the run's pages in new slots at the end; panics on an
+     *  already-tracked page, after the pages before it. */
+    void insert(std::uint64_t space, std::uint64_t first, std::uint64_t n);
+    /** A raw draw, and the slot it picks among @c size slots. */
+    struct Draw
+    {
+        std::uint64_t raw = 0;
+        std::uint64_t size = 0;
+        std::uint64_t slot = 0;
+
+        /** The slot @c raw picks among @p n > 0 slots. */
+        std::uint64_t
+        slotAmong(std::uint64_t n) const
+        {
+            return n == size ? slot : raw % n;
+        }
+    };
+    /** The slot of the next victim among slots.size() > 0 slots, from
+     *  the oldest draw in the ring; refills the ring and prefetches. */
+    std::uint64_t nextSlot();
     /** Drop slot @p slot by swapping the last key into it. */
     void swapRemove(std::uint64_t slot);
 
     SplitMix64 rng;
+    /** The next kDrawAhead draws, each with the slot it picked at the
+     *  size it was drawn at (none before the first); the oldest is
+     *  ahead[at]. */
+    std::array<Draw, kDrawAhead> ahead{};
+    std::uint64_t at = 0;
     std::vector<PageKey> slots;
     PageSlab<Node> pages;
 };
@@ -441,16 +732,14 @@ class PredictiveEviction : public LazyEviction<PredictiveNode>
   public:
     void touchRun(std::uint64_t space, std::uint64_t first,
                   std::uint64_t n, std::uint64_t tick) override;
-    void admitRun(std::uint64_t space, std::uint64_t first,
-                  std::uint64_t n, std::uint64_t tick, std::uint64_t room,
-                  std::vector<PageKey> &victims) override;
     EvictionKind kind() const override
     {
         return EvictionKind::Predictive;
     }
 
     /** Predicted-next-touch sentinel for pages never re-accessed. */
-    static constexpr std::uint64_t kNeverReused = ~0ull;
+    static constexpr std::uint64_t kNeverReused =
+        PredictiveNode::kNeverReused;
 
   private:
     /** Re-touched pages' entries of one rank = ~predicted next touch,
@@ -468,11 +757,14 @@ class PredictiveEviction : public LazyEviction<PredictiveNode>
         }
     };
     static std::uint64_t predictedNext(const PredictiveNode &node);
-    void enqueue(PageKey key, PredictiveNode &node);
+    /** Queue the entries of @p run, all of rank @p rank. */
+    void enqueue(const StampRun &run, std::uint64_t rank);
     /** Drop stale heads of the open run and the heap top; the least
      *  valid re-touched run, or nullptr. */
     RankedRun *reusedFront();
-    PageKey evictOne();
+    StampQueue &admitQueue() override { return fresh; }
+    StampQueue *leastQueue() override { return &fresh; }
+    PageKey evictOne() override;
     void compact() override;
 
     /** Rank 0 (never reused, or the prediction overflowed): ordered

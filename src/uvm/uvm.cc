@@ -1,5 +1,7 @@
 #include "uvm/uvm.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "mem/geometry.hh"
 #include "policy/engine.hh"
@@ -18,6 +20,30 @@ stretchEnd(const std::vector<Residency> &residency, std::uint64_t first,
     while (end < last && residency[end] == residency[first])
         ++end;
     return end;
+}
+
+/** Set the residency of pages [first, first + n). One page, the common
+ *  case under Random eviction, is a store, not a call to memset. */
+void
+setResidency(std::vector<Residency> &residency, std::uint64_t first,
+             std::uint64_t n, Residency to)
+{
+    if (n == 1)
+        residency[first] = to;
+    else
+        std::fill_n(residency.begin() + first, n, to);
+}
+
+/** Fatal, naming @p who, when [offset, offset + bytes) reaches past the
+ *  @p pages pages of a region -- a range that wraps past 2^64
+ *  included. */
+void
+checkRange(std::uint64_t pages, std::uint64_t offset, std::uint64_t bytes,
+           const char *who)
+{
+    const std::uint64_t size = pages * mem::kPageSize;
+    if (offset > size || bytes > size - offset)
+        fatal("%s access beyond managed region", who);
 }
 
 } // namespace
@@ -94,24 +120,19 @@ UvmSimulator::migrationTime(std::uint64_t pages) const
 }
 
 void
-UvmSimulator::applyEviction(Region &region, std::uint64_t handle,
-                            policy::PageKey victim)
+UvmSimulator::evictRun(Region &region, std::uint64_t handle,
+                       const policy::PageRun &run)
 {
     Region *owner = &region;
-    if (victim.space != handle) {
-        auto it = regions.find(victim.space);
+    if (run.space != handle) {
+        auto it = regions.find(run.space);
         owner = it == regions.end() ? nullptr : &it->second;
     }
     if (owner != nullptr)
-        owner->residency[victim.page] = Residency::Host;
-    --residentPages;
-    ++toHost;
-    ++evicted;
-    if (pol != nullptr) {
-        pol->noteEvicted(victim, residentPages);
-        // The page is still allocated, just host-resident again.
-        pol->noteResident(victim, policy::Tier::Slow);
-    }
+        setResidency(owner->residency, run.first, run.n, Residency::Host);
+    residentPages -= run.n;
+    toHost += run.n;
+    evicted += run.n;
 }
 
 void
@@ -122,16 +143,36 @@ UvmSimulator::pageIn(Region &region, std::uint64_t handle,
     // exceeds capacity: one victim per page once the room is used up.
     const std::uint64_t room =
         capacityPages > residentPages ? capacityPages - residentPages : 0;
-    victims->admitRun(handle, first, n, tick, room, evictedKeys);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        if (i >= room)
-            applyEviction(region, handle, evictedKeys[i - room]);
-        region.residency[first + i] = Residency::Device;
-        ++residentPages;
-        if (pol != nullptr)
-            pol->noteResident({handle, first + i}, policy::Tier::Fast);
-    }
+    victims->admitRun(handle, first, n, tick, room, evictedRuns);
     toDevice += n;
+    if (pol == nullptr) {
+        // A victim of the run's own pages went in before it left.
+        setResidency(region.residency, first, n, Residency::Device);
+        residentPages += n;
+        for (const policy::PageRun &run : evictedRuns)
+            evictRun(region, handle, run);
+        return;
+    }
+    // The hooks see the per-page order: victim j leaves just before
+    // page room + j goes in.
+    std::uint64_t in = 0, j = 0;
+    auto admitUpTo = [&](std::uint64_t end) {
+        for (; in < end; ++in) {
+            region.residency[first + in] = Residency::Device;
+            ++residentPages;
+            pol->noteResident({handle, first + in}, policy::Tier::Fast);
+        }
+    };
+    for (const policy::PageRun &run : evictedRuns) {
+        for (std::uint64_t q = run.first; q < run.first + run.n; ++q) {
+            admitUpTo(room + j++);
+            evictRun(region, handle, {run.space, q, 1});
+            pol->noteEvicted({run.space, q}, residentPages);
+            // The page is still allocated, just host-resident again.
+            pol->noteResident({run.space, q}, policy::Tier::Slow);
+        }
+    }
+    admitUpTo(n);
 }
 
 SimTime
@@ -142,10 +183,9 @@ UvmSimulator::gpuAccess(std::uint64_t handle, std::uint64_t offset,
     if (it == regions.end())
         panic("GPU access to unknown managed region");
     Region &region = it->second;
+    checkRange(region.pages, offset, bytes, "GPU");
     std::uint64_t first = offset / mem::kPageSize;
     std::uint64_t last = ceilDiv(offset + bytes, mem::kPageSize);
-    if (last > region.pages)
-        fatal("GPU access beyond managed region");
 
     ++tick;
     if (pol != nullptr)
@@ -175,10 +215,9 @@ UvmSimulator::cpuAccess(std::uint64_t handle, std::uint64_t offset,
     if (it == regions.end())
         panic("CPU access to unknown managed region");
     Region &region = it->second;
+    checkRange(region.pages, offset, bytes, "CPU");
     std::uint64_t first = offset / mem::kPageSize;
     std::uint64_t last = ceilDiv(offset + bytes, mem::kPageSize);
-    if (last > region.pages)
-        fatal("CPU access beyond managed region");
 
     ++tick;
     if (pol != nullptr)
@@ -229,7 +268,7 @@ UvmSimulator::migrationStep()
                 continue;
             region.residency[action.key.page] = Residency::Device;
             victims->admitRun(action.key.space, action.key.page, 1, tick,
-                              1, evictedKeys);
+                              1, evictedRuns);
             ++residentPages;
             ++toDevice;
             pol->noteMigrated(action.key, policy::Tier::Fast);

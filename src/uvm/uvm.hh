@@ -27,14 +27,18 @@
  * The access paths walk a region in stretches of equal residency and
  * make one policy call per stretch: touchRun for resident pages,
  * admitRun for faulting ones, removeRun for pages leaving. admitRun
- * returns its victims in order -- victim j was picked just before the
- * stretch's page room + j went in -- and the simulator replays them in
- * that per-page order: it flips residency, counts, and reports each
- * eviction and each admitted page to `pol` exactly as a page-by-page
- * loop would, so every PolicyEvict / PolicyMigrate event is the same.
- * A stretch is read only when the walk reaches it, so a page evicted
- * further ahead in the same call faults back in, as it did page by
- * page.
+ * returns its victims in order as page runs -- victim j was picked
+ * just before the stretch's page room + j went in. Without an engine
+ * the simulator applies each victim run with one residency fill and
+ * one counter update (and one region lookup when it is another
+ * region's); the end state is the per-page loop's, since a victim
+ * among the stretch's own pages went in before it left. With an
+ * engine it replays them in the per-page order: it flips residency,
+ * counts, and reports each eviction and each admitted page to `pol`
+ * exactly as a page-by-page loop would, so every PolicyEvict /
+ * PolicyMigrate event is the same. A stretch is read only when the
+ * walk reaches it, so a page evicted further ahead in the same call
+ * faults back in, as it did page by page.
  */
 
 #ifndef UPM_UVM_UVM_HH
@@ -111,13 +115,15 @@ class UvmSimulator
     /**
      * GPU kernel touches [offset, offset+bytes) of @p handle: migrate
      * non-resident pages to the device (evicting if full), then
-     * stream at device bandwidth.
+     * stream at device bandwidth. A range past the region's end --
+     * one that wraps past 2^64 included -- is a fatal SimError.
      * @return simulated time charged.
      */
     SimTime gpuAccess(std::uint64_t handle, std::uint64_t offset,
                       std::uint64_t bytes);
 
-    /** CPU touches a range: migrate device-resident pages back. */
+    /** CPU touches a range: migrate device-resident pages back. The
+     *  range is checked as gpuAccess checks it. */
     SimTime cpuAccess(std::uint64_t handle, std::uint64_t offset,
                       std::uint64_t bytes);
 
@@ -160,9 +166,10 @@ class UvmSimulator
      *  onto the device, evicting as capacity requires. */
     void pageIn(Region &region, std::uint64_t handle, std::uint64_t first,
                 std::uint64_t n);
-    /** Apply the eviction of @p victim; @p region is @p handle's. */
-    void applyEviction(Region &region, std::uint64_t handle,
-                       policy::PageKey victim);
+    /** Apply the eviction of the pages of @p run; @p region is
+     *  @p handle's. */
+    void evictRun(Region &region, std::uint64_t handle,
+                  const policy::PageRun &run);
 
     UvmCosts cost;
     std::uint64_t capacityPages;
@@ -174,8 +181,8 @@ class UvmSimulator
     /** Victim selection over device-resident pages, keyed
      *  {handle, page}. */
     std::unique_ptr<policy::EvictionPolicy> victims;
-    /** admitRun's victims, reused across calls. */
-    std::vector<policy::PageKey> evictedKeys;
+    /** admitRun's victim runs, reused across calls. */
+    std::vector<policy::PageRun> evictedRuns;
     /** Logical clock: one tick per gpuAccess / cpuAccess call, so all
      *  pages touched by one call share a stamp (the LRU-list
      *  equivalence depends on this). */

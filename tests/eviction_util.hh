@@ -20,11 +20,23 @@ namespace upm::test {
  *  every other space. */
 constexpr std::uint64_t kScratchSpace = ~0ull;
 
+/** The victim pages of @p runs, in order. */
+inline std::vector<policy::PageKey>
+pagesOf(const std::vector<policy::PageRun> &runs)
+{
+    std::vector<policy::PageKey> keys;
+    for (const policy::PageRun &run : runs) {
+        for (std::uint64_t i = 0; i < run.n; ++i)
+            keys.push_back({run.space, run.first + i});
+    }
+    return keys;
+}
+
 inline void
 insertPage(policy::EvictionPolicy &ev, policy::PageKey key,
            std::uint64_t tick)
 {
-    std::vector<policy::PageKey> none;
+    std::vector<policy::PageRun> none;
     ev.admitRun(key.space, key.page, 1, tick, 1, none);
 }
 
@@ -50,10 +62,10 @@ removePage(policy::EvictionPolicy &ev, policy::PageKey key)
 inline policy::PageKey
 evictPage(policy::EvictionPolicy &ev, std::uint64_t tick)
 {
-    std::vector<policy::PageKey> victims;
+    std::vector<policy::PageRun> victims;
     ev.admitRun(kScratchSpace, 0, 1, tick, 0, victims);
     ev.removeRun(kScratchSpace, 0, 1);
-    return victims.at(0);
+    return pagesOf(victims).at(0);
 }
 
 } // namespace upm::test

@@ -132,12 +132,34 @@ class ReferenceModel
             victim = order[rng.nextBelow(order.size())];
             break;
         }
+        last = *find(victim);
         entries.erase(find(victim));
         dropFromOrder(victim);
         return victim;
     }
 
     std::size_t size() const { return entries.size(); }
+
+    /** True when the last victim sorted strictly below the entry that
+     *  a page admitted at @p tick as @p first gets (Random: never). */
+    bool
+    lastBelowAdmit(std::uint64_t tick, PageKey first) const
+    {
+        const Entry &e = last;
+        const bool older =
+            std::tie(e.stamp, e.key) < std::tie(tick, first);
+        switch (evKind) {
+          case EvictionKind::Lru:
+            return older;
+          case EvictionKind::Lfu:
+            return e.freq == 1 && older;
+          case EvictionKind::Predictive:
+            return e.predicted() == kNever && older;
+          case EvictionKind::Random:
+            break;
+        }
+        return false;
+    }
 
     bool
     contains(PageKey key) const
@@ -203,6 +225,7 @@ class ReferenceModel
     std::vector<Entry> entries;
     /** Insertion-ordered keys with swap-remove (Random semantics). */
     std::vector<PageKey> order;
+    Entry last{};  //!< the last victim's entry
 };
 
 /** Key universe of one differential stream: spaces 1..spaces, and
@@ -359,7 +382,7 @@ runApiDifferential(EvictionKind kind, std::uint64_t seed, int call_count,
 
     SplitMix64 ops(seed);
     std::set<PageKey> tracked;
-    std::vector<PageKey> victims;
+    std::vector<PageRun> runs;
     std::uint64_t tick = 0;
     std::uint64_t evictions = 0;
     std::uint64_t spills = 0;
@@ -374,7 +397,8 @@ runApiDifferential(EvictionKind kind, std::uint64_t seed, int call_count,
         return n;
     };
     auto admit = [&](PageKey key, std::uint64_t n, std::uint64_t room) {
-        real->admitRun(key.space, key.page, n, tick, room, victims);
+        real->admitRun(key.space, key.page, n, tick, room, runs);
+        const std::vector<PageKey> victims = test::pagesOf(runs);
         ASSERT_EQ(victims.size(), n - std::min(room, n));
         for (std::uint64_t i = 0; i < n; ++i) {
             if (i >= room) {
@@ -472,6 +496,253 @@ TEST(PolicyDiff, RunApiMatchesPerPageReferenceAcross16Seeds)
         runApiDifferential(kind, exec::taskSeed(0x407'7a11ull, 0), 6000,
                            kHotRuns);
     }
+}
+
+/**
+ * One policy and the reference, driven through the same calls. Each
+ * admit checks its victims against the reference and records, per
+ * victim, whether it sorted below every page of the run (the batched
+ * stretches) or not (the page-by-page rest), and whether it was one
+ * of the run's own pages. Random records the slot count at each draw.
+ */
+class Twin
+{
+  public:
+    explicit Twin(EvictionKind kind)
+        : kind(kind), real(makeEviction(kind, kSeed)), ref(kind, kSeed)
+    {}
+
+    struct AdmitStats
+    {
+        std::uint64_t below = 0;       //!< victims below the run
+        std::uint64_t notBelow = 0;    //!< the rest
+        std::uint64_t ownPages = 0;    //!< the run's own pages
+        std::vector<PageKey> victims;  //!< in order
+    };
+
+    AdmitStats
+    admit(std::uint64_t space, std::uint64_t first, std::uint64_t n,
+          std::uint64_t room)
+    {
+        AdmitStats stats;
+        std::vector<PageRun> runs;
+        real->admitRun(space, first, n, tick, room, runs);
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+            EXPECT_GT(runs[k].n, 0u);
+            // Runs are maximal: none continues the one before it.
+            if (k > 0) {
+                EXPECT_FALSE(runs[k].space == runs[k - 1].space &&
+                             runs[k - 1].first + runs[k - 1].n ==
+                                 runs[k].first);
+            }
+        }
+        stats.victims = test::pagesOf(runs);
+        EXPECT_EQ(stats.victims.size(), n - std::min(room, n));
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (i >= room && i - room < stats.victims.size()) {
+                const PageKey victim = stats.victims[i - room];
+                drawSizes.push_back(ref.size());
+                EXPECT_EQ(victim, ref.evict()) << evictionKindName(kind);
+                const bool below = ref.lastBelowAdmit(tick, {space, first});
+                (below ? stats.below : stats.notBelow) += 1;
+                stats.ownPages += victim.space == space &&
+                                  victim.page >= first &&
+                                  victim.page < first + i;
+            }
+            ref.insert({space, first + i}, tick);
+        }
+        EXPECT_EQ(real->size(), ref.size());
+        return stats;
+    }
+
+    void
+    touch(std::uint64_t space, std::uint64_t first, std::uint64_t n)
+    {
+        real->touchRun(space, first, n, tick);
+        for (std::uint64_t i = 0; i < n; ++i)
+            ref.touch({space, first + i}, tick);
+    }
+
+    void
+    remove(std::uint64_t space, std::uint64_t first, std::uint64_t n)
+    {
+        real->removeRun(space, first, n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            ref.remove({space, first + i});
+    }
+
+    /** Evict every page with bare evictions; the victims in order. */
+    std::vector<PageKey>
+    drain()
+    {
+        std::vector<PageKey> order;
+        while (ref.size() > 0) {
+            drawSizes.push_back(ref.size());
+            order.push_back(test::evictPage(*real, tick));
+            EXPECT_EQ(order.back(), ref.evict()) << evictionKindName(kind);
+        }
+        EXPECT_EQ(real->size(), 0u);
+        return order;
+    }
+
+    static constexpr std::uint64_t kSeed = 0x5eed'0bbaull;
+    EvictionKind kind;
+    std::unique_ptr<EvictionPolicy> real;
+    ReferenceModel ref;
+    std::uint64_t tick = 1;
+    /** The tracked-page count at each victim draw, in order. */
+    std::vector<std::uint64_t> drawSizes;
+};
+
+constexpr EvictionKind kAllKinds[] = {EvictionKind::Lru, EvictionKind::Lfu,
+                                      EvictionKind::Random,
+                                      EvictionKind::Predictive};
+
+TEST(PolicyDiff, AdmitRunsOutOfOlderEntriesMidRun)
+{
+    for (EvictionKind kind : kAllKinds) {
+        Twin twin(kind);
+        twin.admit(1, 0, 20, 20);
+        ++twin.tick;
+        // Half the older pages move up a level (LFU) or out of the
+        // never-reused rank (Predictive).
+        twin.touch(1, 0, 10);
+        ++twin.tick;
+        // 40 victims, more than Random's draw-ahead ring holds: the
+        // older entries run out mid-run and the run evicts its own
+        // pages -- for LFU, level 1 empties mid-run.
+        const Twin::AdmitStats stats = twin.admit(1, 100, 40, 0);
+        EXPECT_GT(stats.victims.size(), RandomEviction::kDrawAhead);
+        if (kind != EvictionKind::Random) {
+            EXPECT_GT(stats.below, 0u) << evictionKindName(kind);
+            EXPECT_GT(stats.notBelow, 0u) << evictionKindName(kind);
+            EXPECT_GT(stats.ownPages, 0u) << evictionKindName(kind);
+        }
+        twin.drain();
+        // Every page touched: the compaction erases LFU's level 1, so
+        // the next admit's first victim comes from level 2 and every
+        // later one is a page of its own.
+        ++twin.tick;
+        twin.admit(1, 0, 100, 100);
+        ++twin.tick;
+        twin.touch(1, 0, 100);
+        const Twin::AdmitStats fresh = twin.admit(1, 200, 10, 0);
+        if (kind == EvictionKind::Lfu) {
+            EXPECT_EQ(fresh.ownPages, 9u);
+        }
+        twin.drain();
+    }
+}
+
+TEST(PolicyDiff, SameTickEntriesAboveTheRunStopTheBatch)
+{
+    for (EvictionKind kind : kAllKinds) {
+        Twin twin(kind);
+        twin.admit(1, 0, 5, 5);
+        twin.admit(1, 10, 10, 10);
+        twin.admit(1, 200, 10, 10);
+        ++twin.tick;
+        // At the tick of the admit: touches below and above its first
+        // key, and an admit above it.
+        twin.touch(1, 10, 10);
+        twin.touch(1, 200, 10);
+        twin.admit(1, 300, 10, 10);
+        const Twin::AdmitStats stats = twin.admit(1, 100, 30, 0);
+        if (kind != EvictionKind::Random) {
+            EXPECT_GT(stats.below, 0u) << evictionKindName(kind);
+            EXPECT_GT(stats.notBelow, 0u) << evictionKindName(kind);
+            // The same-tick entries above the run never beat its own
+            // lower keys.
+            for (PageKey victim : stats.victims)
+                EXPECT_LT(victim.page, 200u) << evictionKindName(kind);
+        }
+        if (kind == EvictionKind::Lru) {
+            // LRU batches the same-tick touches below the run's keys.
+            EXPECT_EQ(stats.below, 5u + 10u);
+        }
+        twin.drain();
+    }
+}
+
+TEST(PolicyDiff, SpillEntryBetweenHeadRunEntries)
+{
+    for (EvictionKind kind : kAllKinds) {
+        Twin twin(kind);
+        twin.admit(1, 0, 100, 100);
+        // Page 50 leaves and comes back at the same tick: its new entry
+        // sorts below the queue's tail and spills, between entries of
+        // the FIFO's head run.
+        twin.remove(1, 50, 1);
+        twin.admit(1, 50, 1, 1);
+        ++twin.tick;
+        const Twin::AdmitStats stats = twin.admit(2, 0, 100, 0);
+        if (kind != EvictionKind::Random) {
+            EXPECT_EQ(stats.below, 100u) << evictionKindName(kind);
+            std::vector<PageKey> expect;
+            for (std::uint64_t p = 0; p < 100; ++p)
+                expect.push_back({1, p});
+            EXPECT_EQ(stats.victims, expect) << evictionKindName(kind);
+        }
+        twin.drain();
+    }
+}
+
+TEST(PolicyDiff, PredictiveOpenRunAgainstItsHeapTop)
+{
+    for (EvictionKind kind : kAllKinds) {
+        Twin twin(kind);
+        // A = pages 0-9, B = 10-19, C = 20-29 (C1 = 20-24, C2 =
+        // 25-29). Admitted at ticks 1 (A), 6 (C1), 7 (C2) and 8 (B) and
+        // touched at 10 (A), 11 (B) and 12 (C), they predict next
+        // touches 19 (A), 14 (B), 18 (C1) and 17 (C2). C's one touch
+        // splits into two stretches of equal rank: C1 goes to the heap,
+        // C2 stays the open run, ranked between the heap's C1 and B.
+        twin.admit(1, 0, 10, 10);
+        twin.tick = 6;
+        twin.admit(1, 20, 5, 5);
+        twin.tick = 7;
+        twin.admit(1, 25, 5, 5);
+        twin.tick = 8;
+        twin.admit(1, 10, 10, 10);
+        twin.tick = 10;
+        twin.touch(1, 0, 10);
+        twin.tick = 11;
+        twin.touch(1, 10, 10);
+        twin.tick = 12;
+        twin.touch(1, 20, 10);
+        const std::vector<PageKey> order = twin.drain();
+        if (kind != EvictionKind::Predictive)
+            continue;
+        // The heap's A and C1 go ahead of the open C2, which goes
+        // ahead of the heap's B.
+        ASSERT_EQ(order.size(), 30u);
+        EXPECT_EQ(order[0], (PageKey{1, 0}));
+        EXPECT_EQ(order[10], (PageKey{1, 20}));
+        EXPECT_EQ(order[15], (PageKey{1, 25}));
+        EXPECT_EQ(order[20], (PageKey{1, 10}));
+    }
+}
+
+TEST(PolicyDiff, RandomSlotCountChangesInsideTheDrawAheadWindow)
+{
+    Twin twin(EvictionKind::Random);
+    twin.admit(1, 0, 40, 40);
+    twin.admit(1, 100, 10, 0);    // ten draws at 40 slots
+    twin.remove(1, 0, 5);         // 35 slots
+    twin.admit(1, 200, 10, 5);    // five in, then five draws at 40
+    twin.remove(1, 200, 3);       // 37 slots
+    twin.admit(1, 300, 3, 0);     // three draws at 37
+    twin.admit(1, 400, 30, 0);    // a run longer than the ring
+    twin.drain();                 // a draw at every count down to 1
+    // Draw d entered the ring kDrawAhead draws earlier: count the
+    // draws whose slot count moved since, and those whose did not.
+    const std::vector<std::uint64_t> &sizes = twin.drawSizes;
+    const std::uint64_t ring = RandomEviction::kDrawAhead;
+    std::uint64_t moved = 0, kept = 0;
+    for (std::size_t d = ring; d < sizes.size(); ++d)
+        (sizes[d] == sizes[d - ring] ? kept : moved) += 1;
+    EXPECT_GT(moved, 0u);
+    EXPECT_GT(kept, 0u);
 }
 
 // ---- Oracle 2: the retired list-LRU uvm simulator -----------------------
@@ -780,10 +1051,10 @@ class PagewiseUvm
                 continue;
             }
             device[p] = true;
-            std::vector<PageKey> victim;
+            std::vector<PageRun> runs;
             victims->admitRun(handle, p, 1, tick,
-                              residentPages < capacityPages ? 1 : 0,
-                              victim);
+                              residentPages < capacityPages ? 1 : 0, runs);
+            const std::vector<PageKey> victim = test::pagesOf(runs);
             if (!victim.empty()) {
                 auto it = regions.find(victim[0].space);
                 if (it != regions.end())
@@ -834,7 +1105,7 @@ class PagewiseUvm
                 if (device || residentPages >= capacityPages)
                     continue;
                 device = true;
-                std::vector<PageKey> none;
+                std::vector<PageRun> none;
                 victims->admitRun(action.key.space, action.key.page, 1,
                                   tick, 1, none);
                 ++residentPages;

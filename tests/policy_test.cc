@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "eviction_util.hh"
 #include "mem/geometry.hh"
 #include "policy/engine.hh"
@@ -179,6 +182,172 @@ TEST(Eviction, MisusePanicsForEveryKind)
         EXPECT_FALSE(ev->contains({1, 2})) << ev->name();
         touchPage(*ev, {1, 0}, 5);  // an equal tick is fine
         EXPECT_EQ(ev->size(), 2u) << ev->name();
+    }
+}
+
+TEST(Eviction, RunMisuseLeavesThePagesBeforeApplied)
+{
+    for (EvictionKind kind : kKinds) {
+        auto ev = makeEviction(kind, 1);
+        std::vector<PageRun> victims;
+        ev->admitRun(1, 0, 4, 1, 4, victims);
+        // Page 4 is not tracked: pages 0-3 are touched, then a panic.
+        EXPECT_THROW(ev->touchRun(1, 0, 6, 2), SimError) << ev->name();
+        EXPECT_EQ(ev->size(), 4u) << ev->name();
+        // Pages 2 and 3 leave, then page 4 panics.
+        EXPECT_THROW(ev->removeRun(1, 2, 4), SimError) << ev->name();
+        EXPECT_EQ(ev->size(), 2u) << ev->name();
+        EXPECT_FALSE(ev->contains({1, 3})) << ev->name();
+        ev->admitRun(1, 2, 4, 3, 4, victims);
+        ev->admitRun(1, 8, 1, 3, 1, victims);
+        // Pages 6 and 7 go in, then page 8 panics.
+        EXPECT_THROW(ev->admitRun(1, 6, 4, 3, 4, victims), SimError)
+            << ev->name();
+        EXPECT_EQ(ev->size(), 9u) << ev->name();
+        EXPECT_TRUE(ev->contains({1, 7})) << ev->name();
+        EXPECT_FALSE(ev->contains({1, 9})) << ev->name();
+        // Every page is still evictable, each exactly once.
+        std::set<PageKey> seen;
+        while (ev->size() > 0)
+            EXPECT_TRUE(seen.insert(evictPage(*ev, 4)).second) << ev->name();
+        EXPECT_EQ(seen.size(), 9u) << ev->name();
+    }
+}
+
+// ---- PageSlab runs ------------------------------------------------------
+
+struct SlabNode
+{
+    std::uint64_t value = 0;
+};
+
+using Slab = PageSlab<SlabNode>;
+constexpr std::uint64_t kChunk = Slab::kChunkPages;
+
+/** addRun with the fill that stamps page first + i with @p base + i. */
+std::uint64_t
+stampRun(Slab &slab, PageKey first, std::uint64_t n, std::uint64_t base)
+{
+    return slab.addRun(first, n, [&](SlabNode &node, std::uint64_t i) {
+        node.value = base + i;
+    });
+}
+
+TEST(PageSlab, RunsAcrossChunksMatchPerPageCalls)
+{
+    // Pages 500..1099 span chunks 0, 1 and 2, with partial words at
+    // both ends.
+    Slab runs, pages;
+    EXPECT_EQ(stampRun(runs, {1, 500}, 600, 7), 600u);
+    for (std::uint64_t p = 500; p < 1100; ++p)
+        pages.add({1, p})->value = 7 + p - 500;
+    EXPECT_EQ(runs.size(), pages.size());
+    for (std::uint64_t p = 480; p < 1130; ++p) {
+        const SlabNode *node = runs.find({1, p});
+        ASSERT_EQ(node != nullptr, pages.find({1, p}) != nullptr) << p;
+        if (node != nullptr) {
+            EXPECT_EQ(node->value, pages.find({1, p})->value) << p;
+        }
+    }
+    // A run stops at the first tracked page; the fill sees only the
+    // pages it tracked.
+    std::uint64_t filled = 0;
+    EXPECT_EQ(runs.addRun({1, 300}, 400,
+                          [&](SlabNode &, std::uint64_t) { ++filled; }),
+              200u);
+    EXPECT_EQ(filled, 200u);
+    EXPECT_EQ(runs.size(), 800u);
+    EXPECT_EQ(runs.find({1, 500})->value, 7u);
+    // A drop stops at the first untracked page.
+    EXPECT_EQ(runs.dropRun({1, 1000}, 300), 100u);
+    EXPECT_EQ(runs.dropRun({1, 1000}, 1), 0u);
+    EXPECT_EQ(runs.dropRun({2, 0}, 1), 0u);
+    EXPECT_EQ(runs.size(), 700u);
+    EXPECT_FALSE(runs.drop({1, 1099}));
+    EXPECT_TRUE(runs.drop({1, 999}));
+    EXPECT_EQ(runs.find({1, 998})->value, 7u + 498);
+}
+
+TEST(PageSlab, ChunkAndSpaceGoWithTheirLastPage)
+{
+    Slab slab;
+    stampRun(slab, {1, 0}, 2 * kChunk, 1);
+    // Chunk 0 keeps its page 511, so its dropped nodes keep their
+    // state; chunk 1 loses every page, so it comes back zeroed.
+    EXPECT_EQ(slab.dropRun({1, 0}, kChunk - 1), kChunk - 1);
+    EXPECT_EQ(slab.dropRun({1, kChunk}, kChunk), kChunk);
+    std::vector<std::uint64_t> seen;
+    auto record = [&](SlabNode &node, std::uint64_t) {
+        seen.push_back(node.value);
+    };
+    slab.addRun({1, 5}, 1, record);
+    slab.addRun({1, kChunk + 5}, 1, record);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{6, 0}));
+    // A chunk also goes when its last page leaves in the middle of a
+    // run: pages 500..519 leave, chunk 1 keeps 520..523.
+    Slab mid;
+    stampRun(mid, {1, 500}, 24, 1);
+    EXPECT_EQ(mid.dropRun({1, 500}, 20), 20u);
+    seen.clear();
+    mid.addRun({1, 505}, 1, record);
+    mid.addRun({1, kChunk + 3}, 1, record);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 16}));
+    // The space goes with its last page; a new one starts empty.
+    EXPECT_EQ(mid.dropRun({1, 505}, 1), 1u);
+    EXPECT_EQ(mid.dropRun({1, kChunk + 3}, 1), 1u);
+    EXPECT_EQ(mid.dropRun({1, kChunk + 8}, 5), 4u);
+    EXPECT_EQ(mid.size(), 0u);
+    EXPECT_EQ(mid.find({1, kChunk + 7}), nullptr);
+    seen.clear();
+    mid.addRun({1, kChunk + 7}, 1, record);
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{0}));
+}
+
+TEST(PageSlab, SeededRunsMatchPerPageCalls)
+{
+    // Runs of up to 1100 pages over two spaces of five chunks, against
+    // the same calls page by page and a map of what is tracked.
+    Slab runs, pages;
+    std::map<PageKey, std::uint64_t> model;
+    SplitMix64 rng(0x51ab'5eedull);
+    for (int op = 0; op < 3000; ++op) {
+        const PageKey first{1 + rng.next() % 2, rng.next() % (5 * kChunk)};
+        const std::uint64_t n = 1 + rng.next() % (op % 4 == 0 ? 1100 : 40);
+        const std::uint64_t base = rng.next();
+        if (rng.next() % 2) {
+            std::uint64_t expect = 0;
+            while (expect < n &&
+                   !model.count({first.space, first.page + expect}))
+                ++expect;
+            ASSERT_EQ(stampRun(runs, first, n, base), expect) << op;
+            for (std::uint64_t i = 0; i < expect; ++i) {
+                pages.add({first.space, first.page + i})->value = base + i;
+                model[{first.space, first.page + i}] = base + i;
+            }
+        } else {
+            std::uint64_t expect = 0;
+            while (expect < n &&
+                   model.count({first.space, first.page + expect}))
+                ++expect;
+            ASSERT_EQ(runs.dropRun(first, n), expect) << op;
+            for (std::uint64_t i = 0; i < expect; ++i) {
+                ASSERT_TRUE(pages.drop({first.space, first.page + i}));
+                model.erase({first.space, first.page + i});
+            }
+        }
+        ASSERT_EQ(runs.size(), model.size());
+        ASSERT_EQ(pages.size(), model.size());
+        for (int probe = 0; probe < 16; ++probe) {
+            const PageKey key{1 + rng.next() % 2,
+                              rng.next() % (5 * kChunk + 64)};
+            const SlabNode *node = runs.find(key);
+            const auto it = model.find(key);
+            ASSERT_EQ(node != nullptr, it != model.end()) << op;
+            ASSERT_EQ(pages.find(key) != nullptr, it != model.end()) << op;
+            if (node != nullptr) {
+                ASSERT_EQ(node->value, it->second) << op;
+            }
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "mem/geometry.hh"
+#include "policy/engine.hh"
 #include "uvm/uvm.hh"
 
 namespace upm::uvm {
@@ -108,6 +109,29 @@ TEST(Uvm, OutOfRangeAccessIsUserError)
     std::uint64_t h = sim.allocManaged(1 * MiB);
     EXPECT_THROW(sim.gpuAccess(h, 0, 2 * MiB), SimError);
     EXPECT_THROW(sim.cpuAccess(h, 512 * KiB, 1 * MiB), SimError);
+    // Ranges whose end wraps past 2^64 reach past the region too.
+    EXPECT_THROW(sim.gpuAccess(h, ~0ull - 4095, 8192), SimError);
+    EXPECT_THROW(sim.cpuAccess(h, ~0ull - 4095, 8192), SimError);
+    EXPECT_THROW(sim.gpuAccess(h, 4096, ~0ull), SimError);
+    EXPECT_THROW(sim.cpuAccess(h, 1 * MiB, ~0ull), SimError);
+    EXPECT_THROW(sim.gpuAccess(h, 1 * MiB + 1, 0), SimError);
+    // The region's last byte and an empty range at its end are fine.
+    EXPECT_NO_THROW(sim.gpuAccess(h, 1 * MiB - 1, 1));
+    EXPECT_NO_THROW(sim.cpuAccess(h, 1 * MiB, 0));
+    EXPECT_EQ(sim.deviceResidentPages(), 1u);
+}
+
+TEST(Uvm, WrappedRangeRejectedBeforeTheEngineSeesIt)
+{
+    // With an engine wired, a wrapped range used to reach
+    // noteAccessRange with last < first.
+    policy::PolicyEngine engine(policy::PolicyConfig{});
+    UvmSimulator sim(64 * MiB, policy::EvictionKind::Lru, 0, &engine);
+    std::uint64_t h = sim.allocManaged(1 * MiB);
+    EXPECT_THROW(sim.gpuAccess(h, ~0ull - 4095, 8192), SimError);
+    EXPECT_THROW(sim.cpuAccess(h, ~0ull - 4095, 8192), SimError);
+    EXPECT_GT(sim.gpuAccess(h, 0, 8192), 0.0);
+    EXPECT_EQ(sim.deviceResidentPages(), 2u);
 }
 
 TEST(Uvm, ZeroByteAllocRejected)
